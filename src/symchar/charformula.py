@@ -2,9 +2,10 @@
 
 character_at turns the closed pole data into the actual character of the
 N-th symmetric power: the weighted sum of coefficients is accumulated as a
-single factored rational function and the final (always exact) division by
-the expanded denominator recovers the Laurent polynomial.  multiplicity_at
-reads a weight multiplicity off that polynomial as a shifted constant term.
+single factored rational function over one common denominator, and the
+final (always exact) division by its binomial factors, one at a time,
+recovers the Laurent polynomial.  multiplicity_at reads a weight
+multiplicity off that polynomial as a shifted constant term.
 
 orbit_split regroups the same sum by Weyl orbits of dominant weights, and
 univariate_pfd decomposes a rank-1 summand into a Laurent-polynomial part
@@ -123,16 +124,20 @@ class UnivariatePFD:
         }
 
 
-def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
-    """Character of the n-th symmetric power, as an exact Laurent polynomial."""
+def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRational]]:
+    """(nu, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term: the degree-n summands."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("symmetric-power degree must be a non-negative integer")
-    rank = cc.rank
-    parts = [
-        term.coeff * binomial_poly(term.order, n) * LaurentPoly.monomial(weight_scale(n, term.weight))
-        for term in cc.terms
+    return [
+        (t.weight, t.coeff * binomial_poly(t.order, n) * LaurentPoly.monomial(weight_scale(n, t.weight)))
+        for t in cc.terms
     ]
-    total = FactoredRational.sum(parts, rank)
+
+
+def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
+    """Character of the n-th symmetric power, as an exact Laurent polynomial."""
+    rank = cc.rank
+    total = FactoredRational.sum([part for _, part in _contributions(cc, n)], rank)
     poly = total.as_laurent()  # ExactDivisionError here means an upstream bug
     for coeff in poly.terms.values():
         if coeff.denominator != 1 or coeff <= 0:
@@ -152,15 +157,9 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
     each one collects q^(n w.nu) times the pole coefficients of the orbit
     weights w.nu.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("symmetric-power degree must be a non-negative integer")
     grouped: dict[Weight, list[FactoredRational]] = {}
-    for term in cc.terms:
-        dominant = rs.dominant_representative(term.weight)
-        contribution = term.coeff * binomial_poly(term.order, n) * LaurentPoly.monomial(
-            weight_scale(n, term.weight)
-        )
-        grouped.setdefault(dominant, []).append(contribution)
+    for weight, part in _contributions(cc, n):
+        grouped.setdefault(rs.dominant_representative(weight), []).append(part)
     return [
         OrbitSummand(
             dominant_weight=nu,

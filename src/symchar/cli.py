@@ -3,7 +3,8 @@
 Subcommands: weights | pfd | char | mult | orbits | vpart | verify.
 Output goes to stdout (JSON by default, plain text with --format text),
 diagnostics to stderr.  Exit codes: 0 success, 1 user error, 2 internal
-inconsistency (an exactness assertion failed, which means a bug).
+inconsistency (an exactness assertion failed or a lookup missed, which
+means a bug).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from .charformula import character_at, multiplicity_at, orbit_split
 from .oracle import adams_symmetric, truncated_molien
 from .pfdcore import pfd_decompose
-from .polyring import ExactDivisionError
 from .rootsys import RootSystem, from_label
 from .vpart import build_partition_matrix, check_partition_equivalence
 from .weightsys import weight_system
@@ -275,10 +275,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (ExactDivisionError, AssertionError, ArithmeticError) as error:
+    except (AssertionError, ArithmeticError, KeyError, IndexError) as error:
         print("internal inconsistency: %s" % error, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, IndexError) as error:
+    except ValueError as error:
         print("error: %s" % error, file=sys.stderr)
         return 1
 

@@ -59,16 +59,7 @@ class ClosedCharacter:
 
     def coefficient_sum(self) -> FactoredRational:
         """Sum of all coefficients; equals 1 exactly (the N = 0 specialization)."""
-        total = FactoredRational.zero(self.rank)
-        for term in self.terms:
-            total = total + term.coeff
-        return total
-
-    def terms_by_weight(self) -> dict[Weight, list[PFDTerm]]:
-        grouped: dict[Weight, list[PFDTerm]] = {}
-        for term in self.terms:
-            grouped.setdefault(term.weight, []).append(term)
-        return grouped
+        return FactoredRational.sum([term.coeff for term in self.terms], self.rank)
 
     def to_json(self) -> list[dict]:
         return [term.to_json() for term in self.terms]

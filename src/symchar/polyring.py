@@ -5,6 +5,10 @@ tuples of fixed length (the rank, i.e. the number of variables q1..qr).
 Rational functions keep their denominators as multisets of binomial factors
 (1 - q^alpha)^k; every denominator the character pipeline produces has this
 shape, so expanded denominators and multivariate GCDs are never needed.
+The arithmetic uses that shape: multiplying by (1 - q^alpha) is one
+shift-and-subtract pass p - p*q^alpha, and exact division accepts only a
+monomial or two-term divisor, dividing by (1 - r*q^alpha) as a running sum
+along each alpha-chain of the dividend.
 
 All values are treated as immutable; operations return new objects.
 """
@@ -98,6 +102,14 @@ class LaurentPoly:
         exponent = tuple(exponent)
         return cls(len(exponent), {exponent: coeff})
 
+    @classmethod
+    def _raw(cls, rank: int, terms: dict[Exponent, Fraction]) -> "LaurentPoly":
+        """Wrap a dict of nonzero Fraction coefficients without copying or checking it."""
+        result = cls.__new__(cls)
+        result.rank = rank
+        result.terms = terms
+        return result
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -112,12 +124,6 @@ class LaurentPoly:
 
     def support(self) -> list[Exponent]:
         return sorted(self.terms)
-
-    def min_exponent(self) -> Exponent:
-        """Coordinate-wise minimum exponent over the support (nonzero only)."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no minimal exponent")
-        return tuple(min(e[i] for e in self.terms) for i in range(self.rank))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,18 +155,12 @@ class LaurentPoly:
                 merged[exponent] = total
             else:
                 merged.pop(exponent, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.rank = self.rank
-        result.terms = merged
-        return result
+        return LaurentPoly._raw(self.rank, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.rank = self.rank
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return LaurentPoly._raw(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         coerced = self._coerce(other)
@@ -176,10 +176,7 @@ class LaurentPoly:
             scalar = _exact(other)
             if not scalar:
                 return LaurentPoly.zero(self.rank)
-            result = LaurentPoly.__new__(LaurentPoly)
-            result.rank = self.rank
-            result.terms = {e: c * scalar for e, c in self.terms.items()}
-            return result
+            return LaurentPoly._raw(self.rank, {e: c * scalar for e, c in self.terms.items()})
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
@@ -192,10 +189,7 @@ class LaurentPoly:
                     product[key] = total
                 else:
                     del product[key]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.rank = self.rank
-        result.terms = product
-        return result
+        return LaurentPoly._raw(self.rank, product)
 
     __rmul__ = __mul__
 
@@ -235,50 +229,53 @@ class LaurentPoly:
         return total
 
     def exact_div(self, divisor) -> "LaurentPoly":
-        """Exact quotient self / divisor.
+        """Exact quotient self / divisor, for a monomial or two-term divisor.
 
-        Division is performed by leading-term elimination under the
-        graded-lexicographic order after shifting both operands by their
-        minimal exponent vectors.  Raises :class:`ExactDivisionError`
-        (carrying the offending remainder) when the division is not exact.
+        A two-term divisor is written c*q^beta*(1 - r*q^alpha) with alpha
+        lexicographically positive.  Dividing by (1 - r*q^alpha) is a running
+        sum Q(t) = P(t) + r*Q(t-1) along each alpha-chain of the dividend,
+        walked once from its lowest term; the division is exact iff the
+        running value is 0 at the top of every chain.  Otherwise raises
+        :class:`ExactDivisionError` carrying the remainder, the nonzero
+        chain tops.  Any other divisor raises ValueError.
         """
         coerced = self._coerce(divisor)
         if coerced is None:
             raise TypeError("cannot divide by %r" % (divisor,))
         if coerced.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero(self.rank)
-        shift_a = self.min_exponent()
-        shift_b = coerced.min_exponent()
-        rem = {tuple(x - s for x, s in zip(e, shift_a)): c for e, c in self.terms.items()}
-        dense_b = {tuple(x - s for x, s in zip(e, shift_b)): c for e, c in coerced.terms.items()}
-        lead_b = max(dense_b, key=_grlex)
-        lead_b_coeff = dense_b[lead_b]
+        if len(coerced.terms) > 2:
+            raise ValueError("exact_div divides by a monomial or a two-term polynomial only")
+        (beta, c), *rest = sorted(coerced.terms.items())
+        scaled = {
+            tuple(x - b for x, b in zip(e, beta)): coeff / c for e, coeff in self.terms.items()
+        }
+        if not rest:
+            return LaurentPoly._raw(self.rank, scaled)
+        (top, c_top), = rest
+        alpha = tuple(x - b for x, b in zip(top, beta))
+        r = -c_top / c
+        i = next(k for k, a in enumerate(alpha) if a)
+        chains: dict[Exponent, dict[int, Fraction]] = {}
+        for e, coeff in scaled.items():
+            t = e[i] // alpha[i]
+            chains.setdefault(tuple(x - t * a for x, a in zip(e, alpha)), {})[t] = coeff
         quotient: dict[Exponent, Fraction] = {}
-        while rem:
-            lead_r = max(rem, key=_grlex)
-            step = tuple(x - y for x, y in zip(lead_r, lead_b))
-            if any(s < 0 for s in step):
-                remainder = LaurentPoly(
-                    self.rank,
-                    {tuple(x + s for x, s in zip(e, shift_a)): c for e, c in rem.items()},
-                )
-                raise ExactDivisionError("remainder nonzero in exact division", remainder)
-            factor = rem[lead_r] / lead_b_coeff
-            quotient[step] = quotient.get(step, Fraction(0)) + factor
-            for eb, cb in dense_b.items():
-                key = tuple(x + y for x, y in zip(step, eb))
-                total = rem.get(key, Fraction(0)) - factor * cb
-                if total:
-                    rem[key] = total
-                else:
-                    rem.pop(key, None)
-        offset = tuple(x - y for x, y in zip(shift_a, shift_b))
-        return LaurentPoly(
-            self.rank,
-            {tuple(x + o for x, o in zip(e, offset)): c for e, c in quotient.items()},
-        )
+        remainder: dict[Exponent, Fraction] = {}
+        for base, chain in chains.items():
+            running = Fraction(0)
+            highest = max(chain)
+            for t in range(min(chain), highest + 1):
+                running = chain.get(t, 0) + r * running
+                if t < highest:
+                    quotient[tuple(x + t * a for x, a in zip(base, alpha))] = running
+            if running:
+                remainder[tuple(x + b + highest * a for x, b, a in zip(base, beta, alpha))] = running * c
+        if remainder:
+            raise ExactDivisionError(
+                "remainder nonzero in exact division", LaurentPoly._raw(self.rank, remainder)
+            )
+        return LaurentPoly(self.rank, quotient)
 
     # -- presentation ------------------------------------------------------
 
@@ -321,6 +318,22 @@ class LaurentPoly:
 def _binomial_factor(alpha: Exponent) -> LaurentPoly:
     """The Laurent polynomial 1 - q^alpha."""
     return LaurentPoly(len(alpha), {(0,) * len(alpha): 1, alpha: -1})
+
+
+def _times_factors(poly: LaurentPoly, factors: Mapping[Exponent, int]) -> LaurentPoly:
+    """poly * prod (1 - q^alpha)^k, as k passes of poly - poly * q^alpha per factor."""
+    for alpha, power in factors.items():
+        for _ in range(power):
+            terms = dict(poly.terms)
+            for e, coeff in poly.terms.items():
+                key = tuple(x + a for x, a in zip(e, alpha))
+                total = terms.get(key, 0) - coeff
+                if total:
+                    terms[key] = total
+                else:
+                    del terms[key]
+            poly = LaurentPoly._raw(poly.rank, terms)
+    return poly
 
 
 class FactoredRational:
@@ -376,17 +389,14 @@ class FactoredRational:
         return cls(LaurentPoly.one(rank))
 
     @classmethod
-    def from_laurent(cls, poly: LaurentPoly) -> "FactoredRational":
-        return cls(poly)
-
-    @classmethod
     def sum(cls, parts, rank: int) -> "FactoredRational":
         """Sum many terms over one shared denominator.
 
-        Cheaper than folding with + for long sums: the common denominator
-        is computed once, each numerator is multiplied by its cofactor
-        once, and no intermediate reductions happen.  The result is not
-        reduced; callers that need a tidy denominator call reduced().
+        The common denominator takes the largest power of each factor; each
+        numerator is multiplied by its missing factors (1 - q^alpha)^k as k
+        shift-and-subtract passes, and no intermediate reductions happen.
+        The result is not reduced; callers that need a tidy denominator
+        call reduced().
         """
         parts = list(parts)
         common: dict[Exponent, int] = {}
@@ -398,7 +408,8 @@ class FactoredRational:
                     common[alpha] = power
         total = LaurentPoly.zero(rank)
         for part in parts:
-            total = total + part.numerator * part._cofactor(common)
+            missing = {a: p - part.factors.get(a, 0) for a, p in common.items()}
+            total = total + _times_factors(part.numerator, missing)
         return cls(total, common)
 
     # -- queries -----------------------------------------------------------
@@ -412,15 +423,16 @@ class FactoredRational:
         return self.numerator.is_zero
 
     def denominator_expanded(self) -> LaurentPoly:
-        return _expand_factors(self.rank, self.factors)
+        return _times_factors(LaurentPoly.one(self.rank), self.factors)
 
     def as_laurent(self) -> LaurentPoly:
         """Exact quotient numerator / denominator; the value must be polynomial.
 
-        Divides factor by factor (a quotient divisible by the product is
-        divisible by each factor in turn), which is much cheaper than one
-        division by the expanded denominator and raises the same
-        :class:`ExactDivisionError` when the value is not a polynomial.
+        Divides by one binomial factor (1 - q^alpha) at a time through
+        :meth:`LaurentPoly.exact_div` (a quotient divisible by the product
+        is divisible by each factor in turn), so the denominator is never
+        expanded; raises :class:`ExactDivisionError` when the value is not
+        a polynomial.
         """
         result = self.numerator
         for alpha in sorted(self.factors):
@@ -444,20 +456,11 @@ class FactoredRational:
             return FactoredRational(LaurentPoly.constant(self.rank, other))
         return None
 
-    def _cofactor(self, common: Mapping[Exponent, int]) -> LaurentPoly:
-        missing = {a: p - self.factors.get(a, 0) for a, p in common.items()}
-        return _expand_factors(self.rank, missing)
-
     def __add__(self, other) -> "FactoredRational":
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        common = dict(self.factors)
-        for alpha, power in coerced.factors.items():
-            if common.get(alpha, 0) < power:
-                common[alpha] = power
-        num = self.numerator * self._cofactor(common) + coerced.numerator * coerced._cofactor(common)
-        return FactoredRational(num, common).reduced()
+        return FactoredRational.sum((self, coerced), self.rank).reduced()
 
     __radd__ = __add__
 
@@ -536,8 +539,8 @@ class FactoredRational:
         }
         left_rest = {a: p - shared.get(a, 0) for a, p in self.factors.items()}
         right_rest = {a: p - shared.get(a, 0) for a, p in coerced.factors.items()}
-        left = self.numerator * _expand_factors(self.rank, right_rest)
-        right = coerced.numerator * _expand_factors(self.rank, left_rest)
+        left = _times_factors(self.numerator, right_rest)
+        right = _times_factors(coerced.numerator, left_rest)
         return left == right
 
     __hash__ = None
@@ -566,12 +569,3 @@ class FactoredRational:
 
     def __repr__(self) -> str:
         return "FactoredRational(%s)" % self
-
-
-def _expand_factors(rank: int, factors: Mapping[Exponent, int]) -> LaurentPoly:
-    result = LaurentPoly.one(rank)
-    for alpha in sorted(factors):
-        power = factors[alpha]
-        if power:
-            result = result * _binomial_factor(alpha) ** power
-    return result

@@ -65,12 +65,41 @@ class TestExactDivision:
         divisor = q(-1)
         assert numerator.exact_div(divisor) == q(2) - 1
 
-    def test_multivariate_roundtrip_random(self):
+    def test_binomial_roundtrip_random(self):
+        # Divisors c*q^beta*(1 - r*q^alpha)^k in ranks 1-3, with r != 1 and
+        # alpha of mixed sign allowed; the power is divided out one binomial
+        # at a time.  Adding a monomial to a multiple makes it non-divisible.
         rng = random.Random(7)
-        for _ in range(25):
-            a = _random_poly(rng, rank=2)
-            b = _random_poly(rng, rank=2, ensure_nonzero=True)
-            assert (a * b).exact_div(b) == a
+        for _ in range(60):
+            rank = rng.randint(1, 3)
+            alpha = (0,) * rank
+            while not any(alpha):
+                alpha = tuple(rng.randint(-3, 3) for _ in range(rank))
+            beta = tuple(rng.randint(-2, 2) for _ in range(rank))
+            c = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 3))
+            r = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 2))
+            binomial = LaurentPoly(
+                rank, {beta: c, tuple(b + a for b, a in zip(beta, alpha)): -c * r}
+            )
+            k = rng.randint(1, 3)
+            quotient = _random_poly(rng, rank, ensure_nonzero=True)
+            product = quotient * binomial**k
+            for _ in range(k):
+                product = product.exact_div(binomial)
+            assert product == quotient
+
+            inexact = quotient * binomial + LaurentPoly.monomial(
+                tuple(rng.randint(-3, 3) for _ in range(rank))
+            )
+            with pytest.raises(ExactDivisionError) as info:
+                inexact.exact_div(binomial)
+            remainder = info.value.remainder
+            assert not remainder.is_zero
+            (inexact - remainder).exact_div(binomial)
+
+    def test_three_term_divisor_rejected(self):
+        with pytest.raises(ValueError):
+            (q(3) - 1).exact_div(q(2) + q(1) + 1)
 
     def test_ring_axioms_random(self):
         rng = random.Random(11)
