@@ -37,7 +37,13 @@ from .pfdcore import (
     pfd_decompose,
     sl2_coefficient,
 )
-from .polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
+from .polyring import (
+    ExactDivisionError,
+    FactoredRational,
+    InconsistencyError,
+    LaurentPoly,
+    PoleError,
+)
 from .rootsys import (
     RootSystem,
     Weight,
@@ -64,6 +70,7 @@ __all__ = [
     "ExactDivisionError",
     "FactoredRational",
     "GradedTruncation",
+    "InconsistencyError",
     "LaurentPoly",
     "MultiplicityTable",
     "OrbitSummand",

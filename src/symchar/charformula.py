@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pfdcore import ClosedCharacter, binomial_poly
-from .polyring import ExactDivisionError, FactoredRational, LaurentPoly
+from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, weight_scale
 
 __all__ = [
@@ -48,12 +48,16 @@ class CharacterPoly:
 
     def multiplicity(self, mu) -> int:
         value = self.terms.coefficient(tuple(mu))
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise InconsistencyError(
+                "non-integral multiplicity %s at weight %s" % (value, tuple(mu))
+            )
         return int(value)
 
     def coefficient_sum(self) -> int:
         total = self.terms.coefficient_sum()
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise InconsistencyError("non-integral coefficient sum %s" % total)
         return int(total)
 
     def support(self) -> list[Weight]:
@@ -249,8 +253,10 @@ def cyclotomic(d: int) -> tuple[int, ...]:
         for e in range(1, d):
             if d % e == 0:
                 num, rem = _dense_divmod(num, [Fraction(c) for c in cyclotomic(e)])
-                assert not rem
-        assert all(c.denominator == 1 for c in num)
+                if rem:
+                    raise InconsistencyError("Phi_%d does not divide q^%d - 1" % (e, d))
+        if any(c.denominator != 1 for c in num):
+            raise InconsistencyError("non-integral coefficient in cyclotomic polynomial %d" % d)
         cached = tuple(int(c) for c in num)
         _CYCLOTOMIC_CACHE[d] = cached
     return cached
@@ -336,7 +342,8 @@ def univariate_pfd(f: FactoredRational) -> UnivariatePFD:
             for i, c in enumerate(sub):
                 merged[-base + i] -= c
             quot, rem = _dense_divmod(_trim(merged), phi)
-            assert not rem, "cyclotomic reduction left a remainder"
+            if rem:
+                raise InconsistencyError("cyclotomic reduction by Phi_%d left a remainder" % d)
             shift = base
             num = quot
             while num and not num[0]:

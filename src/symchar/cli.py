@@ -3,8 +3,8 @@
 Subcommands: weights | pfd | char | mult | orbits | vpart | verify.
 Output goes to stdout (JSON by default, plain text with --format text),
 diagnostics to stderr.  Exit codes: 0 success, 1 user error, 2 internal
-inconsistency (an exactness assertion failed or a lookup missed, which
-means a bug).
+inconsistency (an exactness or consistency check failed or a lookup
+missed, which means a bug).
 """
 
 from __future__ import annotations
@@ -224,6 +224,12 @@ def _cmd_vpart(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    known = list(dict.fromkeys(label for label, _, _ in VERIFY_CASES))
+    unknown = [label for label in args.case or () if label not in known]
+    if unknown:
+        raise ValueError(
+            "unknown verify case %s; the cases are %s" % (", ".join(unknown), ", ".join(known))
+        )
     rows = []
     for label, highest, n_max in VERIFY_CASES:
         if args.case and label not in args.case:

@@ -6,9 +6,14 @@ Rational functions keep their denominators as multisets of binomial factors
 (1 - q^alpha)^k; every denominator the character pipeline produces has this
 shape, so expanded denominators and multivariate GCDs are never needed.
 The arithmetic uses that shape: multiplying by (1 - q^alpha) is one
-shift-and-subtract pass p - p*q^alpha, and exact division accepts only a
-monomial or two-term divisor, dividing by (1 - r*q^alpha) as a running sum
-along each alpha-chain of the dividend.
+shift-and-subtract pass p - p*q^alpha, and dividing by it is a running sum
+along each alpha-chain of the dividend, exact iff every chain's coefficient
+sum is 0.  Both keep integer coefficients integral, so the hot loops
+(``FactoredRational.sum``, ``as_laurent``, ``reduced`` and the two-term
+``LaurentPoly.exact_div``) convert a numerator once to integer coefficients
+over one scale (the lcm of its denominators), work on plain ints, and
+convert back once.  A trial division that fails is rejected on its chain
+sums before any quotient term is built.
 
 All values are treated as immutable; operations return new objects.
 """
@@ -16,6 +21,9 @@ All values are treated as immutable; operations return new objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -23,6 +31,7 @@ Exponent = tuple[int, ...]
 __all__ = [
     "Exponent",
     "ExactDivisionError",
+    "InconsistencyError",
     "PoleError",
     "LaurentPoly",
     "FactoredRational",
@@ -35,6 +44,14 @@ class ExactDivisionError(ArithmeticError):
     def __init__(self, message: str, remainder: "LaurentPoly | None" = None):
         super().__init__(message)
         self.remainder = remainder
+
+
+class InconsistencyError(ArithmeticError):
+    """An internal invariant failed (integrality, a cross-check, a symmetry): a bug.
+
+    Raised explicitly rather than through ``assert``, so the checks also run
+    under ``python -O``.
+    """
 
 
 class PoleError(ZeroDivisionError):
@@ -232,12 +249,15 @@ class LaurentPoly:
         """Exact quotient self / divisor, for a monomial or two-term divisor.
 
         A two-term divisor is written c*q^beta*(1 - r*q^alpha) with alpha
-        lexicographically positive.  Dividing by (1 - r*q^alpha) is a running
-        sum Q(t) = P(t) + r*Q(t-1) along each alpha-chain of the dividend,
-        walked once from its lowest term; the division is exact iff the
-        running value is 0 at the top of every chain.  Otherwise raises
-        :class:`ExactDivisionError` carrying the remainder, the nonzero
-        chain tops.  Any other divisor raises ValueError.
+        lexicographically positive.  The dividend is shifted by -beta, scaled
+        by 1/c and, when r != 1, twisted by r^-t on the alpha-chain position
+        t; that turns the division into one by (1 - q^alpha), which runs on
+        integer coefficients over one scale as a running sum along each
+        alpha-chain (see :func:`_chain_div`), and the twist is undone on the
+        quotient.  The division is exact iff every chain's coefficient sum is
+        0; otherwise raises :class:`ExactDivisionError` carrying the
+        remainder, one term per chain with a nonzero sum, at the chain's top.
+        Any other divisor raises ValueError.
         """
         coerced = self._coerce(divisor)
         if coerced is None:
@@ -247,35 +267,34 @@ class LaurentPoly:
         if len(coerced.terms) > 2:
             raise ValueError("exact_div divides by a monomial or a two-term polynomial only")
         (beta, c), *rest = sorted(coerced.terms.items())
-        scaled = {
-            tuple(x - b for x, b in zip(e, beta)): coeff / c for e, coeff in self.terms.items()
-        }
+        shifted = {tuple(map(sub, e, beta)): coeff / c for e, coeff in self.terms.items()}
         if not rest:
-            return LaurentPoly._raw(self.rank, scaled)
+            return LaurentPoly._raw(self.rank, shifted)
         (top, c_top), = rest
-        alpha = tuple(x - b for x, b in zip(top, beta))
+        alpha = tuple(map(sub, top, beta))
         r = -c_top / c
         i = next(k for k, a in enumerate(alpha) if a)
-        chains: dict[Exponent, dict[int, Fraction]] = {}
-        for e, coeff in scaled.items():
-            t = e[i] // alpha[i]
-            chains.setdefault(tuple(x - t * a for x, a in zip(e, alpha)), {})[t] = coeff
-        quotient: dict[Exponent, Fraction] = {}
-        remainder: dict[Exponent, Fraction] = {}
-        for base, chain in chains.items():
-            running = Fraction(0)
-            highest = max(chain)
-            for t in range(min(chain), highest + 1):
-                running = chain.get(t, 0) + r * running
-                if t < highest:
-                    quotient[tuple(x + t * a for x, a in zip(base, alpha))] = running
-            if running:
-                remainder[tuple(x + b + highest * a for x, b, a in zip(base, beta, alpha))] = running * c
-        if remainder:
+        if r != 1:
+            shifted = {e: coeff / r ** (e[i] // alpha[i]) for e, coeff in shifted.items()}
+        (terms,), scale = _integer_terms([shifted])
+        quotient, done = _chain_div(terms, alpha, 1)
+        if not done:
+            remainder = {}
+            for base, chain in _chains(terms, alpha).items():
+                total = sum(chain.values())
+                if total:
+                    h = max(chain)
+                    key = tuple(x + b + h * a for x, b, a in zip(base, beta, alpha))
+                    remainder[key] = Fraction(total, scale) * r**h * c
             raise ExactDivisionError(
                 "remainder nonzero in exact division", LaurentPoly._raw(self.rank, remainder)
             )
-        return LaurentPoly(self.rank, quotient)
+        result = _from_integer(self.rank, quotient, scale)
+        if r == 1:
+            return result
+        return LaurentPoly._raw(
+            self.rank, {e: coeff * r ** (e[i] // alpha[i]) for e, coeff in result.terms.items()}
+        )
 
     # -- presentation ------------------------------------------------------
 
@@ -315,25 +334,105 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self.render()
 
 
-def _binomial_factor(alpha: Exponent) -> LaurentPoly:
-    """The Laurent polynomial 1 - q^alpha."""
-    return LaurentPoly(len(alpha), {(0,) * len(alpha): 1, alpha: -1})
+# -- integer core: numerators as {exponent: int} over one scale ----------------
 
 
-def _times_factors(poly: LaurentPoly, factors: Mapping[Exponent, int]) -> LaurentPoly:
-    """poly * prod (1 - q^alpha)^k, as k passes of poly - poly * q^alpha per factor."""
+def _integer_terms(
+    term_dicts: Iterable[Mapping[Exponent, Fraction]],
+) -> tuple[list[dict[Exponent, int]], int]:
+    """Integer terms of each dict over one shared scale, the lcm of all denominators."""
+    term_dicts = list(term_dicts)
+    scale = lcm(*(c.denominator for terms in term_dicts for c in terms.values()))
+    return [
+        {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
+        for terms in term_dicts
+    ], scale
+
+
+def _from_integer(rank: int, terms: Mapping[Exponent, int], scale: int) -> LaurentPoly:
+    """The LaurentPoly terms / scale; terms holds no zero coefficient."""
+    return LaurentPoly._raw(rank, {e: Fraction(c, scale) for e, c in terms.items()})
+
+
+def _chains(terms: Mapping[Exponent, int], alpha: Exponent) -> dict[Exponent, dict[int, int]]:
+    """Terms grouped by alpha-chain, {base: {t: coeff}} with e == base + t*alpha.
+
+    t = e[i] // alpha[i] for the first nonzero coordinate i of alpha, so
+    every base has 0 <= base[i] < alpha[i].
+    """
+    i = next(k for k, a in enumerate(alpha) if a)
+    step = alpha[i]
+    shifts: dict[int, Exponent] = {}
+    chains: dict[Exponent, dict[int, int]] = {}
+    for e, coeff in terms.items():
+        t = e[i] // step
+        shift = shifts.get(t)
+        if shift is None:
+            shift = shifts[t] = tuple(t * a for a in alpha)
+        base = tuple(map(sub, e, shift))
+        chain = chains.get(base)
+        if chain is None:
+            chains[base] = {t: coeff}
+        else:
+            chain[t] = coeff
+    return chains
+
+
+def _chain_div(
+    terms: Mapping[Exponent, int], alpha: Exponent, power: int
+) -> tuple[dict[Exponent, int], int]:
+    """Divide integer terms by (1 - q^alpha) while exact, at most ``power`` times.
+
+    alpha is lexicographically positive; returns (quotient, times divided).
+    One division is the running sum Q(t) = P(t) + Q(t-1) up each alpha-chain,
+    exact iff every chain's coefficient sum is 0.  A failing first division
+    is rejected on the total sum, then on the chain sums, before any quotient
+    is built.  The chains are grouped once for all ``power`` divisions, as
+    dense lists; exponent tuples are built at the end, for nonzero
+    coefficients only.
+    """
+    if sum(terms.values()):
+        return terms, 0
+    chains = _chains(terms, alpha)
+    for chain in chains.values():
+        if sum(chain.values()):
+            return terms, 0
+    dense = []
+    for base, chain in chains.items():
+        low = min(chain)
+        dense.append((base, low, [chain.get(t, 0) for t in range(low, max(chain) + 1)]))
+    done = 0
+    while done < power and not any(sum(coeffs) for _, _, coeffs in dense):
+        for _, _, coeffs in dense:
+            coeffs[:] = accumulate(coeffs)
+            coeffs.pop()
+        done += 1
+    quotient: dict[Exponent, int] = {}
+    for base, low, coeffs in dense:
+        key = tuple(b + low * a for b, a in zip(base, alpha))
+        for coeff in coeffs:
+            if coeff:
+                quotient[key] = coeff
+            key = tuple(map(add, key, alpha))
+    return quotient, done
+
+
+def _times_factors(
+    terms: dict[Exponent, int], factors: Mapping[Exponent, int]
+) -> dict[Exponent, int]:
+    """Integer terms * prod (1 - q^alpha)^k, as k passes of p - p*q^alpha per factor."""
     for alpha, power in factors.items():
         for _ in range(power):
-            terms = dict(poly.terms)
-            for e, coeff in poly.terms.items():
-                key = tuple(x + a for x, a in zip(e, alpha))
-                total = terms.get(key, 0) - coeff
+            product = dict(terms)
+            for e, coeff in terms.items():
+                key = tuple(map(add, e, alpha))
+                total = product.get(key, 0) - coeff
                 if total:
-                    terms[key] = total
+                    product[key] = total
                 else:
-                    del terms[key]
-            poly = LaurentPoly._raw(poly.rank, terms)
-    return poly
+                    del product[key]
+            terms = product
+    return terms
 
 
 class FactoredRational:
@@ -392,11 +491,12 @@ class FactoredRational:
     def sum(cls, parts, rank: int) -> "FactoredRational":
         """Sum many terms over one shared denominator.
 
-        The common denominator takes the largest power of each factor; each
-        numerator is multiplied by its missing factors (1 - q^alpha)^k as k
-        shift-and-subtract passes, and no intermediate reductions happen.
-        The result is not reduced; callers that need a tidy denominator
-        call reduced().
+        The common denominator takes the largest power of each factor.  All
+        numerators are brought to integer coefficients over one common scale
+        (the lcm of their coefficient denominators); each is multiplied by
+        its missing factors (1 - q^alpha)^k as k integer shift-and-subtract
+        passes, and no intermediate reductions happen.  The result is not
+        reduced; callers that need a tidy denominator call reduced().
         """
         parts = list(parts)
         common: dict[Exponent, int] = {}
@@ -406,11 +506,13 @@ class FactoredRational:
             for alpha, power in part.factors.items():
                 if common.get(alpha, 0) < power:
                     common[alpha] = power
-        total = LaurentPoly.zero(rank)
-        for part in parts:
+        numerators, scale = _integer_terms(part.numerator.terms for part in parts)
+        total: dict[Exponent, int] = {}
+        for part, terms in zip(parts, numerators):
             missing = {a: p - part.factors.get(a, 0) for a, p in common.items()}
-            total = total + _times_factors(part.numerator, missing)
-        return cls(total, common)
+            for e, coeff in _times_factors(terms, missing).items():
+                total[e] = total.get(e, 0) + coeff
+        return cls(_from_integer(rank, {e: c for e, c in total.items() if c}, scale), common)
 
     # -- queries -----------------------------------------------------------
 
@@ -423,23 +525,27 @@ class FactoredRational:
         return self.numerator.is_zero
 
     def denominator_expanded(self) -> LaurentPoly:
-        return _times_factors(LaurentPoly.one(self.rank), self.factors)
+        return _from_integer(self.rank, _times_factors({(0,) * self.rank: 1}, self.factors), 1)
 
     def as_laurent(self) -> LaurentPoly:
         """Exact quotient numerator / denominator; the value must be polynomial.
 
-        Divides by one binomial factor (1 - q^alpha) at a time through
-        :meth:`LaurentPoly.exact_div` (a quotient divisible by the product
-        is divisible by each factor in turn), so the denominator is never
-        expanded; raises :class:`ExactDivisionError` when the value is not
-        a polynomial.
+        The numerator is converted once to integer coefficients over one
+        scale and divided by one factor (1 - q^alpha)^k at a time by the
+        chain walk of :func:`_chain_div` (a quotient divisible by the
+        product is divisible by each factor in turn), so the denominator is
+        never expanded and no Fraction arithmetic happens until the quotient
+        is converted back.  Raises :class:`ExactDivisionError`, naming the
+        factor, when the value is not a polynomial.
         """
-        result = self.numerator
+        (terms,), scale = _integer_terms([self.numerator.terms])
         for alpha in sorted(self.factors):
-            base = _binomial_factor(alpha)
-            for _ in range(self.factors[alpha]):
-                result = result.exact_div(base)
-        return result
+            terms, done = _chain_div(terms, alpha, self.factors[alpha])
+            if done < self.factors[alpha]:
+                raise ExactDivisionError(
+                    "numerator not divisible by (1 - %s)" % LaurentPoly.monomial(alpha)
+                )
+        return _from_integer(self.rank, terms, scale)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -496,22 +602,26 @@ class FactoredRational:
     __rmul__ = __mul__
 
     def reduced(self) -> "FactoredRational":
-        """Cancel denominator factors that divide the numerator exactly."""
+        """Cancel denominator factors that divide the numerator exactly.
+
+        Greedy, in sorted factor order: each factor (1 - q^alpha) is divided
+        out of the integer numerator (one scale, see :func:`_chain_div`)
+        until a trial division fails.  A failing trial is rejected on its
+        chain sums before any quotient term is built.  Returns ``self`` when
+        nothing cancels.
+        """
         if self.is_zero or not self.factors:
             return self
-        num = self.numerator
+        (terms,), scale = _integer_terms([self.numerator.terms])
         remaining = dict(self.factors)
         for alpha in sorted(remaining):
-            base = _binomial_factor(alpha)
-            while remaining[alpha]:
-                try:
-                    num = num.exact_div(base)
-                except ExactDivisionError:
-                    break
-                remaining[alpha] -= 1
+            terms, done = _chain_div(terms, alpha, remaining[alpha])
+            remaining[alpha] -= done
             if not remaining[alpha]:
                 del remaining[alpha]
-        return FactoredRational(num, remaining)
+        if remaining == self.factors:
+            return self
+        return FactoredRational(_from_integer(self.rank, terms, scale), remaining)
 
     # -- evaluation and comparison ------------------------------------------
 
@@ -539,9 +649,8 @@ class FactoredRational:
         }
         left_rest = {a: p - shared.get(a, 0) for a, p in self.factors.items()}
         right_rest = {a: p - shared.get(a, 0) for a, p in coerced.factors.items()}
-        left = _times_factors(self.numerator, right_rest)
-        right = _times_factors(coerced.numerator, left_rest)
-        return left == right
+        (left, right), _ = _integer_terms((self.numerator.terms, coerced.numerator.terms))
+        return _times_factors(left, right_rest) == _times_factors(right, left_rest)
 
     __hash__ = None
 

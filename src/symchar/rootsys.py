@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
+from .polyring import InconsistencyError
+
 Weight = tuple[int, ...]
 
 __all__ = [
@@ -249,7 +251,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     """Construct the root system of the given simple type.
 
     Positive roots are generated by reflection closure from the simple
-    roots; the classical count for the type is asserted afterwards.
+    roots; the classical count for the type is checked afterwards.
     """
     if not isinstance(series, str) or series.upper() not in _SERIES_RANK_OK:
         raise ValueError("unknown series %r; expected one of A..G" % (series,))
@@ -288,13 +290,20 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     positive.sort(key=lambda beta: (sum(root_coords(beta)), beta))
 
     expected = positive_root_count(series, rank)
-    assert len(positive) == expected, "positive-root closure mismatch for %s%d" % (series, rank)
-    assert len(all_roots) == 2 * expected
+    if len(positive) != expected or len(all_roots) != 2 * expected:
+        raise InconsistencyError(
+            "root closure for %s%d gave %d positive of %d roots, expected %d positive"
+            % (series, rank, len(positive), len(all_roots), expected)
+        )
 
     # D * C must be symmetric for the chosen symmetrizer.
     for i in range(rank):
         for j in range(rank):
-            assert symmetrizer[i] * cartan[i][j] == symmetrizer[j] * cartan[j][i]
+            if symmetrizer[i] * cartan[i][j] != symmetrizer[j] * cartan[j][i]:
+                raise InconsistencyError(
+                    "symmetrized Cartan matrix of %s%d not symmetric at (%d, %d)"
+                    % (series, rank, i, j)
+                )
 
     return RootSystem(
         series=series,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .charformula import character_at, multiplicity_at
 from .pfdcore import pfd_decompose
+from .polyring import InconsistencyError
 from .rootsys import RootSystem
 from .weightsys import MultiplicityTable
 
@@ -70,7 +71,8 @@ def build_partition_matrix(rs: RootSystem, table: MultiplicityTable) -> Partitio
     weight_cols = sorted(matrix.weight_columns())
     for i in range(1, rank + 1):
         reflected = sorted(rs.reflect(i, col) for col in weight_cols)
-        assert reflected == weight_cols, "column multiset not Weyl-stable"
+        if reflected != weight_cols:
+            raise InconsistencyError("column multiset not stable under reflection %d" % i)
     return matrix
 
 

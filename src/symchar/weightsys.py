@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import LaurentPoly
+from .polyring import InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, is_dominant, weight_diff, weight_scale, weight_sum
 
 __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
@@ -100,17 +100,26 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
                 t += 1
                 nu = weight_sum(mu, weight_scale(t, alpha))
         denom = top_norm - rs.inner(weight_sum(mu, rs.rho), weight_sum(mu, rs.rho))
-        assert denom != 0, "Freudenthal denominator vanished below the highest weight"
+        if denom == 0:
+            raise InconsistencyError("Freudenthal denominator vanished at weight %s" % (mu,))
         value = 2 * acc / denom
-        assert value.denominator == 1 and value >= 1, "non-integral Freudenthal multiplicity"
+        if value.denominator != 1 or value < 1:
+            raise InconsistencyError("Freudenthal multiplicity %s at weight %s" % (value, mu))
         mult[mu] = int(value)
 
     table = MultiplicityTable(highest_weight=highest, entries=mult)
     # Cross-checks: Weyl dimension formula and reflection invariance.
-    assert table.dimension() == dim_irrep(rs, highest)
+    if table.dimension() != dim_irrep(rs, highest):
+        raise InconsistencyError(
+            "Freudenthal dimension %d differs from the Weyl dimension %d"
+            % (table.dimension(), dim_irrep(rs, highest))
+        )
     for mu, count in mult.items():
         for i in range(1, rs.rank + 1):
-            assert mult.get(rs.reflect(i, mu)) == count
+            if mult.get(rs.reflect(i, mu)) != count:
+                raise InconsistencyError(
+                    "multiplicity of %s differs from its reflection %d" % (mu, i)
+                )
     return table
 
 
@@ -123,5 +132,6 @@ def dim_irrep(rs: RootSystem, highest) -> int:
     value = Fraction(1)
     for alpha in rs.positive_roots:
         value *= rs.inner(shifted, alpha) / rs.inner(rs.rho, alpha)
-    assert value.denominator == 1 and value >= 1
+    if value.denominator != 1 or value < 1:
+        raise InconsistencyError("Weyl dimension formula gave %s for %s" % (value, highest))
     return int(value)

@@ -225,3 +225,16 @@ def test_criterion_9_multiplicity_free_identity():
                 assert set(character.terms.terms.values()) <= {Fraction(1)}
                 assert len(character.support()) == comb(n + rank, rank)
     _report(9, "multiplicity-free symmetric-function identity", timer, 30.0)
+
+
+def test_criterion_10_rank_three_adjoint():
+    # The sl4 adjoint at N=3: a common denominator of degree 45 over a summed
+    # numerator of tens of thousands of monomials, for 147 output monomials.
+    with _Timer() as timer:
+        table = weight_system(build_root_system("A", 3), (1, 0, 1))
+        character = character_at(pfd_decompose(table), 3)
+        assert character.terms == truncated_molien(table, 3).coefficient(3)
+        assert character.terms == adams_symmetric(table.character_poly(), 3)
+        assert len(character.support()) == 147
+        assert character.coefficient_sum() == comb(15 - 1 + 3, 3)
+    _report(10, "rank-3 adjoint A3(1,0,1) at N=3 matches both oracles", timer, 60.0)

@@ -1,12 +1,18 @@
+import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import symchar
 from symchar import cli
 from symchar.cli import main
+
+PACKAGE_DIR = Path(symchar.__file__).parent
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +170,15 @@ class TestUserErrors:
         assert code == 1
         assert "coordinates" in err
 
+    def test_unknown_verify_case(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--case", "A1", "--case", "X9")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "X9" in err
+        for label, _, _ in cli.VERIFY_CASES:
+            assert label in err
+
 
 @pytest.mark.parametrize("error", [KeyError, IndexError])
 def test_lookup_errors_are_internal(capsys, monkeypatch, error):
@@ -186,3 +201,33 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "3"
+
+
+def test_no_assert_statements_in_package():
+    # Invariants raise InconsistencyError so that they survive python -O.
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--case", "A1", "--max-n", "4"),
+    ("char", "--algebra", "A2", "--lambda", "1,1", "--N", "3"),
+], ids=" ".join)
+def test_optimized_mode_gives_the_same_output(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    plain, optimized = [
+        subprocess.run([sys.executable, *flags, "-m", "symchar", *argv],
+                       capture_output=True, text=True, env=env)
+        for flags in ((), ("-O",))
+    ]
+    assert plain.returncode == 0
+    assert plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

@@ -229,3 +229,146 @@ class TestFactoredRational:
             {"alpha": [2], "power": 1},
             {"alpha": [4], "power": 1},
         ]
+
+
+def _binomial(alpha):
+    """The LaurentPoly 1 - q^alpha."""
+    return LaurentPoly(len(alpha), {(0,) * len(alpha): 1, tuple(alpha): -1})
+
+
+def _reference_as_laurent(f):
+    """numerator / denominator, one factor at a time through the public exact_div."""
+    result = f.numerator
+    for alpha in sorted(f.factors):
+        for _ in range(f.factors[alpha]):
+            result = result.exact_div(_binomial(alpha))
+    return result
+
+
+def _reference_reduced(f):
+    """Greedy cancellation in sorted factor order through the public exact_div."""
+    numerator, remaining = f.numerator, dict(f.factors)
+    for alpha in sorted(remaining):
+        while remaining[alpha]:
+            try:
+                numerator = numerator.exact_div(_binomial(alpha))
+            except ExactDivisionError:
+                break
+            remaining[alpha] -= 1
+        if not remaining[alpha]:
+            del remaining[alpha]
+    return numerator, remaining
+
+
+def _nonzero_vector(rng, rank):
+    vector = (0,) * rank
+    while not any(vector):
+        vector = tuple(rng.randint(-2, 2) for _ in range(rank))
+    return vector
+
+
+def _mixed_denominator_poly(rng, rank):
+    """A nonzero polynomial whose coefficients have denominators 1, 2, 3 and 4."""
+    terms = {}
+    for denominator in (1, 2, 3, 4):
+        exponent = tuple(rng.randint(-3, 3) for _ in range(rank))
+        coeff = Fraction(rng.choice([-5, -2, 1, 3]), denominator)
+        terms[exponent] = terms.get(exponent, 0) + coeff
+    poly = LaurentPoly(rank, terms)
+    return poly if not poly.is_zero else LaurentPoly.constant(rank, Fraction(1, 6))
+
+
+def _random_factored_case(rng):
+    """(f, exact) with f = numerator / prod of binomials over Fraction coefficients.
+
+    The numerator is a polynomial with mixed coefficient denominators times
+    a random sub-multiset of the denominator's binomials.  In half the cases
+    it is also multiplied by a random binomial, so that its coefficient sum
+    is 0 and only the per-chain sums can reject a trial division; in one
+    case out of four it gets an extra monomial.  ``exact`` says whether the
+    numerator was built as a multiple of the whole denominator.
+    """
+    rank = rng.randint(1, 3)
+    raw = [(_nonzero_vector(rng, rank), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))]
+    factors = FactoredRational(LaurentPoly.one(rank), raw).factors  # lexicographically positive
+    numerator = _mixed_denominator_poly(rng, rank)
+    if rng.random() < 0.5:
+        numerator = numerator * _binomial(_nonzero_vector(rng, rank))
+    exact = True
+    for alpha, power in factors.items():
+        kept = rng.randint(0, power)
+        exact = exact and kept == power
+        numerator = numerator * _binomial(alpha) ** kept
+    if rng.random() < 0.25:
+        numerator = numerator + LaurentPoly.monomial(
+            tuple(rng.randint(-2, 2) for _ in range(rank)), Fraction(1, 3)
+        )
+        exact = False
+    return FactoredRational(numerator, factors), exact
+
+
+class TestIntegerCore:
+    """as_laurent, reduced() and sum against references on Fraction arithmetic."""
+
+    CASES = 150
+
+    def test_as_laurent_matches_factor_by_factor_division(self):
+        rng = random.Random(101)
+        raised = scaled = 0
+        for _ in range(self.CASES):
+            f, exact = _random_factored_case(rng)
+            if any(c.denominator > 1 for c in f.numerator.terms.values()):
+                scaled += 1
+            try:
+                expected = _reference_as_laurent(f)
+            except ExactDivisionError:
+                raised += 1
+                with pytest.raises(ExactDivisionError):
+                    f.as_laurent()
+                continue
+            quotient = f.as_laurent()
+            assert quotient == expected
+            assert all(isinstance(c, Fraction) for c in quotient.terms.values())
+            # exact_div shares the chain walk; cross-multiplication does not.
+            assert FactoredRational(quotient) == f
+        assert 0 < raised < self.CASES
+        assert scaled > self.CASES // 2
+
+    def test_exact_cases_divide(self):
+        rng = random.Random(103)
+        exact_cases = 0
+        for _ in range(self.CASES):
+            f, exact = _random_factored_case(rng)
+            if exact:
+                exact_cases += 1
+                assert FactoredRational(f.as_laurent()) == f
+        assert exact_cases > 10
+
+    def test_reduced_matches_greedy_reference(self):
+        rng = random.Random(107)
+        partial = 0
+        for _ in range(self.CASES):
+            f, _ = _random_factored_case(rng)
+            numerator, remaining = _reference_reduced(f)
+            reduced = f.reduced()
+            assert reduced.factors == remaining
+            assert reduced.numerator == numerator
+            assert reduced == f
+            if remaining and remaining != f.factors:
+                partial += 1
+        assert partial > 0
+
+    def test_reduced_returns_self_when_nothing_cancels(self):
+        f = FactoredRational(q(1) + Fraction(1, 2), [((2,), 1)])
+        assert f.reduced() is f
+
+    def test_sum_matches_evaluation(self):
+        rng = random.Random(109)
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            parts = [_random_fr(rng, rank) for _ in range(rng.randint(1, 5))]
+            parts.append(FactoredRational(_mixed_denominator_poly(rng, rank)))
+            total = FactoredRational.sum(parts, rank)
+            for _ in range(2):
+                point = _random_point(rng, rank, parts + [total])
+                assert total.evaluate(point) == sum(p.evaluate(point) for p in parts)
