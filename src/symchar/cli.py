@@ -3,8 +3,9 @@
 Subcommands: weights | pfd | char | mult | orbits | vpart | verify.
 Output goes to stdout (JSON by default, plain text with --format text),
 diagnostics to stderr.  Exit codes: 0 success, 1 user error, 2 internal
-inconsistency (an exactness or consistency check failed or a lookup
-missed, which means a bug).
+inconsistency (an exactness or consistency check failed, a lookup missed,
+a `verify` check failed or `vpart` reported all_pass false; each means a
+bug).  A failing `verify` or `vpart` still prints its full report first.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from .charformula import character_at, multiplicity_at, orbit_split
 from .oracle import adams_symmetric, truncated_molien
 from .pfdcore import pfd_decompose
+from .polyring import InconsistencyError
 from .rootsys import RootSystem, from_label
 from .vpart import build_partition_matrix, check_partition_equivalence
 from .weightsys import weight_system
@@ -220,7 +222,9 @@ def _cmd_vpart(args) -> int:
     _emit(payload, args.format, lambda: json.dumps(payload["matrix"]) + (
         "\nall_pass: %s" % report["all_pass"]
     ))
-    return 0 if report["all_pass"] else 1
+    if not report["all_pass"]:
+        raise InconsistencyError("vector-partition counts differ from the pole-data characters")
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -262,7 +266,9 @@ def _cmd_verify(args) -> int:
         for row in rows:
             print("%-18s N=%-4s %-18s %s" % (row["case"], row["N"], row["check"], row["status"]))
         print("%d checks, %d failed" % (len(rows), len(failed)))
-    return 1 if failed else 0
+    if failed:
+        raise InconsistencyError("%d of %d verify checks failed" % (len(failed), len(rows)))
+    return 0
 
 
 _HANDLERS = {

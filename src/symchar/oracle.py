@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .polyring import FactoredRational, LaurentPoly
+from .polyring import FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import Weight, weight_diff, weight_scale
 from .weightsys import MultiplicityTable
 
@@ -104,7 +104,7 @@ def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
             acc = acc + powers[k - 1] * hs[t - k]
         h = acc * Fraction(1, t)
         if any(c.denominator != 1 for c in h.terms.values()):
-            raise ArithmeticError("non-integral intermediate symmetric-power character")
+            raise InconsistencyError("non-integral intermediate symmetric-power character")
         hs.append(h)
     return hs[n]
 

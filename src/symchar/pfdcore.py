@@ -12,6 +12,13 @@ evaluated through the logarithmic derivative S = G'/G, whose own
 derivatives at z = q^(-mu) are explicit sums of monomials over binomial
 powers; G^(l+1) then follows from the Leibniz rule.  No polynomial in z is
 ever materialized and every denominator stays a product of binomials.
+
+Each S^(j) and G^(l) value is summed once over one common denominator and
+reduced once: the Leibniz products are formed by multiplying numerators
+and merging factor multisets, without reduction.  Multiplying a reduced
+value by a unit c*q^beta keeps it reduced, so the scalings
+(-1)^l/l! q^(-l*mu) here, and C(N+k-1, N) q^(N*nu) in character assembly,
+only scale and shift the numerator and run no trial division.
 """
 
 from __future__ import annotations
@@ -74,6 +81,37 @@ def binomial_poly(k: int, n: int) -> int:
     return comb(n + k - 1, n)
 
 
+def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
+    """S^(j)(q^-mu) = sum_nu m(nu) j! q^((j+1)nu) / (1 - q^(nu-mu))^(j+1), reduced.
+
+    nu and 2mu - nu share the normalized factor (1 - q^+-(nu-mu)); such a pair
+    is summed and reduced on its own first.  A lone piece is a monomial over
+    one binomial power and already reduced.
+    """
+    groups: dict[Weight, list[FactoredRational]] = {}
+    for nu, count in others:
+        piece = FactoredRational(
+            LaurentPoly.monomial(weight_scale(j + 1, nu), count * factorial(j)),
+            [(weight_diff(nu, mu), j + 1)],
+        )
+        (alpha,) = piece.factors
+        groups.setdefault(alpha, []).append(piece)
+    parts = [
+        pieces[0] if len(pieces) == 1 else FactoredRational.sum(pieces, rank).reduced()
+        for pieces in groups.values()
+    ]
+    return FactoredRational.sum(parts, rank).reduced()
+
+
+def _times_unit(value: FactoredRational, exponent: Weight, coeff) -> FactoredRational:
+    """value * coeff * q^exponent, keeping the factors.
+
+    A reduced value times a unit stays reduced, so unlike ``*`` this runs
+    no trial division.
+    """
+    return FactoredRational(value.numerator * LaurentPoly.monomial(exponent, coeff), value.factors)
+
+
 def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
     """All pole coefficients of the graded character of the given module."""
     support = table.support()
@@ -92,30 +130,21 @@ def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
                 [(weight_diff(nu, mu), count) for nu, count in others],
             )
         ]
-        if order_max > 1:
-            # S^(j)(q^-mu) = sum_nu m(nu) j! q^((j+1)nu) / (1 - q^(nu-mu))^(j+1)
-            s_values = []
-            for j in range(order_max - 1):
-                acc = FactoredRational.zero(rank)
-                for nu, count in others:
-                    piece = FactoredRational(
-                        LaurentPoly.monomial(
-                            weight_scale(j + 1, nu), count * factorial(j)
-                        ),
-                        [(weight_diff(nu, mu), j + 1)],
-                    )
-                    acc = acc + piece
-                s_values.append(acc)
-            for l in range(1, order_max):
-                total = FactoredRational.zero(rank)
-                for j in range(l):
-                    total = total + comb(l - 1, j) * (g_values[j] * s_values[l - 1 - j])
-                g_values.append(total)
+        s_values = [_log_derivative(mu, others, j, rank) for j in range(order_max - 1)]
+        for l in range(1, order_max):
+            # G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j); the constructor merges
+            # the two factor multisets.
+            products = [
+                FactoredRational(
+                    g.numerator * s.numerator * comb(l - 1, j),
+                    [*g.factors.items(), *s.factors.items()],
+                )
+                for j, (g, s) in enumerate(zip(g_values, reversed(s_values[:l])))
+            ]
+            g_values.append(FactoredRational.sum(products, rank).reduced())
 
-        for l in range(order_max):
-            coeff = g_values[l] * Fraction((-1) ** l, factorial(l))
-            if l:
-                coeff = coeff * LaurentPoly.monomial(weight_scale(-l, mu))
+        for l, value in enumerate(g_values):
+            coeff = _times_unit(value, weight_scale(-l, mu), Fraction((-1) ** l, factorial(l)))
             terms.append(PFDTerm(weight=mu, order=order_max - l, coeff=coeff))
 
     terms.sort(key=lambda term: (term.weight, term.order))

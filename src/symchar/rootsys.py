@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from .polyring import InconsistencyError
 
@@ -179,12 +179,23 @@ class RootSystem:
         return _invert(self.cartan_matrix)
 
     @cached_property
-    def _gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        # Gram matrix of the fundamental weights: diag(d) * C^-1.
+    def integral_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """The invariant form as integers over one scale: (gram, heights, scale).
+
+        gram/scale is the Gram matrix of the fundamental weights, diag(d) * C^-1,
+        and heights/scale holds the column sums of C^-1, so that
+        (mu, nu) = mu.gram.nu / scale and height(mu) = heights.mu / scale.
+        scale is the lcm of all their denominators.
+        """
         inv = self._cartan_inverse
-        return tuple(
-            tuple(self.symmetrizer[i] * inv[i][j] for j in range(self.rank))
-            for i in range(self.rank)
+        gram = [[self.symmetrizer[i] * inv[i][j] for j in range(self.rank)]
+                for i in range(self.rank)]
+        heights = [sum(inv[i][j] for i in range(self.rank)) for j in range(self.rank)]
+        scale = lcm(*(x.denominator for x in heights + [x for row in gram for x in row]))
+        return (
+            tuple(tuple(int(x * scale) for x in row) for row in gram),
+            tuple(int(h * scale) for h in heights),
+            scale,
         )
 
     def simple_root(self, i: int) -> Weight:
@@ -228,13 +239,13 @@ class RootSystem:
 
     def inner(self, mu, nu) -> Fraction:
         """Weyl-invariant symmetric form on the weight space, exact."""
-        gram = self._gram
-        total = Fraction(0)
+        gram, _, scale = self.integral_form
+        total = 0
         for i, a in enumerate(mu):
             if a:
                 row = gram[i]
                 total += a * sum(row[j] * b for j, b in enumerate(nu) if b)
-        return total
+        return Fraction(total, scale)
 
     def root_coordinates(self, mu) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (exact rationals)."""
@@ -244,7 +255,9 @@ class RootSystem:
         )
 
     def height(self, mu) -> Fraction:
-        return sum(self.root_coordinates(mu), Fraction(0))
+        """Sum of the simple-root coordinates of mu."""
+        _, heights, scale = self.integral_form
+        return Fraction(sum(h * m for h, m in zip(heights, mu)), scale)
 
 
 def build_root_system(series: str, rank: int) -> RootSystem:

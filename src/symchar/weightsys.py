@@ -1,7 +1,9 @@
 """Weight systems of irreducible highest-weight modules.
 
-Multiplicities come from the Freudenthal recursion with exact rational
-intermediate arithmetic; dimensions come from the Weyl dimension formula.
+Multiplicities come from the Freudenthal recursion, run on the root
+system's integral form (the Gram matrix as integers over one scale), so
+every multiplicity is one exact integer division; dimensions come from the
+Weyl dimension formula, in exact rationals.
 The two are computed independently and cross-checked against each other on
 every construction, so a bug in one shows up immediately.
 """
@@ -10,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .polyring import InconsistencyError, LaurentPoly
-from .rootsys import RootSystem, Weight, is_dominant, weight_diff, weight_scale, weight_sum
+from .rootsys import RootSystem, Weight, is_dominant, weight_diff, weight_sum
 
 __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 
@@ -80,32 +83,42 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
     if not is_dominant(highest):
         raise ValueError("highest weight %r is not dominant" % (highest,))
 
-    support = _support_closure(rs, highest)
-    heights = {mu: rs.height(weight_diff(highest, mu)) for mu in support}
-    order = sorted(support, key=lambda mu: (heights[mu], mu))
+    # Every inner product and height below is scale times the true one; the
+    # scale cancels in the Freudenthal quotient and does not change the order.
+    gram, heights, _ = rs.integral_form
 
-    top_norm = rs.inner(weight_sum(highest, rs.rho), weight_sum(highest, rs.rho))
+    def covector(mu: Weight) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, mu)) for row in gram)
+
+    def norm(mu: Weight) -> int:
+        shifted = weight_sum(mu, rs.rho)
+        return sum(map(mul, shifted, covector(shifted)))
+
+    support = _support_closure(rs, highest)
+    order = sorted(support, key=lambda mu: (sum(map(mul, heights, weight_diff(highest, mu))), mu))
+    roots = [(alpha, covector(alpha)) for alpha in rs.positive_roots]
+    top_norm = norm(highest)
     mult: dict[Weight, int] = {highest: 1}
     for mu in order:
         if mu == highest:
             continue
-        acc = Fraction(0)
-        for alpha in rs.positive_roots:
-            t = 1
+        acc = 0
+        for alpha, form in roots:
             nu = weight_sum(mu, alpha)
             while nu in support:
                 count = mult.get(nu)
                 if count:
-                    acc += count * rs.inner(nu, alpha)
-                t += 1
-                nu = weight_sum(mu, weight_scale(t, alpha))
-        denom = top_norm - rs.inner(weight_sum(mu, rs.rho), weight_sum(mu, rs.rho))
+                    acc += count * sum(map(mul, nu, form))
+                nu = weight_sum(nu, alpha)
+        denom = top_norm - norm(mu)
         if denom == 0:
             raise InconsistencyError("Freudenthal denominator vanished at weight %s" % (mu,))
-        value = 2 * acc / denom
-        if value.denominator != 1 or value < 1:
-            raise InconsistencyError("Freudenthal multiplicity %s at weight %s" % (value, mu))
-        mult[mu] = int(value)
+        value, rest = divmod(2 * acc, denom)
+        if rest or value < 1:
+            raise InconsistencyError(
+                "Freudenthal multiplicity %s at weight %s" % (Fraction(2 * acc, denom), mu)
+            )
+        mult[mu] = value
 
     table = MultiplicityTable(highest_weight=highest, entries=mult)
     # Cross-checks: Weyl dimension formula and reflection invariance.

@@ -13,18 +13,17 @@ from math import comb
 import pytest
 
 from symchar.charformula import character_at, multiplicity_at, orbit_split, univariate_pfd
+from symchar.cli import VERIFY_CASES
 from symchar.oracle import adams_symmetric, hsym_character, quadrature_check, truncated_molien
 from symchar.pfdcore import pfd_decompose, sl2_coefficient
 from symchar.polyring import FactoredRational, LaurentPoly
-from symchar.rootsys import build_root_system
+from symchar.rootsys import build_root_system, from_label
 from symchar.vpart import build_partition_matrix, check_partition_equivalence
 from symchar.weightsys import dim_irrep, weight_system
 
-# the four case families exercised by criteria 4 and 7
-EQUIVALENCE_CASES = (
-    [("A", 1, (m,), 10) for m in range(5)]
-    + [("A", 2, (1, 0), 8), ("A", 2, (1, 1), 6), ("B", 2, (0, 1), 4)]
-)
+# the cases exercised by criteria 4 and 7: the trivial A1 module plus the
+# `verify` subcommand's table, so the two cannot drift apart
+EQUIVALENCE_CASES = (("A1", (0,), 10),) + VERIFY_CASES
 
 
 class _Timer:
@@ -47,8 +46,8 @@ def equivalence_data():
     """Characters of every criterion-4 case along all three routes, computed once."""
     with _Timer() as timer:
         records = []
-        for series, rank, highest, n_max in EQUIVALENCE_CASES:
-            rs = build_root_system(series, rank)
+        for label, highest, n_max in EQUIVALENCE_CASES:
+            rs = from_label(label)
             table = weight_system(rs, highest)
             closed = pfd_decompose(table)
             truncation = truncated_molien(table, n_max)
@@ -65,7 +64,7 @@ def equivalence_data():
                 )
             records.append(
                 {
-                    "label": "%s%d lambda=%s" % (series, rank, ",".join(map(str, highest))),
+                    "label": "%s lambda=%s" % (label, ",".join(map(str, highest))),
                     "rs": rs,
                     "table": table,
                     "closed": closed,
@@ -238,3 +237,26 @@ def test_criterion_10_rank_three_adjoint():
         assert len(character.support()) == 147
         assert character.coefficient_sum() == comb(15 - 1 + 3, 3)
     _report(10, "rank-3 adjoint A3(1,0,1) at N=3 matches both oracles", timer, 60.0)
+
+
+def test_criterion_11_d4_adjoint_pole_data():
+    # D4(0,1,0,0), the 28-dimensional adjoint module with a zero weight of
+    # multiplicity 4: its pole data, summed at N = 0, 1, 2 and evaluated at
+    # a point whose coordinates are ratios of distinct primes (so no
+    # denominator factor vanishes), equals the truncated Molien product there.
+    point = (Fraction(2, 3), Fraction(5, 7), Fraction(11, 13), Fraction(17, 19))
+    with _Timer() as timer:
+        table = weight_system(from_label("D4"), (0, 1, 0, 0))
+        closed = pfd_decompose(table)
+        truncation = truncated_molien(table, 2)
+        values = [(term, term.coeff.evaluate(point)) for term in closed.terms]
+        for n in range(3):
+            total = sum(
+                value
+                * comb(n + term.order - 1, n)
+                * LaurentPoly.monomial(tuple(n * c for c in term.weight)).evaluate(point)
+                for term, value in values
+            )
+            assert total == truncation.coefficient(n).evaluate(point)
+    assert max(term.order for term in closed.terms) == 4
+    _report(11, "D4 adjoint pole data matches the Molien product at N = 0, 1, 2", timer, 60.0)

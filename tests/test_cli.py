@@ -135,6 +135,20 @@ PINNED_OUTPUTS = [
      "e760566a1a29db2e08204593ed01765b1b4d2197902eafd3a4c0b908c85e01ee"),
     (("char", "--algebra", "A1", "--lambda", "2", "--N", "-1"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("pfd", "--algebra", "A2", "--lambda", "2,2"), 0,
+     "8dd7eea6d34884da1c384a7f58c44d7a360577431338d0890eaa69d47788c8be"),
+    (("pfd", "--algebra", "B3", "--lambda", "0,1,0"), 0,
+     "2c1d550d50971128b29eb47e423bba0457a6d3c982139a840ec1a792317e04b7"),
+    (("pfd", "--algebra", "F4", "--lambda", "0,0,0,1"), 0,
+     "f874616f87dd09b1b88cb5cd8237b8c70b7af38a9afe87d9e11dfe45639f85f0"),
+    (("pfd", "--algebra", "A3", "--lambda", "1,0,1"), 0,
+     "4e5bb63138de27dec51365dd0366aa86bdb04c36f90b644479e8f64af32397b4"),
+    (("pfd", "--algebra", "D4", "--lambda", "0,1,0,0"), 0,
+     "1a6045427be561a9a3e4df94b757cbc0c3a125bdb9be99bd5b4b4b8d5ccb4f0e"),
+    (("orbits", "--algebra", "A2", "--lambda", "2,1", "--N", "2"), 0,
+     "802931d0a06cde9e215129c3254c7b37305b93660791108bfc8c3d355b5fb055"),
+    (("orbits", "--algebra", "B2", "--lambda", "1,1", "--N", "2"), 0,
+     "894d3581a08630c04117680abd22efee12cf2086c1d5129f2cb30ce8100810c0"),
 ]
 
 
@@ -190,6 +204,26 @@ def test_lookup_errors_are_internal(capsys, monkeypatch, error):
     assert code == 2
     assert out == ""
     assert "internal inconsistency" in err
+
+
+def test_failing_verify_check_is_internal(capsys, monkeypatch):
+    # A pipeline/oracle mismatch is a bug, not a user error.
+    monkeypatch.setattr(cli, "adams_symmetric", lambda char_v, n: char_v * 0 + 7)
+    code, out, err = run_cli(capsys, "verify", "--case", "A1", "--max-n", "2")
+    assert code == 2
+    rows = json.loads(out)
+    assert {row["status"] for row in rows if row["check"] == "pfd-vs-adams"} == {"fail"}
+    assert {row["status"] for row in rows if row["check"] == "pfd-vs-molien"} == {"pass"}
+    assert err.startswith("internal inconsistency: ")
+
+
+def test_failing_vpart_report_is_internal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_partition_equivalence",
+                        lambda rs, table, n: {"cases": [], "all_pass": False})
+    code, out, err = run_cli(capsys, "vpart", "--algebra", "A1", "--lambda", "2", "--max-n", "2")
+    assert code == 2
+    assert json.loads(out)["all_pass"] is False
+    assert err.startswith("internal inconsistency: ")
 
 
 def test_module_entry_point():

@@ -1,0 +1,51 @@
+"""Property test: the three routes agree on randomly drawn small modules."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symchar.charformula import character_at
+from symchar.oracle import adams_symmetric, truncated_molien
+from symchar.pfdcore import pfd_decompose
+from symchar.rootsys import from_label
+from symchar.weightsys import dim_irrep, weight_system
+
+ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
+MAX_DIM = 10
+MAX_N = 4
+
+
+def _small_highest_weights(label):
+    """Every dominant weight of the algebra whose module has dimension <= MAX_DIM."""
+    rs = from_label(label)
+    # The Weyl dimension grows with every coordinate, so these weights are
+    # all reached by raising coordinates one at a time from 0.
+    found = {(0,) * rs.rank}
+    frontier = list(found)
+    while frontier:
+        highest = frontier.pop()
+        for i in range(rs.rank):
+            up = highest[:i] + (highest[i] + 1,) + highest[i + 1:]
+            if up not in found and dim_irrep(rs, up) <= MAX_DIM:
+                found.add(up)
+                frontier.append(up)
+    return sorted(found)
+
+
+MODULES = [(label, highest) for label in ALGEBRAS for highest in _small_highest_weights(label)]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(module=st.sampled_from(MODULES), n=st.integers(0, MAX_N))
+def test_pole_data_agrees_with_both_oracles(module, n):
+    label, highest = module
+    rs = from_label(label)
+    table = weight_system(rs, highest)
+    closed = pfd_decompose(table)
+    assert closed.coefficient_sum() == 1
+
+    character = character_at(closed, n).terms
+    assert character == truncated_molien(table, n).coefficient(n)
+    assert character == adams_symmetric(table.character_poly(), n)
+    for i in range(1, rs.rank + 1):
+        reflected = {rs.reflect(i, mu): coeff for mu, coeff in character.terms.items()}
+        assert reflected == character.terms

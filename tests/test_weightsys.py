@@ -1,7 +1,17 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from symchar.rootsys import build_root_system, is_dominant, weight_diff
-from symchar.weightsys import dim_irrep, weight_system
+from symchar.rootsys import (
+    build_root_system,
+    from_label,
+    is_dominant,
+    weight_diff,
+    weight_scale,
+    weight_sum,
+)
+from symchar.weightsys import _support_closure, dim_irrep, weight_system
 
 
 class TestRankOne:
@@ -107,3 +117,70 @@ def test_json_round_shape(sl3_adjoint):
     blob = sl3_adjoint.to_json()
     assert blob[0]["weight"] == [-2, 1]
     assert {"weight": [0, 0], "mult": 2} in blob
+
+
+# -- reference: the Freudenthal recursion in exact rationals ------------------
+
+
+def _fraction_inner(rs, mu, nu):
+    # (mu, nu) = sum_i mu_i d_i (C^-1 nu)_i, from the rational inverse Cartan
+    # matrix, independently of RootSystem.integral_form.
+    coords = rs.root_coordinates(nu)
+    return sum((a * d * c for a, d, c in zip(mu, rs.symmetrizer, coords)), Fraction(0))
+
+
+def _fraction_freudenthal(rs, highest):
+    support = _support_closure(rs, highest)
+    heights = {mu: sum(rs.root_coordinates(weight_diff(highest, mu))) for mu in support}
+    order = sorted(support, key=lambda mu: (heights[mu], mu))
+    top = weight_sum(highest, rs.rho)
+    top_norm = _fraction_inner(rs, top, top)
+    mult = {highest: 1}
+    for mu in order:
+        if mu == highest:
+            continue
+        acc = Fraction(0)
+        for alpha in rs.positive_roots:
+            t = 1
+            nu = weight_sum(mu, alpha)
+            while nu in support:
+                count = mult.get(nu)
+                if count:
+                    acc += count * _fraction_inner(rs, nu, alpha)
+                t += 1
+                nu = weight_sum(mu, weight_scale(t, alpha))
+        shifted = weight_sum(mu, rs.rho)
+        value = 2 * acc / (top_norm - _fraction_inner(rs, shifted, shifted))
+        assert value.denominator == 1 and value >= 1
+        mult[mu] = int(value)
+    return mult
+
+
+# The pole_data and query_stream benchmark modules, plus D4(0,1,0,0).
+REFERENCE_MODULES = [
+    ("A2", (2, 1)), ("B2", (1, 1)), ("B2", (2, 0)), ("G2", (0, 1)), ("C3", (0, 1, 0)),
+    ("A3", (1, 0, 1)), ("F4", (0, 0, 0, 1)), ("A2", (2, 2)), ("B3", (0, 1, 0)),
+    ("A1", (2,)), ("A1", (3,)), ("A1", (4,)), ("A1", (5,)), ("A1", (6,)),
+    ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("G2", (1, 0)),
+    ("D4", (0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("label,highest", REFERENCE_MODULES,
+                         ids=["%s%s" % (label, highest) for label, highest in REFERENCE_MODULES])
+def test_integral_freudenthal_matches_fraction_reference(label, highest):
+    rs = from_label(label)
+    table = weight_system(rs, highest)
+    reference = _fraction_freudenthal(rs, highest)
+    assert table.entries == reference
+    assert list(table.entries) == list(reference)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_integral_form_matches_fraction_reference(label):
+    rs = from_label(label)
+    rng = random.Random(label)
+    for _ in range(20):
+        mu, nu = (tuple(rng.randint(-3, 3) for _ in range(rs.rank)) for _ in range(2))
+        assert rs.inner(mu, nu) == _fraction_inner(rs, mu, nu)
+        assert rs.height(mu) == sum(rs.root_coordinates(mu))
