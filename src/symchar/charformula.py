@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pfdcore import ClosedCharacter, _times_unit, binomial_poly
+from .pfdcore import ClosedCharacter, binomial_poly
 from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, weight_scale
 
@@ -133,7 +133,8 @@ def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRa
     if not isinstance(n, int) or n < 0:
         raise ValueError("symmetric-power degree must be a non-negative integer")
     return [
-        (t.weight, _times_unit(t.coeff, weight_scale(n, t.weight), binomial_poly(t.order, n)))
+        (t.weight,
+         t.coeff * LaurentPoly.monomial(weight_scale(n, t.weight), binomial_poly(t.order, n)))
         for t in cc.terms
     ]
 

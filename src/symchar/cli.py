@@ -18,8 +18,8 @@ from .charformula import character_at, multiplicity_at, orbit_split
 from .oracle import adams_symmetric, truncated_molien
 from .pfdcore import pfd_decompose
 from .polyring import InconsistencyError
-from .rootsys import RootSystem, from_label
-from .vpart import build_partition_matrix, check_partition_equivalence
+from .rootsys import RootSystem, build_root_system, from_label, parse_label
+from .vpart import check_partition_equivalence
 from .weightsys import weight_system
 
 __all__ = ["main"]
@@ -110,8 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> tuple[RootSystem, tuple[int, ...]]:
-    rs = from_label(args.algebra)
-    return rs, _parse_weight(args.highest, rs.rank)
+    # Check the label and the weight's length before building: a user error
+    # must not wait for the root system of a large rank.
+    series, rank = parse_label(args.algebra)
+    highest = _parse_weight(args.highest, rank)
+    return build_root_system(series, rank), highest
 
 
 def _cmd_weights(args) -> int:
@@ -205,16 +208,15 @@ def _cmd_vpart(args) -> int:
     rs, highest = _resolve(args)
     if args.max_degree < 0:
         raise ValueError("--max-n must be non-negative")
-    table = weight_system(rs, highest)
-    matrix = build_partition_matrix(rs, table)
-    report = check_partition_equivalence(rs, table, args.max_degree)
+    report = check_partition_equivalence(rs, weight_system(rs, highest), args.max_degree)
+    matrix = report["matrix"]
     payload = {
         "algebra": rs.label,
         "highest_weight": list(highest),
-        "matrix": matrix.to_json(),
+        "matrix": matrix,
         "properties": {
-            "grading_row": all(x == 1 for x in matrix.entries[-1]),
-            "columns": matrix.cols,
+            "grading_row": all(x == 1 for x in matrix[-1]),
+            "columns": len(matrix[0]),
         },
         "equivalence": report["cases"],
         "all_pass": report["all_pass"],

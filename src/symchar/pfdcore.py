@@ -14,11 +14,9 @@ powers; G^(l+1) then follows from the Leibniz rule.  No polynomial in z is
 ever materialized and every denominator stays a product of binomials.
 
 Each S^(j) and G^(l) value is summed once over one common denominator and
-reduced once: the Leibniz products are formed by multiplying numerators
-and merging factor multisets, without reduction.  Multiplying a reduced
-value by a unit c*q^beta keeps it reduced, so the scalings
-(-1)^l/l! q^(-l*mu) here, and C(N+k-1, N) q^(N*nu) in character assembly,
-only scale and shift the numerator and run no trial division.
+reduced once.  The Leibniz products and the unit scalings
+(-1)^l/l! q^(-l*mu) are plain ``*``, which never cancels; a reduced value
+times a unit stays reduced, so every A(nu,k) comes out reduced.
 """
 
 from __future__ import annotations
@@ -103,15 +101,6 @@ def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
     return FactoredRational.sum(parts, rank).reduced()
 
 
-def _times_unit(value: FactoredRational, exponent: Weight, coeff) -> FactoredRational:
-    """value * coeff * q^exponent, keeping the factors.
-
-    A reduced value times a unit stays reduced, so unlike ``*`` this runs
-    no trial division.
-    """
-    return FactoredRational(value.numerator * LaurentPoly.monomial(exponent, coeff), value.factors)
-
-
 def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
     """All pole coefficients of the graded character of the given module."""
     support = table.support()
@@ -132,19 +121,17 @@ def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
         ]
         s_values = [_log_derivative(mu, others, j, rank) for j in range(order_max - 1)]
         for l in range(1, order_max):
-            # G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j); the constructor merges
-            # the two factor multisets.
+            # G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j)
             products = [
-                FactoredRational(
-                    g.numerator * s.numerator * comb(l - 1, j),
-                    [*g.factors.items(), *s.factors.items()],
-                )
+                g * s * comb(l - 1, j)
                 for j, (g, s) in enumerate(zip(g_values, reversed(s_values[:l])))
             ]
             g_values.append(FactoredRational.sum(products, rank).reduced())
 
         for l, value in enumerate(g_values):
-            coeff = _times_unit(value, weight_scale(-l, mu), Fraction((-1) ** l, factorial(l)))
+            coeff = value * LaurentPoly.monomial(
+                weight_scale(-l, mu), Fraction((-1) ** l, factorial(l))
+            )
             terms.append(PFDTerm(weight=mu, order=order_max - l, coeff=coeff))
 
     terms.sort(key=lambda term: (term.weight, term.order))

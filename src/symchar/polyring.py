@@ -440,9 +440,13 @@ class FactoredRational:
 
     Denominator factor keys are normalized so that the first nonzero entry
     of alpha is positive; the unit relating (1 - q^-alpha) to (1 - q^alpha)
-    is absorbed into the numerator.  Equality is semantic, decided by
-    cross-multiplication, so externally supplied mixed normalizations
-    compare as expected.
+    is absorbed into the numerator.
+
+    Arithmetic never cancels: ``*`` multiplies the numerators and merges the
+    factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
+    :meth:`reduced` divides factors out; callers that want a tidy value call
+    it once.  Equality is semantic: the difference, summed over the common
+    denominator, must be zero, so mixed normalizations compare as expected.
     """
 
     __slots__ = ("numerator", "factors")
@@ -530,22 +534,16 @@ class FactoredRational:
     def as_laurent(self) -> LaurentPoly:
         """Exact quotient numerator / denominator; the value must be polynomial.
 
-        The numerator is converted once to integer coefficients over one
-        scale and divided by one factor (1 - q^alpha)^k at a time by the
-        chain walk of :func:`_chain_div` (a quotient divisible by the
-        product is divisible by each factor in turn), so the denominator is
-        never expanded and no Fraction arithmetic happens until the quotient
-        is converted back.  Raises :class:`ExactDivisionError`, naming the
-        factor, when the value is not a polynomial.
+        This is :meth:`reduced` with nothing left over: the denominator is
+        never expanded.  Raises :class:`ExactDivisionError`, naming the
+        smallest factor left, when the value is not a polynomial.
         """
-        (terms,), scale = _integer_terms([self.numerator.terms])
-        for alpha in sorted(self.factors):
-            terms, done = _chain_div(terms, alpha, self.factors[alpha])
-            if done < self.factors[alpha]:
-                raise ExactDivisionError(
-                    "numerator not divisible by (1 - %s)" % LaurentPoly.monomial(alpha)
-                )
-        return _from_integer(self.rank, terms, scale)
+        left = self.reduced()
+        if left.factors:
+            raise ExactDivisionError(
+                "numerator not divisible by (1 - %s)" % LaurentPoly.monomial(min(left.factors))
+            )
+        return left.numerator
 
     # -- arithmetic --------------------------------------------------------
 
@@ -566,7 +564,7 @@ class FactoredRational:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return FactoredRational.sum((self, coerced), self.rank).reduced()
+        return FactoredRational.sum((self, coerced), self.rank)
 
     __radd__ = __add__
 
@@ -580,24 +578,21 @@ class FactoredRational:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self + (-coerced)
+        return FactoredRational.sum((self, -coerced), self.rank)
 
     def __rsub__(self, other) -> "FactoredRational":
         return (-self) + other
 
     def __mul__(self, other) -> "FactoredRational":
-        if isinstance(other, (int, Fraction)):
-            result = FactoredRational.__new__(FactoredRational)
-            result.numerator = self.numerator * other
-            result.factors = dict(self.factors) if not result.numerator.is_zero else {}
-            return result
+        if isinstance(other, (LaurentPoly, int, Fraction)):
+            return FactoredRational(self.numerator * other, self.factors)
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
         merged = dict(self.factors)
         for alpha, power in coerced.factors.items():
             merged[alpha] = merged.get(alpha, 0) + power
-        return FactoredRational(self.numerator * coerced.numerator, merged).reduced()
+        return FactoredRational(self.numerator * coerced.numerator, merged)
 
     __rmul__ = __mul__
 
@@ -642,15 +637,7 @@ class FactoredRational:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        shared = {
-            alpha: min(power, coerced.factors[alpha])
-            for alpha, power in self.factors.items()
-            if alpha in coerced.factors
-        }
-        left_rest = {a: p - shared.get(a, 0) for a, p in self.factors.items()}
-        right_rest = {a: p - shared.get(a, 0) for a, p in coerced.factors.items()}
-        (left, right), _ = _integer_terms((self.numerator.terms, coerced.numerator.terms))
-        return _times_factors(left, right_rest) == _times_factors(right, left_rest)
+        return FactoredRational.sum((self, -coerced), self.rank).is_zero
 
     __hash__ = None
 

@@ -24,6 +24,7 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "from_label",
+    "parse_label",
     "is_dominant",
     "positive_root_count",
     "weyl_group_order",
@@ -260,12 +261,8 @@ class RootSystem:
         return Fraction(sum(h * m for h, m in zip(heights, mu)), scale)
 
 
-def build_root_system(series: str, rank: int) -> RootSystem:
-    """Construct the root system of the given simple type.
-
-    Positive roots are generated by reflection closure from the simple
-    roots; the classical count for the type is checked afterwards.
-    """
+def _check_type(series: str, rank: int) -> tuple[str, int]:
+    """The (series, rank) of a simple type, checked but not built; series upper-cased."""
     if not isinstance(series, str) or series.upper() not in _SERIES_RANK_OK:
         raise ValueError("unknown series %r; expected one of A..G" % (series,))
     series = series.upper()
@@ -274,8 +271,19 @@ def build_root_system(series: str, rank: int) -> RootSystem:
             "invalid rank %r for series %s (A: r>=1, B: r>=2, C: r>=3, D: r>=4, "
             "E: 6..8, F: 4, G: 2)" % (rank, series)
         )
+    return series, rank
+
+
+def build_root_system(series: str, rank: int) -> RootSystem:
+    """Construct the root system of the given simple type.
+
+    Positive roots are generated by reflection closure from the simple
+    roots, each with its integer height: s_i lowers the height of beta by
+    <beta, a_i^v> = beta[i], and a root is positive exactly when its height
+    is.  The classical count for the type is checked afterwards.
+    """
+    series, rank = _check_type(series, rank)
     cartan, symmetrizer = _cartan_data(series, rank)
-    inverse = _invert(cartan)
 
     simple_roots = [tuple(cartan[k][j] for k in range(rank)) for j in range(rank)]
 
@@ -284,29 +292,26 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         alpha = simple_roots[i]
         return tuple(b - coeff * a for b, a in zip(beta, alpha))
 
-    all_roots = set(simple_roots)
+    heights = dict.fromkeys(simple_roots, 1)
     frontier = list(simple_roots)
     while frontier:
         nxt = []
         for beta in frontier:
             for i in range(rank):
                 image = reflect(i, beta)
-                if image not in all_roots:
-                    all_roots.add(image)
+                if image not in heights:
+                    heights[image] = heights[beta] - beta[i]
                     nxt.append(image)
         frontier = nxt
 
-    def root_coords(beta: Weight):
-        return tuple(sum(inverse[i][j] * beta[j] for j in range(rank)) for i in range(rank))
-
-    positive = [beta for beta in all_roots if all(c >= 0 for c in root_coords(beta))]
-    positive.sort(key=lambda beta: (sum(root_coords(beta)), beta))
+    positive = [beta for beta, height in heights.items() if height > 0]
+    positive.sort(key=lambda beta: (heights[beta], beta))
 
     expected = positive_root_count(series, rank)
-    if len(positive) != expected or len(all_roots) != 2 * expected:
+    if len(positive) != expected or len(heights) != 2 * expected:
         raise InconsistencyError(
             "root closure for %s%d gave %d positive of %d roots, expected %d positive"
-            % (series, rank, len(positive), len(all_roots), expected)
+            % (series, rank, len(positive), len(heights), expected)
         )
 
     # D * C must be symmetric for the chosen symmetrizer.
@@ -331,9 +336,14 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 
 
-def from_label(label: str) -> RootSystem:
-    """Build a root system from a selector string such as "A2" or "G2"."""
+def parse_label(label: str) -> tuple[str, int]:
+    """The checked (series, rank) of a selector string such as "A2" or "G2"."""
     match = _LABEL_RE.match(label.strip())
     if not match:
         raise ValueError("malformed algebra label %r (expected e.g. A1, B2, G2)" % (label,))
-    return build_root_system(match.group(1).upper(), int(match.group(2)))
+    return _check_type(match.group(1), int(match.group(2)))
+
+
+def from_label(label: str) -> RootSystem:
+    """Build a root system from a selector string such as "A2" or "G2"."""
+    return build_root_system(*parse_label(label))

@@ -161,6 +161,16 @@ def test_pinned_output(capsys, argv, expected_code, expected_sha):
 
 
 class TestUserErrors:
+    def test_wrong_length_weight_fails_before_building(self, capsys, monkeypatch):
+        # Building A60 takes over a second; a wrong-length weight must not wait for it.
+        def build(*args):
+            raise AssertionError("root system built")
+
+        monkeypatch.setattr(symchar.rootsys, "build_root_system", build)
+        monkeypatch.setattr(cli, "build_root_system", build, raising=False)
+        code, out, err = run_cli(capsys, "weights", "--algebra", "A60", "--lambda", "1")
+        assert (code, out, err) == (1, "", "error: weight '1' has 1 coordinates, expected 60\n")
+
     def test_unknown_algebra(self, capsys):
         code, _, err = run_cli(capsys, "char", "--algebra", "Z9", "--lambda", "1", "--N", "2")
         assert code == 1
@@ -218,8 +228,9 @@ def test_failing_verify_check_is_internal(capsys, monkeypatch):
 
 
 def test_failing_vpart_report_is_internal(capsys, monkeypatch):
+    real = symchar.check_partition_equivalence
     monkeypatch.setattr(cli, "check_partition_equivalence",
-                        lambda rs, table, n: {"cases": [], "all_pass": False})
+                        lambda rs, table, n: {**real(rs, table, n), "all_pass": False})
     code, out, err = run_cli(capsys, "vpart", "--algebra", "A1", "--lambda", "2", "--max-n", "2")
     assert code == 2
     assert json.loads(out)["all_pass"] is False
@@ -244,6 +255,20 @@ def test_no_assert_statements_in_package():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_private_names_imported_across_modules():
+    # A name with a leading underscore is private to its module.
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, alias.name)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "symchar")
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []
 

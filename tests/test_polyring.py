@@ -231,6 +231,62 @@ class TestFactoredRational:
         ]
 
 
+class TestOperatorContract:
+    """Arithmetic never cancels; only reduced() (and as_laurent through it) does."""
+
+    def test_product_merges_factor_multisets_without_reducing(self):
+        f = FactoredRational(1 - q(2), [((2,), 1)])
+        g = FactoredRational(q(1), [((2,), 1), ((3,), 2)])
+        product = f * g
+        assert product.factors == {(2,): 2, (3,): 2}
+        assert product.numerator == (1 - q(2)) * q(1)
+        assert product.reduced().factors == {(2,): 1, (3,): 2}
+        for unit in (3, Fraction(-1, 2), q(-4, 5)):
+            scaled = f * unit
+            assert scaled.factors == f.factors
+            assert scaled.numerator == f.numerator * unit
+            assert (unit * f).numerator == scaled.numerator
+
+    def test_sum_takes_the_largest_power_without_reducing(self):
+        f = FactoredRational(LaurentPoly.one(1), [((2,), 2), ((3,), 1)])
+        g = FactoredRational(q(1), [((2,), 1), ((5,), 1)])
+        assert (f + g).factors == {(2,): 2, (3,): 1, (5,): 1}
+        assert (f - g).factors == {(2,): 2, (3,): 1, (5,): 1}
+        h = FactoredRational(LaurentPoly.one(1), [((2,), 1)])
+        one = h - h * q(2)
+        assert one.factors == {(2,): 1}
+        assert one.numerator == 1 - q(2)
+        assert one == 1
+        assert one.reduced().factors == {}
+
+    def test_equal_by_construction(self):
+        # Numerator and denominator both times (1 - q^alpha)^k, alpha of
+        # either sign, so the constructor mixes normalizations.
+        rng = random.Random(41)
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            f = _random_fr(rng, rank)
+            alpha, k = _nonzero_vector(rng, rank), rng.randint(1, 2)
+            g = FactoredRational(
+                f.numerator * _binomial(alpha) ** k, [*f.factors.items(), (alpha, k)]
+            )
+            assert f == g and g == f
+            bump = LaurentPoly.monomial(tuple(rng.randint(-2, 2) for _ in range(rank)))
+            assert f != g + bump
+            assert f + bump != g
+
+    def test_as_laurent_error_names_the_smallest_factor_left(self):
+        # (1 - q1) cancels (1 - q1) only; (1 - q2) and (1 - q1*q2) are left.
+        f = FactoredRational(
+            LaurentPoly(2, {(0, 0): 1, (1, 0): -1}), [((1, 1), 1), ((1, 0), 1), ((0, 1), 1)]
+        )
+        with pytest.raises(ExactDivisionError, match=r"divisible by \(1 - q2\)$"):
+            f.as_laurent()
+        g = FactoredRational(1 - q(2), [((1,), 1), ((2,), 1), ((3,), 1)])
+        with pytest.raises(ExactDivisionError, match=r"divisible by \(1 - q\^2\)$"):
+            g.as_laurent()
+
+
 def _binomial(alpha):
     """The LaurentPoly 1 - q^alpha."""
     return LaurentPoly(len(alpha), {(0,) * len(alpha): 1, tuple(alpha): -1})

@@ -44,6 +44,11 @@ def test_construction(series, rank):
                 rs.symmetrizer[i] * rs.cartan_matrix[i][j]
                 == rs.symmetrizer[j] * rs.cartan_matrix[j][i]
             )
+    for beta in rs.positive_roots:
+        assert all(c >= 0 for c in rs.root_coordinates(beta))
+    assert list(rs.positive_roots) == sorted(
+        rs.positive_roots, key=lambda beta: (rs.height(beta), beta)
+    )
 
 
 @pytest.mark.parametrize(
