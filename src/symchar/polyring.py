@@ -1,19 +1,22 @@
 """Exact multivariate Laurent-polynomial and factored-rational arithmetic over Q.
 
-Coefficients are :class:`fractions.Fraction`, exponent vectors are integer
-tuples of fixed length (the rank, i.e. the number of variables q1..qr).
-Rational functions keep their denominators as multisets of binomial factors
-(1 - q^alpha)^k; every denominator the character pipeline produces has this
-shape, so expanded denominators and multivariate GCDs are never needed.
-The arithmetic uses that shape: multiplying by (1 - q^alpha) is one
-shift-and-subtract pass p - p*q^alpha, and dividing by it is a running sum
-along each alpha-chain of the dividend, exact iff every chain's coefficient
-sum is 0.  Both keep integer coefficients integral, so the hot loops
-(``FactoredRational.sum``, ``as_laurent``, ``reduced`` and the two-term
-``LaurentPoly.exact_div``) convert a numerator once to integer coefficients
-over one scale (the lcm of its denominators), work on plain ints, and
-convert back once.  A trial division that fails is rejected on its chain
-sums before any quotient term is built.
+:class:`LaurentPoly` has :class:`fractions.Fraction` coefficients; exponent
+vectors are integer tuples of fixed length (the rank, i.e. the number of
+variables q1..qr).  It is the exchange type at the boundary: JSON and text
+output, evaluation and the oracles.
+
+:class:`FactoredRational` keeps its denominator as a multiset of binomial
+factors (1 - q^alpha)^k; every denominator the character pipeline produces
+has this shape, so expanded denominators and multivariate GCDs are never
+needed.  Its numerator is stored as integer coefficients over one integer
+scale, and every operation on it runs on those ints: products (with
+exponent vectors packed into one int each), unit scalings, sums and
+reductions.  Multiplying by (1 - q^alpha) is one shift-and-subtract pass
+p - p*q^alpha, and dividing by it is a running sum along each alpha-chain,
+exact iff every chain's coefficient sum is 0; a trial division that fails
+is rejected on its chain sums before any quotient term is built.  A sum of
+many parts is merged pairwise, each merge over the pair's own common
+denominator.  The Fraction numerator is built only when asked for.
 
 All values are treated as immutable; operations return new objects.
 """
@@ -276,7 +279,7 @@ class LaurentPoly:
         i = next(k for k, a in enumerate(alpha) if a)
         if r != 1:
             shifted = {e: coeff / r ** (e[i] // alpha[i]) for e, coeff in shifted.items()}
-        (terms,), scale = _integer_terms([shifted])
+        terms, scale = _integer_terms(shifted)
         quotient, done = _chain_div(terms, alpha, 1)
         if not done:
             remainder = {}
@@ -337,16 +340,10 @@ class LaurentPoly:
 # -- integer core: numerators as {exponent: int} over one scale ----------------
 
 
-def _integer_terms(
-    term_dicts: Iterable[Mapping[Exponent, Fraction]],
-) -> tuple[list[dict[Exponent, int]], int]:
-    """Integer terms of each dict over one shared scale, the lcm of all denominators."""
-    term_dicts = list(term_dicts)
-    scale = lcm(*(c.denominator for terms in term_dicts for c in terms.values()))
-    return [
-        {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
-        for terms in term_dicts
-    ], scale
+def _integer_terms(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
+    """Integer terms over one scale, the lcm of the coefficient denominators."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}, scale
 
 
 def _from_integer(rank: int, terms: Mapping[Exponent, int], scale: int) -> LaurentPoly:
@@ -435,6 +432,79 @@ def _times_factors(
     return terms
 
 
+def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
+    """Product of two integer numerators, with packed exponents.
+
+    A one-term operand is a shift and a scaling.  Otherwise every exponent
+    vector is packed into one int, its mixed-radix position in the
+    product's exponent window (Kronecker substitution on the exponents), so
+    the key of a product term is one int addition.  The terms accumulate in
+    a list over the whole window when it has no more slots than there are
+    term pairs, else in a dict.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return {}
+    if len(b) == 1:
+        ((shift, factor),) = b.items()
+        return {tuple(map(add, e, shift)): c * factor for e, c in a.items()}
+    columns = [list(zip(*terms)) for terms in (a, b)]
+    lows = [[min(column) for column in both] for both in columns]
+    low = list(map(add, *lows))
+    widths = [max(x) + max(y) - bottom + 1 for x, y, bottom in zip(*columns, low)]
+    strides, size = [], 1
+    for width in widths:
+        strides.append(size)
+        size *= width
+    packed_a, packed_b = (
+        [(sum((x - o) * s for x, o, s in zip(e, offset, strides)), c) for e, c in terms.items()]
+        for terms, offset in zip((a, b), lows)
+    )
+    if size <= len(a) * len(b):
+        slots = [0] * size
+        for kb, cb in packed_b:
+            for ka, ca in packed_a:
+                slots[ka + kb] += ca * cb
+        packed = enumerate(slots)
+    else:
+        sums: dict[int, int] = {}
+        for kb, cb in packed_b:
+            for ka, ca in packed_a:
+                key = ka + kb
+                sums[key] = sums.get(key, 0) + ca * cb
+        packed = sums.items()
+    product: dict[Exponent, int] = {}
+    for key, coeff in packed:
+        if coeff:
+            e = []
+            for width, bottom in zip(widths, low):
+                key, digit = divmod(key, width)
+                e.append(bottom + digit)
+            product[tuple(e)] = coeff
+    return product
+
+
+_Part = tuple[dict[Exponent, int], int, dict[Exponent, int]]  # (terms, scale, factors)
+
+
+def _merge(a: _Part, b: _Part) -> _Part:
+    """a + b over the pair's max-power denominator and the lcm of the two scales."""
+    common = dict(a[2])
+    for alpha, power in b[2].items():
+        if common.get(alpha, 0) < power:
+            common[alpha] = power
+    scale = lcm(a[1], b[1])
+    total: dict[Exponent, int] = {}
+    for terms, part_scale, factors in a, b:
+        if part_scale != scale:
+            terms = {e: c * (scale // part_scale) for e, c in terms.items()}
+        missing = {alpha: p - factors.get(alpha, 0) for alpha, p in common.items()}
+        for e, coeff in _times_factors(terms, missing).items():
+            total[e] = total.get(e, 0) + coeff
+    return {e: c for e, c in total.items() if c}, scale, common
+
+
 class FactoredRational:
     """A rational function numerator / prod_j (1 - q^alpha_j)^k_j.
 
@@ -442,24 +512,28 @@ class FactoredRational:
     of alpha is positive; the unit relating (1 - q^-alpha) to (1 - q^alpha)
     is absorbed into the numerator.
 
-    Arithmetic never cancels: ``*`` multiplies the numerators and merges the
-    factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
+    The numerator is kept privately as integer terms over one positive
+    integer scale; :attr:`numerator`, the Fraction :class:`LaurentPoly`, is
+    built on first use, for output, evaluation and comparison with the
+    oracles.  Arithmetic never cancels: ``*`` multiplies the numerators and
+    merges the factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
     :meth:`reduced` divides factors out; callers that want a tidy value call
     it once.  Equality is semantic: the difference, summed over the common
     denominator, must be zero, so mixed normalizations compare as expected.
     """
 
-    __slots__ = ("numerator", "factors")
+    __slots__ = ("rank", "factors", "_terms", "_scale", "_numerator")
 
     def __init__(self, numerator: LaurentPoly, factors=()):
         if not isinstance(numerator, LaurentPoly):
             raise TypeError("numerator must be a LaurentPoly")
-        num = numerator
+        rank = numerator.rank
         merged: dict[Exponent, int] = {}
+        shift, sign = [0] * rank, 1
         items = factors.items() if isinstance(factors, Mapping) else factors
         for alpha, power in items:
             alpha = tuple(alpha)
-            if len(alpha) != num.rank:
+            if len(alpha) != rank:
                 raise ValueError("denominator exponent of wrong length")
             if not any(alpha):
                 raise ValueError("denominator factor with zero exponent vector")
@@ -467,19 +541,32 @@ class FactoredRational:
                 raise ValueError("factor multiplicity must be a non-negative integer")
             if power == 0:
                 continue
-            first = next(x for x in alpha if x)
-            if first < 0:
+            if next(x for x in alpha if x) < 0:
                 # 1/(1 - q^-b)^p == (-1)^p q^(p*b) / (1 - q^b)^p
                 alpha = tuple(-x for x in alpha)
-                unit = LaurentPoly.monomial(
-                    tuple(power * x for x in alpha), Fraction(-1) ** power
-                )
-                num = num * unit
+                shift = [s + power * x for s, x in zip(shift, alpha)]
+                sign *= (-1) ** power
             merged[alpha] = merged.get(alpha, 0) + power
-        if num.is_zero:
-            merged = {}
-        self.numerator = num
-        self.factors = merged
+        terms, scale = _integer_terms(numerator.terms)
+        if sign < 0 or any(shift):
+            terms = _product(terms, {tuple(shift): sign})
+            numerator = None
+        self._set(rank, terms, scale, merged)
+        self._numerator = numerator
+
+    def _set(self, rank: int, terms: dict[Exponent, int], scale: int, factors) -> None:
+        self.rank = rank
+        self._terms = terms
+        self._scale = scale
+        self.factors = factors if terms else {}
+        self._numerator = None
+
+    @classmethod
+    def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int, factors) -> "FactoredRational":
+        """Wrap integer terms over ``scale`` and normalized factors without checking them."""
+        result = cls.__new__(cls)
+        result._set(rank, terms, scale, factors)
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -493,48 +580,51 @@ class FactoredRational:
 
     @classmethod
     def sum(cls, parts, rank: int) -> "FactoredRational":
-        """Sum many terms over one shared denominator.
+        """Sum many terms over one shared denominator, in a balanced pairwise tree.
 
-        The common denominator takes the largest power of each factor.  All
-        numerators are brought to integer coefficients over one common scale
-        (the lcm of their coefficient denominators); each is multiplied by
-        its missing factors (1 - q^alpha)^k as k integer shift-and-subtract
-        passes, and no intermediate reductions happen.  The result is not
+        Each merge adds two partial sums over the pair's own common
+        denominator, which takes the larger power of each factor: both
+        integer numerators are brought to the lcm of their scales and
+        multiplied by their missing factors (1 - q^alpha)^k, as k integer
+        shift-and-subtract passes.  A partial sum is lifted once for all the
+        parts in it, so n parts with distinct factors take O(n log n)
+        passes instead of O(n^2).  Nothing cancels on the way: the result
+        is over the largest power of each factor among all parts, with the
+        numerator that lifting every part at once would give.  It is not
         reduced; callers that need a tidy denominator call reduced().
         """
-        parts = list(parts)
-        common: dict[Exponent, int] = {}
+        pending = []
         for part in parts:
             if part.rank != rank:
                 raise ValueError("rank mismatch in summation")
-            for alpha, power in part.factors.items():
-                if common.get(alpha, 0) < power:
-                    common[alpha] = power
-        numerators, scale = _integer_terms(part.numerator.terms for part in parts)
-        total: dict[Exponent, int] = {}
-        for part, terms in zip(parts, numerators):
-            missing = {a: p - part.factors.get(a, 0) for a, p in common.items()}
-            for e, coeff in _times_factors(terms, missing).items():
-                total[e] = total.get(e, 0) + coeff
-        return cls(_from_integer(rank, {e: c for e, c in total.items() if c}, scale), common)
+            pending.append((part._terms, part._scale, part.factors))
+        if not pending:
+            return cls.zero(rank)
+        while len(pending) > 1:
+            merged = [_merge(a, b) for a, b in zip(pending[::2], pending[1::2])]
+            if len(pending) % 2:
+                merged.append(pending[-1])
+            pending = merged
+        return cls._raw(rank, *pending[0])
 
     # -- queries -----------------------------------------------------------
 
     @property
-    def rank(self) -> int:
-        return self.numerator.rank
+    def numerator(self) -> LaurentPoly:
+        """The numerator as a Fraction LaurentPoly, built once on first use."""
+        if self._numerator is None:
+            self._numerator = _from_integer(self.rank, self._terms, self._scale)
+        return self._numerator
 
     @property
     def is_zero(self) -> bool:
-        return self.numerator.is_zero
-
-    def denominator_expanded(self) -> LaurentPoly:
-        return _from_integer(self.rank, _times_factors({(0,) * self.rank: 1}, self.factors), 1)
+        return not self._terms
 
     def as_laurent(self) -> LaurentPoly:
         """Exact quotient numerator / denominator; the value must be polynomial.
 
-        This is :meth:`reduced` with nothing left over: the denominator is
+        This is :meth:`reduced` with nothing left over: the integer
+        numerator is divided by each factor in turn and the denominator is
         never expanded.  Raises :class:`ExactDivisionError`, naming the
         smallest factor left, when the value is not a polynomial.
         """
@@ -569,10 +659,9 @@ class FactoredRational:
     __radd__ = __add__
 
     def __neg__(self) -> "FactoredRational":
-        result = FactoredRational.__new__(FactoredRational)
-        result.numerator = -self.numerator
-        result.factors = dict(self.factors)
-        return result
+        return FactoredRational._raw(
+            self.rank, {e: -c for e, c in self._terms.items()}, self._scale, dict(self.factors)
+        )
 
     def __sub__(self, other) -> "FactoredRational":
         coerced = self._coerce(other)
@@ -584,15 +673,24 @@ class FactoredRational:
         return (-self) + other
 
     def __mul__(self, other) -> "FactoredRational":
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return FactoredRational(self.numerator * other, self.factors)
+        if isinstance(other, (int, Fraction)):
+            scalar = _exact(other)
+            terms = {e: c * scalar.numerator for e, c in self._terms.items()} if scalar else {}
+            return FactoredRational._raw(
+                self.rank, terms, self._scale * scalar.denominator, dict(self.factors)
+            )
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
         merged = dict(self.factors)
         for alpha, power in coerced.factors.items():
             merged[alpha] = merged.get(alpha, 0) + power
-        return FactoredRational(self.numerator * coerced.numerator, merged)
+        return FactoredRational._raw(
+            self.rank,
+            _product(self._terms, coerced._terms),
+            self._scale * coerced._scale,
+            merged,
+        )
 
     __rmul__ = __mul__
 
@@ -600,14 +698,14 @@ class FactoredRational:
         """Cancel denominator factors that divide the numerator exactly.
 
         Greedy, in sorted factor order: each factor (1 - q^alpha) is divided
-        out of the integer numerator (one scale, see :func:`_chain_div`)
-        until a trial division fails.  A failing trial is rejected on its
-        chain sums before any quotient term is built.  Returns ``self`` when
-        nothing cancels.
+        out of the integer numerator (see :func:`_chain_div`) until a trial
+        division fails; the scale stays as it is.  A failing trial is
+        rejected on its chain sums before any quotient term is built.
+        Returns ``self`` when nothing cancels.
         """
         if self.is_zero or not self.factors:
             return self
-        (terms,), scale = _integer_terms([self.numerator.terms])
+        terms = self._terms
         remaining = dict(self.factors)
         for alpha in sorted(remaining):
             terms, done = _chain_div(terms, alpha, remaining[alpha])
@@ -616,7 +714,7 @@ class FactoredRational:
                 del remaining[alpha]
         if remaining == self.factors:
             return self
-        return FactoredRational(_from_integer(self.rank, terms, scale), remaining)
+        return FactoredRational._raw(self.rank, terms, self._scale, remaining)
 
     # -- evaluation and comparison ------------------------------------------
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .polyring import InconsistencyError
 
@@ -139,21 +139,29 @@ def _cartan_data(series: str, rank: int):
     return tuple(tuple(row) for row in matrix), tuple(sym)
 
 
-def _invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a small integer matrix by Gaussian elimination."""
+def _invert(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) with matrix^-1 == adj / det and det > 0, for a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [matrix | I]:
+    each step multiplies every other row by the pivot and divides it exactly
+    by the previous pivot, so all entries stay integers (minors of the
+    matrix).  The left block ends as det * I, the right block as det * inverse.
+    """
     n = len(matrix)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(matrix)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    previous = 1
     for col in range(n):
         pivot = next(r for r in range(col, n) if work[r][col])
         work[col], work[pivot] = work[pivot], work[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
+        top = work[col]
+        current = top[col]
         for r in range(n):
-            if r != col and work[r][col]:
-                shift = work[r][col]
-                work[r] = [x - shift * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            if r != col:
+                factor = work[r][col]
+                work[r] = [(current * x - factor * y) // previous for x, y in zip(work[r], top)]
+        previous = current
+    sign = 1 if previous > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * previous
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ class RootSystem:
         return "%s%d" % (self.series, self.rank)
 
     @cached_property
-    def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _cartan_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         return _invert(self.cartan_matrix)
 
     @cached_property
@@ -186,17 +194,21 @@ class RootSystem:
         gram/scale is the Gram matrix of the fundamental weights, diag(d) * C^-1,
         and heights/scale holds the column sums of C^-1, so that
         (mu, nu) = mu.gram.nu / scale and height(mu) = heights.mu / scale.
-        scale is the lcm of all their denominators.
+        scale is the lcm of all their denominators: everything is first put
+        over det(C) * lcm(denominators of d) and then divided by the gcd.
         """
-        inv = self._cartan_inverse
-        gram = [[self.symmetrizer[i] * inv[i][j] for j in range(self.rank)]
-                for i in range(self.rank)]
-        heights = [sum(inv[i][j] for i in range(self.rank)) for j in range(self.rank)]
-        scale = lcm(*(x.denominator for x in heights + [x for row in gram for x in row]))
+        adj, det = self._cartan_inverse
+        common = det * lcm(*(d.denominator for d in self.symmetrizer))
+        gram = [
+            [d.numerator * (common // (d.denominator * det)) * x for x in row]
+            for d, row in zip(self.symmetrizer, adj)
+        ]
+        heights = [sum(column) * (common // det) for column in zip(*adj)]
+        g = gcd(common, *heights, *(x for row in gram for x in row))
         return (
-            tuple(tuple(int(x * scale) for x in row) for row in gram),
-            tuple(int(h * scale) for h in heights),
-            scale,
+            tuple(tuple(x // g for x in row) for row in gram),
+            tuple(h // g for h in heights),
+            common // g,
         )
 
     def simple_root(self, i: int) -> Weight:
@@ -250,10 +262,8 @@ class RootSystem:
 
     def root_coordinates(self, mu) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (exact rationals)."""
-        inv = self._cartan_inverse
-        return tuple(
-            sum(inv[i][j] * mu[j] for j in range(self.rank)) for i in range(self.rank)
-        )
+        adj, det = self._cartan_inverse
+        return tuple(Fraction(sum(a * m for a, m in zip(row, mu)), det) for row in adj)
 
     def height(self, mu) -> Fraction:
         """Sum of the simple-root coordinates of mu."""

@@ -260,3 +260,27 @@ def test_criterion_11_d4_adjoint_pole_data():
             assert total == truncation.coefficient(n).evaluate(point)
     assert max(term.order for term in closed.terms) == 4
     _report(11, "D4 adjoint pole data matches the Molien product at N = 0, 1, 2", timer, 60.0)
+
+
+def test_criterion_12_b2_pole_data():
+    # B2(2,1), 40-dimensional, with weights of multiplicity up to 3: the
+    # Leibniz products of its pole data are large enough that Fraction
+    # numerator products used to take seconds.  Summed at N = 0, 1, 2 and
+    # evaluated at a point of ratios of distinct primes, the pole data
+    # equals the truncated Molien product there.
+    point = (Fraction(2, 3), Fraction(5, 7))
+    with _Timer() as timer:
+        table = weight_system(from_label("B2"), (2, 1))
+        closed = pfd_decompose(table)
+        truncation = truncated_molien(table, 2)
+        values = [(term, term.coeff.evaluate(point)) for term in closed.terms]
+        for n in range(3):
+            total = sum(
+                value
+                * comb(n + term.order - 1, n)
+                * LaurentPoly.monomial(tuple(n * c for c in term.weight)).evaluate(point)
+                for term, value in values
+            )
+            assert total == truncation.coefficient(n).evaluate(point)
+    assert max(term.order for term in closed.terms) == max(table.entries.values())
+    _report(12, "B2(2,1) pole data matches the Molien product at N = 0, 1, 2", timer, 60.0)

@@ -149,6 +149,10 @@ PINNED_OUTPUTS = [
      "802931d0a06cde9e215129c3254c7b37305b93660791108bfc8c3d355b5fb055"),
     (("orbits", "--algebra", "B2", "--lambda", "1,1", "--N", "2"), 0,
      "894d3581a08630c04117680abd22efee12cf2086c1d5129f2cb30ce8100810c0"),
+    (("pfd", "--algebra", "B2", "--lambda", "2,1"), 0,
+     "cfa763215776983c0ce33039d6a32d8b72df9bd9c7ed0ed68e87945e5d095427"),
+    (("char", "--algebra", "A3", "--lambda", "1,0,1", "--N", "3"), 0,
+     "2850648142bf350ab23c14dc09e77cf1a72c631bb74c4a8f180558689fe38444"),
 ]
 
 

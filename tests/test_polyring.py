@@ -428,3 +428,149 @@ class TestIntegerCore:
             for _ in range(2):
                 point = _random_point(rng, rank, parts + [total])
                 assert total.evaluate(point) == sum(p.evaluate(point) for p in parts)
+
+
+def _positive_vectors(rng, rank, count):
+    """``count`` distinct nonzero vectors whose first nonzero entry is positive."""
+    found = set()
+    while len(found) < count:
+        vector = tuple(rng.randint(-4, 4) for _ in range(rank)) if rank > 1 else (rng.randint(1, 40),)
+        if not any(vector):
+            continue
+        if next(x for x in vector if x) < 0:
+            vector = tuple(-x for x in vector)
+        found.add(vector)
+    return sorted(found)
+
+
+def _fraction_poly(rng, rank):
+    """A nonzero polynomial with coefficient denominators drawn from 1..6."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exponent = tuple(rng.randint(-3, 3) for _ in range(rank))
+        terms[exponent] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+    poly = LaurentPoly(rank, terms)
+    return poly if not poly.is_zero else LaurentPoly.constant(rank, Fraction(1, 5))
+
+
+def _sum_case(rng, rank, count, overlapping):
+    """(parts, raw): ``count`` parts and their (numerator, [(alpha, k)]) as given.
+
+    Overlapping parts draw their factors from one pool of three vectors;
+    disjoint parts each own two vectors.  Each alpha is negated at random,
+    so the constructor has to flip it.  When there are at least two parts
+    the second is minus the first, so a partial sum cancels to zero.
+    """
+    pool = _positive_vectors(rng, rank, 3 if overlapping else 2 * count)
+    raw = []
+    for index in range(count):
+        own = pool if overlapping else pool[2 * index:2 * index + 2]
+        chosen = rng.sample(own, rng.randint(0, len(own)))
+        factors = [(alpha if rng.random() < 0.5 else tuple(-x for x in alpha), rng.randint(1, 3))
+                   for alpha in chosen]
+        raw.append((_fraction_poly(rng, rank), factors))
+    if count >= 2:
+        raw[1] = (-raw[0][0], raw[0][1])
+    return [FactoredRational(num, factors) for num, factors in raw], raw
+
+
+def _reference_sum(parts, rank):
+    """Cross-multiplication over the max-power denominator with plain LaurentPoly products."""
+    common = {}
+    for part in parts:
+        for alpha, power in part.factors.items():
+            common[alpha] = max(common.get(alpha, 0), power)
+    total = LaurentPoly.zero(rank)
+    for part in parts:
+        lifted = part.numerator
+        for alpha, power in common.items():
+            lifted = lifted * _binomial(alpha) ** (power - part.factors.get(alpha, 0))
+        total = total + lifted
+    return total, common if not total.is_zero else {}
+
+
+def _raw_value(raw, point):
+    """numerator(point) / prod (1 - point^alpha)^k with alpha as given, not normalized."""
+    numerator, factors = raw
+    value = numerator.evaluate(point)
+    for alpha, power in factors:
+        monomial = Fraction(1)
+        for x, a in zip(point, alpha):
+            monomial *= x ** a
+        value /= (1 - monomial) ** power
+    return value
+
+
+class TestPairwiseSum:
+    """FactoredRational.sum against cross-multiplication and evaluation."""
+
+    def test_sum_matches_cross_multiplication(self):
+        rng = random.Random(211)
+        shapes = set()
+        for case in range(72):
+            rank = 1 + case % 3
+            count = (0, 1, 2, 3, 5, 7)[case // 3 % 6]
+            overlapping = case // 18 % 2 == 0
+            parts, raw = _sum_case(rng, rank, count, overlapping)
+            total = FactoredRational.sum(parts, rank)
+            numerator, factors = _reference_sum(parts, rank)
+            assert total.factors == factors
+            assert total.numerator == numerator
+            assert total.rank == rank
+            for _ in range(2):
+                point = _random_point(rng, rank, parts + [total])
+                assert total.evaluate(point) == sum(_raw_value(r, point) for r in raw)
+            shapes.add((rank, count, overlapping))
+        assert len(shapes) == 36
+
+    def test_cancelled_partial_sum_keeps_its_factors(self):
+        f = FactoredRational(q(1), [((2,), 2)])
+        g = FactoredRational(q(3), [((5,), 1)])
+        total = FactoredRational.sum([f, -f, g], 1)
+        assert total.factors == {(2,): 2, (5,): 1}
+        assert total.numerator == q(3) * (1 - q(2)) ** 2
+        assert FactoredRational.sum([f, -f], 1).factors == {}
+        assert FactoredRational.sum([], 2).is_zero
+
+    def test_numerator_round_trip(self):
+        rng = random.Random(223)
+        for _ in range(30):
+            rank = rng.randint(1, 3)
+            poly = _fraction_poly(rng, rank)
+            (alpha,) = _positive_vectors(rng, rank, 1)
+            k = rng.randint(1, 3)
+            assert FactoredRational(poly).numerator == poly
+            assert FactoredRational(poly, [(alpha, k)]).numerator == poly
+            flipped = FactoredRational(poly, [(tuple(-x for x in alpha), k)])
+            assert flipped.factors == {alpha: k}
+            unit = LaurentPoly.monomial(tuple(k * x for x in alpha), (-1) ** k)
+            assert flipped.numerator == poly * unit
+            # Rebuilt from the integer terms, not handed back.
+            assert (FactoredRational(poly) * 1).numerator == poly
+            assert (-FactoredRational(poly)).numerator == -poly
+        zero = FactoredRational(LaurentPoly.zero(2), [((-1, 0), 1)])
+        assert zero.numerator.is_zero and zero.factors == {}
+        assert (zero * FactoredRational(LaurentPoly.one(2), [((1, 1), 1)])).is_zero
+
+
+class TestIntegerProduct:
+    """The product of integer numerators against the Fraction LaurentPoly product."""
+
+    def test_product_matches_laurent_product(self):
+        rng = random.Random(227)
+        for case in range(60):
+            rank = 1 + case % 4
+            # Narrow exponents fill the window (list accumulator); wide ones
+            # leave it mostly empty (dict accumulator).
+            spread = (2, 30)[case // 4 % 2]
+            polys = []
+            for _ in range(2):
+                terms = {}
+                for _ in range(rng.randint(1, 8)):
+                    exponent = tuple(rng.randint(-spread, spread) for _ in range(rank))
+                    terms[exponent] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                polys.append(LaurentPoly(rank, terms))
+            f, g = (FactoredRational(p, [((1,) * rank, 1)]) for p in polys)
+            product = f * g
+            assert product.numerator == polys[0] * polys[1]
+            assert product.factors == ({(1,) * rank: 2} if not product.is_zero else {})

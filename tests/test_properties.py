@@ -1,11 +1,15 @@
-"""Property test: the three routes agree on randomly drawn small modules."""
+"""Property test: the three routes agree on randomly drawn small modules.
+
+The orbit split of the same draws must add up to the character.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar.charformula import character_at
+from symchar.charformula import character_at, orbit_split
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
+from symchar.polyring import FactoredRational
 from symchar.rootsys import from_label
 from symchar.weightsys import dim_irrep, weight_system
 
@@ -49,3 +53,6 @@ def test_pole_data_agrees_with_both_oracles(module, n):
     for i in range(1, rs.rank + 1):
         reflected = {rs.reflect(i, mu): coeff for mu, coeff in character.terms.items()}
         assert reflected == character.terms
+
+    summands = orbit_split(closed, rs, n)
+    assert FactoredRational.sum([s.value for s in summands], rs.rank).as_laurent() == character

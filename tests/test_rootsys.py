@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -160,3 +161,41 @@ def test_inner_product_symmetric_and_exact(a2):
 def test_root_coordinates(a2):
     assert a2.root_coordinates((1, 1)) == (Fraction(1), Fraction(1))
     assert a2.root_coordinates((2, -1)) == (Fraction(1), Fraction(0))
+
+
+# -- reference: the inverse Cartan matrix by Gauss-Jordan elimination in Fractions --
+
+
+def _fraction_inverse(matrix):
+    n = len(matrix)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        scale = work[col][col]
+        work[col] = [x / scale for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                shift = work[r][col]
+                work[r] = [x - shift * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES + [("A", 20), ("D", 12)])
+def test_integer_inverse_matches_fraction_reference(series, rank):
+    rs = build_root_system(series, rank)
+    inv = _fraction_inverse(rs.cartan_matrix)
+    # root_coordinates of the i-th fundamental weight is the i-th column of C^-1.
+    for j in range(rank):
+        unit = tuple(int(i == j) for i in range(rank))
+        assert rs.root_coordinates(unit) == tuple(inv[i][j] for i in range(rank))
+    # The integral form as it was built from the Fraction inverse.
+    gram = [[rs.symmetrizer[i] * inv[i][j] for j in range(rank)] for i in range(rank)]
+    heights = [sum(inv[i][j] for i in range(rank)) for j in range(rank)]
+    scale = lcm(*(x.denominator for x in heights + [x for row in gram for x in row]))
+    assert rs.integral_form == (
+        tuple(tuple(int(x * scale) for x in row) for row in gram),
+        tuple(int(h * scale) for h in heights),
+        scale,
+    )
