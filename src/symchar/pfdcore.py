@@ -13,8 +13,10 @@ derivatives at z = q^(-mu) are explicit sums of monomials over binomial
 powers; G^(l+1) then follows from the Leibniz rule.  No polynomial in z is
 ever materialized and every denominator stays a product of binomials.
 
-Each S^(j) and G^(l) value is summed once over one common denominator and
-reduced once.  The Leibniz products and the unit scalings
+Each G^(l) value is summed once over one common denominator and reduced
+once.  Each S^(j) value is reduced one direction of alpha at a time, which
+gives the same reduced form, because binomials of different directions
+are coprime.  The Leibniz products and the unit scalings
 (-1)^l/l! q^(-l*mu) are plain ``*``, which never cancels; a reduced value
 times a unit stays reduced, so every A(nu,k) comes out reduced.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .polyring import FactoredRational, LaurentPoly
 from .rootsys import Weight, weight_diff, weight_scale
@@ -84,7 +86,11 @@ def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
 
     nu and 2mu - nu share the normalized factor (1 - q^+-(nu-mu)); such a pair
     is summed and reduced on its own first.  A lone piece is a monomial over
-    one binomial power and already reduced.
+    one binomial power and already reduced.  Then the parts whose alphas are
+    parallel are summed and reduced together.  Binomials of different
+    directions are coprime, so a reduction of the whole sum could only
+    cancel within one direction, which the class reductions already did in
+    the same sorted order; the sum of the classes is returned unreduced.
     """
     groups: dict[Weight, list[FactoredRational]] = {}
     for nu, count in others:
@@ -94,11 +100,16 @@ def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
         )
         (alpha,) = piece.factors
         groups.setdefault(alpha, []).append(piece)
+    classes: dict[Weight, list[FactoredRational]] = {}
+    for alpha, pieces in groups.items():
+        part = pieces[0] if len(pieces) == 1 else FactoredRational.sum(pieces, rank).reduced()
+        step = gcd(*alpha)
+        classes.setdefault(tuple(a // step for a in alpha), []).append(part)
     parts = [
-        pieces[0] if len(pieces) == 1 else FactoredRational.sum(pieces, rank).reduced()
-        for pieces in groups.values()
+        parts[0] if len(parts) == 1 else FactoredRational.sum(parts, rank).reduced()
+        for parts in classes.values()
     ]
-    return FactoredRational.sum(parts, rank).reduced()
+    return FactoredRational.sum(parts, rank)
 
 
 def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from symchar.pfdcore import (
+    _log_derivative,
     binomial_poly,
     fundamental_coefficient,
     pfd_decompose,
     sl2_coefficient,
 )
 from symchar.polyring import FactoredRational, LaurentPoly, PoleError
-from symchar.rootsys import build_root_system, weight_diff
+from symchar.rootsys import build_root_system, from_label, weight_diff
 from symchar.weightsys import weight_system
 
 
@@ -201,3 +203,37 @@ class TestClosedForms:
     def test_fundamental_index_range(self):
         with pytest.raises(ValueError):
             fundamental_coefficient(2, 3)
+
+
+def _one_sum_log_derivative(mu, others, j, rank):
+    """S^(j)(q^-mu) reduced over one common denominator: each pair sharing an
+    alpha summed and reduced first, then everything summed and reduced once."""
+    groups = {}
+    for nu, count in others:
+        piece = FactoredRational(
+            LaurentPoly.monomial(tuple((j + 1) * x for x in nu), count * factorial(j)),
+            [(weight_diff(nu, mu), j + 1)],
+        )
+        (alpha,) = piece.factors
+        groups.setdefault(alpha, []).append(piece)
+    parts = [p[0] if len(p) == 1 else FactoredRational.sum(p, rank).reduced()
+             for p in groups.values()]
+    return FactoredRational.sum(parts, rank).reduced()
+
+
+@pytest.mark.parametrize("label,highest", [
+    ("A1", (6,)), ("A2", (2, 1)), ("A2", (3, 0)), ("B2", (1, 1)), ("B2", (0, 2)),
+    ("G2", (1, 0)), ("G2", (0, 1)), ("A3", (1, 0, 1)),
+])
+def test_log_derivative_by_direction_matches_one_sum(label, highest):
+    # Each module has weight strings of length >= 3 through some mu, so some
+    # directions hold several alphas (nu - mu, 2(nu - mu), ...).
+    table = weight_system(from_label(label), highest)
+    support = table.support()
+    for mu in support:
+        others = [(nu, table.multiplicity(nu)) for nu in support if nu != mu]
+        for j in range(2):
+            got = _log_derivative(mu, others, j, table.rank)
+            expected = _one_sum_log_derivative(mu, others, j, table.rank)
+            assert got.factors == expected.factors
+            assert got.numerator == expected.numerator
