@@ -106,8 +106,8 @@ def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
         step = gcd(*alpha)
         classes.setdefault(tuple(a // step for a in alpha), []).append(part)
     parts = [
-        parts[0] if len(parts) == 1 else FactoredRational.sum(parts, rank).reduced()
-        for parts in classes.values()
+        members[0] if len(members) == 1 else FactoredRational.sum(members, rank).reduced()
+        for members in classes.values()
     ]
     return FactoredRational.sum(parts, rank)
 
