@@ -438,9 +438,7 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
     A one-term operand is a shift and a scaling.  Otherwise every exponent
     vector is packed into one int, its mixed-radix position in the
     product's exponent window (Kronecker substitution on the exponents), so
-    the key of a product term is one int addition.  The terms accumulate in
-    a list over the whole window when it has no more slots than there are
-    term pairs, else in a dict.
+    the key of a product term is one int addition.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -461,21 +459,13 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
         [(sum((x - o) * s for x, o, s in zip(e, offset, strides)), c) for e, c in terms.items()]
         for terms, offset in zip((a, b), lows)
     )
-    if size <= len(a) * len(b):
-        slots = [0] * size
-        for kb, cb in packed_b:
-            for ka, ca in packed_a:
-                slots[ka + kb] += ca * cb
-        packed = enumerate(slots)
-    else:
-        sums: dict[int, int] = {}
-        for kb, cb in packed_b:
-            for ka, ca in packed_a:
-                key = ka + kb
-                sums[key] = sums.get(key, 0) + ca * cb
-        packed = sums.items()
+    sums: dict[int, int] = {}
+    for kb, cb in packed_b:
+        for ka, ca in packed_a:
+            key = ka + kb
+            sums[key] = sums.get(key, 0) + ca * cb
     product: dict[Exponent, int] = {}
-    for key, coeff in packed:
+    for key, coeff in sums.items():
         if coeff:
             e = []
             for width, bottom in zip(widths, low):

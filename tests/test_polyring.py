@@ -560,8 +560,8 @@ class TestIntegerProduct:
         rng = random.Random(227)
         for case in range(60):
             rank = 1 + case % 4
-            # Narrow exponents fill the window (list accumulator); wide ones
-            # leave it mostly empty (dict accumulator).
+            # Narrow exponents fill the packed window; wide ones leave it
+            # mostly empty.
             spread = (2, 30)[case // 4 % 2]
             polys = []
             for _ in range(2):

@@ -125,7 +125,7 @@ def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
         try:
             code = cli.main(list(argv))
         except SystemExit as stop:  # argparse usage errors
-            code = stop.code if isinstance(stop.code, int) else 1
+            code = 0 if stop.code is None else stop.code if isinstance(stop.code, int) else 1
     return code, out.getvalue(), err.getvalue()
 
 
