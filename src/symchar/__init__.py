@@ -25,8 +25,6 @@ from .oracle import (
     adams_symmetric,
     hsym_character,
     quadrature_check,
-    tensor_char,
-    truncated_exterior,
     truncated_molien,
 )
 from .pfdcore import (
@@ -99,8 +97,6 @@ __all__ = [
     "positive_root_count",
     "quadrature_check",
     "sl2_coefficient",
-    "tensor_char",
-    "truncated_exterior",
     "truncated_molien",
     "univariate_pfd",
     "weight_system",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pfdcore import ClosedCharacter, binomial_poly
-from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
+from .polyring import FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, weight_scale
 
 __all__ = [
@@ -146,7 +146,7 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
     poly = total.as_laurent()  # ExactDivisionError here means an upstream bug
     for coeff in poly.terms.values():
         if coeff.denominator != 1 or coeff <= 0:
-            raise ExactDivisionError("character coefficients must be positive integers")
+            raise InconsistencyError("character coefficients must be positive integers")
     return CharacterPoly(rank=rank, terms=poly)
 
 
@@ -344,7 +344,7 @@ def univariate_pfd(f: FactoredRational) -> UnivariatePFD:
                 merged[-base + i] -= c
             quot, rem = _dense_divmod(_trim(merged), phi)
             if rem:
-                raise InconsistencyError("cyclotomic reduction by Phi_%d left a remainder" % d)
+                raise InconsistencyError("cyclotomic reduction by Phi_%d is not exact" % d)
             shift = base
             num = quot
             while num and not num[0]:

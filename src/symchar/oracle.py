@@ -1,4 +1,5 @@
-"""Independent cross-checks for the character pipeline.
+"""Independent cross-checks for the character pipeline: the truncated Molien
+product, the Newton recursion, the h_n identity and a rank-1 quadrature check.
 
 Everything here works straight from a multiplicity table or a character
 polynomial and deliberately never touches the pole-decomposition modules,
@@ -23,8 +24,6 @@ __all__ = [
     "truncated_molien",
     "adams_symmetric",
     "hsym_character",
-    "truncated_exterior",
-    "tensor_char",
     "quadrature_check",
 ]
 
@@ -40,52 +39,28 @@ class GradedTruncation:
         return self.coefficients[n]
 
 
-def _truncated_product(
-    table: MultiplicityTable, n_max: int, factor_series
-) -> GradedTruncation:
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("truncation bound must be a non-negative integer")
-    rank = table.rank
-    acc = [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank) for _ in range(n_max)]
-    for mu in table.support():
-        series = factor_series(mu, table.multiplicity(mu))
-        out = [LaurentPoly.zero(rank) for _ in range(n_max + 1)]
-        for degree, coeff_poly in enumerate(series):
-            if coeff_poly.is_zero:
-                continue
-            for base in range(n_max + 1 - degree):
-                if not acc[base].is_zero:
-                    out[base + degree] = out[base + degree] + acc[base] * coeff_poly
-        acc = out
-    return GradedTruncation(degree_bound=n_max, coefficients=tuple(acc))
-
-
 def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
     """Expand prod_mu (1 - q^mu z)^(-m(mu)) through degree n_max in z.
 
     The degree-n coefficient is the character of the n-th symmetric power,
     obtained here purely by truncated geometric-series multiplication.
     """
-
-    def geometric(mu: Weight, count: int):
-        return [
-            LaurentPoly.monomial(weight_scale(t, mu), comb(t + count - 1, t))
-            for t in range(n_max + 1)
-        ]
-
-    return _truncated_product(table, n_max, geometric)
-
-
-def truncated_exterior(table: MultiplicityTable, n_max: int) -> GradedTruncation:
-    """Expand prod_mu (1 + q^mu z)^m(mu) through degree n_max in z."""
-
-    def binomial_series(mu: Weight, count: int):
-        return [
-            LaurentPoly.monomial(weight_scale(t, mu), comb(count, t))
-            for t in range(min(count, n_max) + 1)
-        ]
-
-    return _truncated_product(table, n_max, binomial_series)
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("truncation bound must be a non-negative integer")
+    rank = table.rank
+    acc = [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank) for _ in range(n_max)]
+    for mu in table.support():
+        count = table.multiplicity(mu)
+        out = [LaurentPoly.zero(rank) for _ in range(n_max + 1)]
+        for degree in range(n_max + 1):
+            coeff_poly = LaurentPoly.monomial(
+                weight_scale(degree, mu), comb(degree + count - 1, degree)
+            )
+            for base in range(n_max + 1 - degree):
+                if not acc[base].is_zero:
+                    out[base + degree] = out[base + degree] + acc[base] * coeff_poly
+        acc = out
+    return GradedTruncation(degree_bound=n_max, coefficients=tuple(acc))
 
 
 def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
@@ -132,13 +107,6 @@ def hsym_character(weights: list[Weight], n: int) -> LaurentPoly:
         for i, mu in enumerate(weights)
     ]
     return FactoredRational.sum(parts, rank).as_laurent()
-
-
-def tensor_char(char_v: LaurentPoly, n: int) -> LaurentPoly:
-    """Character of the n-th tensor power: the n-th power of the character."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("tensor-power degree must be a non-negative integer")
-    return char_v**n
 
 
 def quadrature_check(

@@ -3,7 +3,8 @@
 :class:`LaurentPoly` has :class:`fractions.Fraction` coefficients; exponent
 vectors are integer tuples of fixed length (the rank, i.e. the number of
 variables q1..qr).  It is the exchange type at the boundary: JSON and text
-output, evaluation and the oracles.
+output, evaluation and the oracles; its :meth:`~LaurentPoly.exact_div` is a
+front for :meth:`FactoredRational.as_laurent`.
 
 :class:`FactoredRational` keeps its denominator as a multiset of binomial
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
@@ -14,8 +15,9 @@ exponent vectors packed into one int each), unit scalings, sums and
 reductions.  Multiplying by (1 - q^alpha) is one shift-and-subtract pass
 p - p*q^alpha, and dividing by it is a running sum along each alpha-chain,
 exact iff every chain's coefficient sum is 0; a trial division that fails
-is rejected on its chain sums before any quotient term is built.  A sum of
-many parts is merged pairwise, each merge over the pair's own common
+is rejected on its chain sums before any quotient term is built.  That
+running sum, behind reduced() and as_laurent(), is the only division.  A
+sum of many parts is merged pairwise, each merge over the pair's own common
 denominator.  The Fraction numerator is built only when asked for.
 
 All values are treated as immutable; operations return new objects.
@@ -42,11 +44,7 @@ __all__ = [
 
 
 class ExactDivisionError(ArithmeticError):
-    """A division that was expected to be exact left a nonzero remainder."""
-
-    def __init__(self, message: str, remainder: "LaurentPoly | None" = None):
-        super().__init__(message)
-        self.remainder = remainder
+    """A quotient that was expected to be a polynomial is not one."""
 
 
 class InconsistencyError(ArithmeticError):
@@ -249,55 +247,27 @@ class LaurentPoly:
         return total
 
     def exact_div(self, divisor) -> "LaurentPoly":
-        """Exact quotient self / divisor, for a monomial or two-term divisor.
+        """Exact quotient self / divisor, for a divisor c*q^beta or c*q^beta*(1 - q^alpha).
 
-        A two-term divisor is written c*q^beta*(1 - r*q^alpha) with alpha
-        lexicographically positive.  The dividend is shifted by -beta, scaled
-        by 1/c and, when r != 1, twisted by r^-t on the alpha-chain position
-        t; that turns the division into one by (1 - q^alpha), which runs on
-        integer coefficients over one scale as a running sum along each
-        alpha-chain (see :func:`_chain_div`), and the twist is undone on the
-        quotient.  The division is exact iff every chain's coefficient sum is
-        0; otherwise raises :class:`ExactDivisionError` carrying the
-        remainder, one term per chain with a nonzero sum, at the chain's top.
-        Any other divisor raises ValueError.
+        The dividend is shifted by -beta and scaled by 1/c; a binomial is
+        then divided out by :meth:`FactoredRational.as_laurent`, which raises
+        :class:`ExactDivisionError` when the quotient is not a polynomial.
+        Any other divisor, such as 1 + q or 2 - q, raises ValueError.
         """
         coerced = self._coerce(divisor)
         if coerced is None:
             raise TypeError("cannot divide by %r" % (divisor,))
         if coerced.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if len(coerced.terms) > 2:
-            raise ValueError("exact_div divides by a monomial or a two-term polynomial only")
         (beta, c), *rest = sorted(coerced.terms.items())
+        if len(rest) > 1 or (rest and rest[0][1] != -c):
+            raise ValueError("exact_div divides by c*q^beta or c*q^beta*(1 - q^alpha) only")
         shifted = {tuple(map(sub, e, beta)): coeff / c for e, coeff in self.terms.items()}
+        quotient = LaurentPoly._raw(self.rank, shifted)
         if not rest:
-            return LaurentPoly._raw(self.rank, shifted)
-        (top, c_top), = rest
-        alpha = tuple(map(sub, top, beta))
-        r = -c_top / c
-        i = next(k for k, a in enumerate(alpha) if a)
-        if r != 1:
-            shifted = {e: coeff / r ** (e[i] // alpha[i]) for e, coeff in shifted.items()}
-        terms, scale = _integer_terms(shifted)
-        quotient, done = _chain_div(terms, alpha, 1)
-        if not done:
-            remainder = {}
-            for base, chain in _chains(terms, alpha).items():
-                total = sum(chain.values())
-                if total:
-                    h = max(chain)
-                    key = tuple(x + b + h * a for x, b, a in zip(base, beta, alpha))
-                    remainder[key] = Fraction(total, scale) * r**h * c
-            raise ExactDivisionError(
-                "remainder nonzero in exact division", LaurentPoly._raw(self.rank, remainder)
-            )
-        result = _from_integer(self.rank, quotient, scale)
-        if r == 1:
-            return result
-        return LaurentPoly._raw(
-            self.rank, {e: coeff * r ** (e[i] // alpha[i]) for e, coeff in result.terms.items()}
-        )
+            return quotient
+        alpha = tuple(map(sub, rest[0][0], beta))
+        return FactoredRational(quotient, [(alpha, 1)]).as_laurent()
 
     # -- presentation ------------------------------------------------------
 
@@ -338,17 +308,6 @@ class LaurentPoly:
 
 
 # -- integer core: numerators as {exponent: int} over one scale ----------------
-
-
-def _integer_terms(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
-    """Integer terms over one scale, the lcm of the coefficient denominators."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}, scale
-
-
-def _from_integer(rank: int, terms: Mapping[Exponent, int], scale: int) -> LaurentPoly:
-    """The LaurentPoly terms / scale; terms holds no zero coefficient."""
-    return LaurentPoly._raw(rank, {e: Fraction(c, scale) for e, c in terms.items()})
 
 
 def _chains(terms: Mapping[Exponent, int], alpha: Exponent) -> dict[Exponent, dict[int, int]]:
@@ -537,7 +496,9 @@ class FactoredRational:
                 shift = [s + power * x for s, x in zip(shift, alpha)]
                 sign *= (-1) ** power
             merged[alpha] = merged.get(alpha, 0) + power
-        terms, scale = _integer_terms(numerator.terms)
+        # Integer terms over one scale, the lcm of the coefficient denominators.
+        scale = lcm(*(c.denominator for c in numerator.terms.values()))
+        terms = {e: c.numerator * (scale // c.denominator) for e, c in numerator.terms.items()}
         if sign < 0 or any(shift):
             terms = _product(terms, {tuple(shift): sign})
             numerator = None
@@ -563,10 +524,6 @@ class FactoredRational:
     @classmethod
     def zero(cls, rank: int) -> "FactoredRational":
         return cls(LaurentPoly.zero(rank))
-
-    @classmethod
-    def one(cls, rank: int) -> "FactoredRational":
-        return cls(LaurentPoly.one(rank))
 
     @classmethod
     def sum(cls, parts, rank: int) -> "FactoredRational":
@@ -603,7 +560,9 @@ class FactoredRational:
     def numerator(self) -> LaurentPoly:
         """The numerator as a Fraction LaurentPoly, built once on first use."""
         if self._numerator is None:
-            self._numerator = _from_integer(self.rank, self._terms, self._scale)
+            self._numerator = LaurentPoly._raw(
+                self.rank, {e: Fraction(c, self._scale) for e, c in self._terms.items()}
+            )
         return self._numerator
 
     @property

@@ -89,6 +89,21 @@ class TestCharacterAt:
         with pytest.raises(ExactDivisionError):
             character_at(broken, 2)
 
+    @pytest.mark.parametrize("factor", [Fraction(1, 2), -1])
+    def test_scaled_pole_data_raises_inconsistency(self, sl2_adjoint, factor):
+        # The division is exact, but the coefficients are not positive integers.
+        from dataclasses import replace
+
+        from symchar.polyring import InconsistencyError
+
+        closed = pfd_decompose(sl2_adjoint)
+        scaled = ClosedCharacter(
+            source=closed.source,
+            terms=tuple(replace(term, coeff=term.coeff * factor) for term in closed.terms),
+        )
+        with pytest.raises(InconsistencyError):
+            character_at(scaled, 2)
+
 
 class TestMultiplicityAt:
     def test_known_multiplicities(self, sl2_adjoint):

@@ -8,8 +8,6 @@ from symchar.oracle import (
     adams_symmetric,
     hsym_character,
     quadrature_check,
-    tensor_char,
-    truncated_exterior,
     truncated_molien,
 )
 from symchar.pfdcore import pfd_decompose
@@ -112,42 +110,6 @@ class TestHsymCharacter:
     def test_repeated_weights_rejected(self):
         with pytest.raises(ValueError):
             hsym_character([(1,), (1,)], 2)
-
-
-class TestTruncatedExterior:
-    def test_rank_one_defining(self, a1):
-        truncation = truncated_exterior(weight_system(a1, (1,)), 2)
-        assert truncation.coefficient(1) == q(1) + q(-1)
-        assert truncation.coefficient(2) == LaurentPoly.one(1)
-
-    def test_top_power_is_unit(self, sl2_adjoint, sl3_adjoint):
-        for table in (sl2_adjoint, sl3_adjoint):
-            dim = table.dimension()
-            truncation = truncated_exterior(table, dim + 2)
-            assert truncation.coefficient(dim) == LaurentPoly.one(table.rank)
-            assert truncation.coefficient(dim + 1).is_zero
-            assert truncation.coefficient(dim + 2).is_zero
-
-    def test_coefficient_sums(self, sl3_adjoint):
-        truncation = truncated_exterior(sl3_adjoint, 8)
-        for n in range(9):
-            assert truncation.coefficient(n).coefficient_sum() == comb(8, n)
-
-
-class TestTensorChar:
-    def test_square(self, a1):
-        char = weight_system(a1, (1,)).character_poly()
-        assert tensor_char(char, 2) == q(2) + 2 + q(-2)
-
-    def test_degree_zero_and_one(self, sl3_adjoint):
-        char = sl3_adjoint.character_poly()
-        assert tensor_char(char, 0) == LaurentPoly.one(2)
-        assert tensor_char(char, 1) == char
-
-    def test_coefficient_sum(self, sl2_adjoint):
-        char = sl2_adjoint.character_poly()
-        for n in range(5):
-            assert tensor_char(char, n).coefficient_sum() == 3**n
 
 
 class TestQuadratureCheck:
