@@ -4,10 +4,14 @@ character_at turns the closed pole data into the actual character of the
 N-th symmetric power: the weighted sum of coefficients is accumulated as a
 single factored rational function over one common denominator, and the
 final (always exact) division by its binomial factors, one at a time,
-recovers the Laurent polynomial.  multiplicity_at reads a weight
-multiplicity off that polynomial as a shifted constant term.
+recovers the Laurent polynomial.  Each degree is assembled once per
+ClosedCharacter and kept on it (a bounded memo, see _memo), so the
+characters live exactly as long as their pole data; n is checked on every
+call.  multiplicity_at reads a weight multiplicity off that polynomial as
+a shifted constant term.
 
-orbit_split regroups the same sum by Weyl orbits of dominant weights, and
+orbit_split regroups the same sum by Weyl orbits of dominant weights (it
+is not memoized: its (module, N) requests rarely repeat), and
 univariate_pfd decomposes a rank-1 summand into a Laurent-polynomial part
 plus proper fractions over powers of cyclotomic polynomials.  The
 cyclotomic reduction is Hermite-style: for each cyclotomic factor the top
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._memo import recall
 from .pfdcore import ClosedCharacter, binomial_poly
 from .polyring import FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, weight_scale
@@ -128,10 +133,13 @@ class UnivariatePFD:
         }
 
 
-def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRational]]:
-    """(nu, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term: the degree-n summands."""
+def _check_degree(n) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError("symmetric-power degree must be a non-negative integer")
+
+
+def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRational]]:
+    """(nu, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term: the degree-n summands."""
     return [
         (t.weight,
          t.coeff * LaurentPoly.monomial(weight_scale(n, t.weight), binomial_poly(t.order, n)))
@@ -140,7 +148,17 @@ def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRa
 
 
 def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
-    """Character of the n-th symmetric power, as an exact Laurent polynomial."""
+    """Character of the n-th symmetric power, as an exact Laurent polynomial.
+
+    n is checked on every call; the character is computed once per degree
+    and kept on cc, so it lives as long as the pole data and is shared.
+    """
+    _check_degree(n)
+    return recall(cc._characters, n, lambda: _assemble(cc, n))
+
+
+def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
+    """Sum the degree-n contributions over one common denominator and divide it out."""
     rank = cc.rank
     total = FactoredRational.sum([part for _, part in _contributions(cc, n)], rank)
     poly = total.as_laurent()  # ExactDivisionError here means an upstream bug
@@ -162,6 +180,7 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
     each one collects q^(n w.nu) times the pole coefficients of the orbit
     weights w.nu.
     """
+    _check_degree(n)
     grouped: dict[Weight, list[FactoredRational]] = {}
     for weight, part in _contributions(cc, n):
         grouped.setdefault(rs.dominant_representative(weight), []).append(part)

@@ -19,16 +19,23 @@ gives the same reduced form, because binomials of different directions
 are coprime.  The Leibniz products and the unit scalings
 (-1)^l/l! q^(-l*mu) are plain ``*``, which never cancels; a reduced value
 times a unit stays reduced, so every A(nu,k) comes out reduced.
+
+pfd_decompose checks its table on every call, then computes the pole data
+once per table content (highest weight and sorted entries) and hands the
+same ClosedCharacter to every later caller; the oldest goes when the memo
+is full (see _memo).  Each ClosedCharacter also keeps the characters that
+charformula.character_at has computed from it, by degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd
 
+from ._memo import recall
 from .polyring import FactoredRational, LaurentPoly
-from .rootsys import Weight, weight_diff, weight_scale
+from .rootsys import Weight, is_dominant, weight_diff, weight_scale
 from .weightsys import MultiplicityTable
 
 __all__ = [
@@ -59,6 +66,8 @@ class ClosedCharacter:
 
     source: MultiplicityTable
     terms: tuple[PFDTerm, ...]
+    # Characters by degree, filled by charformula.character_at.
+    _characters: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -112,11 +121,34 @@ def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
     return FactoredRational.sum(parts, rank)
 
 
+# Pole data by table content (highest weight, sorted entries); see _memo.
+_POLE_DATA: dict[tuple, ClosedCharacter] = {}
+
+
 def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
-    """All pole coefficients of the graded character of the given module."""
+    """All pole coefficients of the graded character of the given module.
+
+    The table is checked on every call; the pole data is computed once per
+    table content and then shared, with the characters kept on it.
+    """
     support = table.support()
     if not support:
         raise ValueError("empty multiplicity table")
+    content = tuple((mu, table.entries[mu]) for mu in support)
+    integral = all(isinstance(c, int) for mu in (table.highest_weight, *support) for c in mu)
+    positive = all(isinstance(m, int) and m >= 1 for _, m in content)
+    if not (integral and positive and is_dominant(table.highest_weight)):
+        raise ValueError(
+            "multiplicity table needs integer weights, positive multiplicities "
+            "and a dominant highest weight"
+        )
+    return recall(
+        _POLE_DATA, (table.highest_weight, content), lambda: _decompose(table, support)
+    )
+
+
+def _decompose(table: MultiplicityTable, support: list[Weight]) -> ClosedCharacter:
+    """The pole data of a checked table, its terms sorted by (weight, order)."""
     rank = table.rank
     terms: list[PFDTerm] = []
     for mu in support:

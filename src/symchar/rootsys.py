@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 
+from ._memo import recall
 from .polyring import InconsistencyError
 
 Weight = tuple[int, ...]
@@ -284,15 +285,28 @@ def _check_type(series: str, rank: int) -> tuple[str, int]:
     return series, rank
 
 
+# Built root systems by checked (series, rank); see _memo.
+_ROOT_SYSTEMS: dict[tuple[str, int], RootSystem] = {}
+
+
 def build_root_system(series: str, rank: int) -> RootSystem:
-    """Construct the root system of the given simple type.
+    """The root system of the given simple type, built once and then shared.
+
+    The type is checked on every call; the memo is keyed on the checked
+    (series, rank), so ``from_label`` shares it.
+    """
+    key = _check_type(series, rank)
+    return recall(_ROOT_SYSTEMS, key, lambda: _build(*key))
+
+
+def _build(series: str, rank: int) -> RootSystem:
+    """Construct the root system of a checked simple type.
 
     Positive roots are generated by reflection closure from the simple
     roots, each with its integer height: s_i lowers the height of beta by
     <beta, a_i^v> = beta[i], and a root is positive exactly when its height
     is.  The classical count for the type is checked afterwards.
     """
-    series, rank = _check_type(series, rank)
     cartan, symmetrizer = _cartan_data(series, rank)
 
     simple_roots = [tuple(cartan[k][j] for k in range(rank)) for j in range(rank)]
@@ -355,5 +369,5 @@ def parse_label(label: str) -> tuple[str, int]:
 
 
 def from_label(label: str) -> RootSystem:
-    """Build a root system from a selector string such as "A2" or "G2"."""
+    """The root system of a selector string such as "A2" or "G2" (built once, then shared)."""
     return build_root_system(*parse_label(label))

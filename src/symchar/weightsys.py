@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
+from typing import Mapping
 
+from ._memo import recall
 from .polyring import InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, is_dominant, weight_diff, weight_sum
 
@@ -22,10 +25,14 @@ __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Finite map weight -> multiplicity for one irreducible module."""
+    """Finite map weight -> multiplicity for one irreducible module.
+
+    Tables from ``weight_system`` are shared between callers, so their
+    entries are a read-only mapping.
+    """
 
     highest_weight: Weight
-    entries: dict[Weight, int]
+    entries: Mapping[Weight, int]
 
     @property
     def rank(self) -> int:
@@ -73,8 +80,16 @@ def _support_closure(rs: RootSystem, highest: Weight) -> set[Weight]:
     return seen
 
 
+# Weight tables by (root system, highest weight); see _memo.
+_TABLES: dict[tuple[RootSystem, Weight], MultiplicityTable] = {}
+
+
 def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
-    """Complete multiplicity table of the irreducible module with this highest weight."""
+    """Complete multiplicity table of the irreducible module with this highest weight.
+
+    The weight is checked on every call; the table is computed once per
+    (root system, highest weight) and then shared.
+    """
     highest = tuple(highest)
     if len(highest) != rs.rank:
         raise ValueError("highest weight has %d coordinates, expected %d" % (len(highest), rs.rank))
@@ -82,7 +97,12 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
         raise ValueError("highest weight coordinates must be integers")
     if not is_dominant(highest):
         raise ValueError("highest weight %r is not dominant" % (highest,))
+    highest = tuple(map(int, highest))
+    return recall(_TABLES, (rs, highest), lambda: _freudenthal(rs, highest))
 
+
+def _freudenthal(rs: RootSystem, highest: Weight) -> MultiplicityTable:
+    """The multiplicity table of a checked dominant weight, cross-checked."""
     # Every inner product and height below is scale times the true one; the
     # scale cancels in the Freudenthal quotient and does not change the order.
     gram, heights, _ = rs.integral_form
@@ -120,7 +140,7 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
             )
         mult[mu] = value
 
-    table = MultiplicityTable(highest_weight=highest, entries=mult)
+    table = MultiplicityTable(highest_weight=highest, entries=MappingProxyType(mult))
     # Cross-checks: Weyl dimension formula and reflection invariance.
     if table.dimension() != dim_irrep(rs, highest):
         raise InconsistencyError(

@@ -1,6 +1,15 @@
 import pytest
 
-from symchar import build_root_system, weight_system
+from symchar import build_root_system, pfdcore, rootsys, weight_system, weightsys
+
+
+@pytest.fixture(autouse=True)
+def cold_memos(monkeypatch):
+    # Every test starts with empty pipeline memos, so no test is served
+    # another test's results and the order of tests cannot hide a fault.
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    monkeypatch.setattr(weightsys, "_TABLES", {})
+    monkeypatch.setattr(pfdcore, "_POLE_DATA", {})
 
 
 @pytest.fixture(scope="session")

@@ -159,9 +159,12 @@ PINNED_OUTPUTS = [
 @pytest.mark.parametrize("argv,expected_code,expected_sha", PINNED_OUTPUTS,
                          ids=[" ".join(argv) for argv, _, _ in PINNED_OUTPUTS])
 def test_pinned_output(capsys, argv, expected_code, expected_sha):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == expected_code
-    assert hashlib.sha256(out.encode()).hexdigest() == expected_sha
+    # The memos start empty (conftest), so the first run computes everything
+    # and the second is served from the memos; both must print the same bytes.
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert hashlib.sha256(out.encode()).hexdigest() == expected_sha
 
 
 class TestUserErrors:
@@ -172,8 +175,13 @@ class TestUserErrors:
 
         monkeypatch.setattr(symchar.rootsys, "build_root_system", build)
         monkeypatch.setattr(cli, "build_root_system", build, raising=False)
+        monkeypatch.setattr(symchar.rootsys, "_ROOT_SYSTEMS", {})
         code, out, err = run_cli(capsys, "weights", "--algebra", "A60", "--lambda", "1")
         assert (code, out, err) == (1, "", "error: weight '1' has 1 coordinates, expected 60\n")
+        # With the right length the request does reach the build, so the
+        # error above was not served from a memo.
+        code, out, err = run_cli(capsys, "weights", "--algebra", "A60", "--lambda", ",".join("0" * 60))
+        assert (code, out, err) == (2, "", "internal inconsistency: root system built\n")
 
     def test_unknown_algebra(self, capsys):
         code, _, err = run_cli(capsys, "char", "--algebra", "Z9", "--lambda", "1", "--N", "2")

@@ -1,0 +1,152 @@
+"""The pipeline memos: shared results, checks before every lookup, bounded size.
+
+conftest.py empties the memos before each test, so every test here starts cold.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from symchar import (
+    ClosedCharacter,
+    build_root_system,
+    character_at,
+    from_label,
+    pfd_decompose,
+    pfdcore,
+    weight_system,
+    weightsys,
+)
+from symchar._memo import MEMO_SIZE
+from symchar.weightsys import MultiplicityTable
+
+
+def _dict_table(table):
+    return MultiplicityTable(highest_weight=table.highest_weight, entries=dict(table.entries))
+
+
+class TestShared:
+    def test_each_stage_returns_the_same_object(self):
+        rs = from_label("A2")
+        assert from_label("a2") is rs
+        assert build_root_system("a", 2) is rs
+        table = weight_system(rs, (1, 1))
+        assert weight_system(rs, [1, 1]) is table
+        closed = pfd_decompose(table)
+        assert pfd_decompose(_dict_table(table)) is closed
+        character = character_at(closed, 3)
+        assert character_at(closed, 3) is character
+
+    def test_pole_data_is_keyed_on_content(self, a2):
+        table = weight_system(a2, (1, 0))
+        other = MultiplicityTable(highest_weight=(0, 1), entries=dict(table.entries))
+        assert pfd_decompose(other) is not pfd_decompose(table)
+        assert pfd_decompose(other).source is other
+
+    def test_characters_live_on_their_pole_data(self, sl2_adjoint):
+        closed = pfd_decompose(sl2_adjoint)
+        copy = ClosedCharacter(source=closed.source, terms=closed.terms)
+        assert copy == closed
+        assert character_at(copy, 2) == character_at(closed, 2)
+        assert character_at(copy, 2) is not character_at(closed, 2)
+
+
+class TestChecksBeforeLookup:
+    """Every argument check fires after a valid or equal-hash twin is cached."""
+
+    def test_float_coordinates(self, a2):
+        weight_system(a2, (1, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="integers"):
+                weight_system(a2, (1.0, 0))
+
+    def test_non_dominant_weight(self, a2):
+        weight_system(a2, (1, 0))
+        weight_system(a2, (0, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dominant"):
+                weight_system(a2, (-1, 1))
+
+    def test_wrong_length_weight(self, a2):
+        weight_system(a2, (1, 0))
+        for weight in ((1,), (1, 0, 0), (1, 0) * 2):
+            with pytest.raises(ValueError, match="coordinates"):
+                weight_system(a2, weight)
+
+    @pytest.mark.parametrize("degree", [2.0, -1, Fraction(2), "2", None])
+    def test_bad_degree(self, sl2_adjoint, degree):
+        closed = pfd_decompose(sl2_adjoint)
+        character_at(closed, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                character_at(closed, degree)
+
+    @pytest.mark.parametrize("label", ["A2x", " A 2", "A0", "Z2", "B1", ""])
+    def test_malformed_label(self, label):
+        from_label("A2")
+        from_label("B2")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                from_label(label)
+
+    def test_float_rank(self):
+        build_root_system("A", 2)
+        with pytest.raises(ValueError, match="rank"):
+            build_root_system("A", 2.0)
+
+    @pytest.mark.parametrize("change", ["float weight", "float count", "zero count",
+                                        "non-dominant"])
+    def test_malformed_table(self, sl3_adjoint, change):
+        pfd_decompose(sl3_adjoint)
+        highest, entries = sl3_adjoint.highest_weight, dict(sl3_adjoint.entries)
+        if change == "float weight":
+            entries = {tuple(float(c) for c in mu): m for mu, m in entries.items()}
+        elif change == "float count":
+            entries[(0, 0)] = 2.0
+        elif change == "zero count":
+            entries[(0, 0)] = 0
+        else:
+            highest = (-1, 2)
+        with pytest.raises(ValueError, match="multiplicity table"):
+            pfd_decompose(MultiplicityTable(highest_weight=highest, entries=entries))
+
+
+class TestReadOnlyTables:
+    def test_entries_cannot_be_changed(self, a2):
+        table = weight_system(a2, (1, 1))
+        with pytest.raises(TypeError):
+            table.entries[(1, 1)] = 5
+        with pytest.raises(TypeError):
+            del table.entries[(1, 1)]
+        assert weight_system(a2, (1, 1)).multiplicity((1, 1)) == 1
+
+    def test_same_output_as_a_dict_table(self, a2):
+        table = weight_system(a2, (2, 1))
+        plain = _dict_table(table)
+        assert table == plain and plain == table
+        assert table.to_json() == plain.to_json()
+        assert table.character_poly() == plain.character_poly()
+        assert table.dimension() == plain.dimension() == 15
+
+
+class TestBounded:
+    def test_pole_data_memo_holds_at_most_the_bound(self, a1):
+        tables = [weight_system(a1, (m,)) for m in range(1, MEMO_SIZE + 6)]
+        closed = [pfd_decompose(table) for table in tables]
+        assert len(pfdcore._POLE_DATA) <= MEMO_SIZE
+        assert len(weightsys._TABLES) <= MEMO_SIZE
+        # The newest entries are still shared; the oldest was dropped and is
+        # computed again, equal to before.
+        assert pfd_decompose(tables[-1]) is closed[-1]
+        again = pfd_decompose(tables[0])
+        assert again is not closed[0] and again == closed[0]
+        assert len(pfdcore._POLE_DATA) <= MEMO_SIZE
+
+    def test_characters_per_degree_hold_at_most_the_bound(self, a1):
+        closed = pfd_decompose(weight_system(a1, (1,)))
+        first = character_at(closed, 0)
+        for n in range(MEMO_SIZE + 6):
+            assert character_at(closed, n).coefficient_sum() == n + 1
+        assert len(closed._characters) <= MEMO_SIZE
+        again = character_at(closed, 0)
+        assert again is not first and again == first
