@@ -3,9 +3,10 @@
 Each stage keeps one dict from its checked input to its result: root
 systems by (series, rank) in ``rootsys``, weight tables by (root system,
 highest weight) in ``weightsys``, pole data by table content in
-``pfdcore``, and on each ``ClosedCharacter`` its characters by degree,
-filled by ``charformula.character_at``.  Results are shared between
-callers and never copied.
+``pfdcore``, on each ``ClosedCharacter`` its characters by degree,
+filled by ``charformula.character_at``, and cyclotomic polynomials by
+index in ``charformula``.  Results are shared between callers and never
+copied.
 """
 
 from __future__ import annotations

@@ -13,18 +13,18 @@ a shifted constant term.
 orbit_split regroups the same sum by Weyl orbits of dominant weights (it
 is not memoized: its (module, N) requests rarely repeat), and
 univariate_pfd decomposes a rank-1 summand into a Laurent-polynomial part
-plus proper fractions over powers of cyclotomic polynomials.  The
-cyclotomic reduction is Hermite-style: for each cyclotomic factor the top
-residue numerator is computed modulo that factor (using the inverse of the
-complementary denominator in the quotient ring), subtracted, and the
-remaining function divided down exactly; numerators therefore always have
-degree strictly below the cyclotomic's degree.
+plus proper fractions over powers of cyclotomic polynomials, all on rank-1
+LaurentPoly values.  The reduction is Hermite-style: for each Phi_d^k the
+residue numerator is the numerator times the inverse of the rest of the
+denominator, modulo Phi_d; it is subtracted and Phi_d divided out exactly,
+so every numerator has degree below deg(Phi_d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ._memo import recall
 from .pfdcore import ClosedCharacter, binomial_poly
@@ -69,10 +69,7 @@ class CharacterPoly:
         return self.terms.support()
 
     def to_json(self) -> list[dict]:
-        return [
-            {"weight": list(mu), "mult": int(self.terms.terms[mu])}
-            for mu in self.terms.support()
-        ]
+        return [{"weight": list(mu), "mult": int(self.terms.terms[mu])} for mu in self.support()]
 
 
 @dataclass(frozen=True)
@@ -114,16 +111,11 @@ class UnivariatePFD:
         powers: dict[int, int] = {}
         for term in self.pole_terms:
             powers[term.index] = max(powers.get(term.index, 0), term.power)
-        den = LaurentPoly.one(1)
-        for d in sorted(powers):
-            den = den * _cyclotomic_poly(d) ** powers[d]
+        den = prod((_phi(d) ** k for d, k in sorted(powers.items())), start=LaurentPoly.one(1))
         num = self.laurent_part * den
         for term in self.pole_terms:
-            cofactor = LaurentPoly.one(1)
-            for d in sorted(powers):
-                drop = term.power if d == term.index else 0
-                cofactor = cofactor * _cyclotomic_poly(d) ** (powers[d] - drop)
-            num = num + _dense_to_laurent(0, list(term.numerator)) * cofactor
+            cofactor = _divmod(den, _phi(term.index) ** term.power)[0]
+            num = num + LaurentPoly(1, {(i,): c for i, c in enumerate(term.numerator)}) * cofactor
         return num, den
 
     def to_json(self) -> dict:
@@ -178,136 +170,91 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
 
     The summands add up to the full character of the n-th symmetric power;
     each one collects q^(n w.nu) times the pole coefficients of the orbit
-    weights w.nu.
+    weights w.nu.  rs must be the root system of the module: of its rank,
+    with a Weyl group that keeps every multiplicity; otherwise ValueError.
     """
     _check_degree(n)
+    if rs.rank != cc.rank:
+        raise ValueError("root system %s does not match rank-%d pole data" % (rs.label, cc.rank))
+    entries = cc.source.entries
+    for mu, m in entries.items():
+        if any(entries.get(rs.reflect(i, mu)) != m for i in range(1, rs.rank + 1)):
+            raise ValueError("the Weyl group of %s does not keep the multiplicities" % rs.label)
     grouped: dict[Weight, list[FactoredRational]] = {}
     for weight, part in _contributions(cc, n):
         grouped.setdefault(rs.dominant_representative(weight), []).append(part)
     return [
-        OrbitSummand(
-            dominant_weight=nu,
-            value=FactoredRational.sum(grouped[nu], cc.rank).reduced(),
-        )
+        OrbitSummand(nu, FactoredRational.sum(grouped[nu], cc.rank).reduced())
         for nu in sorted(grouped)
     ]
 
 
 # -- univariate machinery ----------------------------------------------------
 #
-# Dense univariate polynomials over Q are plain coefficient lists, constant
-# term first, with no trailing zeros.
+# Univariate polynomials are rank-1 LaurentPoly values.  The one operation
+# LaurentPoly lacks is division with remainder by a polynomial: _divmod, for
+# exponents >= 0.  A numerator with negative exponents is first multiplied by
+# q^(k*d), which is 1 modulo Phi_d, and shifted back once Phi_d is divided out.
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _dense_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _dense_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
+def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(quotient, remainder) of rank-1 polynomials a and b, both with exponents >= 0."""
+    if b.is_zero:
         raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for j, cb in enumerate(b):
-            rem[shift + j] -= factor * cb
-        _trim(rem)
-    return _trim(quot), rem
+    top, lead = max((e, c) for (e,), c in b.terms.items())
+    rem = {e: c for (e,), c in a.terms.items()}
+    quot: dict[tuple[int], Fraction] = {}
+    while rem and (high := max(rem)) >= top:
+        factor, offset = rem[high] / lead, high - top
+        quot[(offset,)] = factor
+        for (e,), c in b.terms.items():
+            value = rem.get(e + offset, 0) - factor * c
+            if value:
+                rem[e + offset] = value
+            else:
+                del rem[e + offset]
+    return LaurentPoly(1, quot), LaurentPoly(1, {(e,): c for e, c in rem.items()})
 
 
-def _dense_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    return _dense_divmod(a, modulus)[1]
-
-
-def _dense_mod_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
+def _mod_inverse(a: LaurentPoly, modulus: LaurentPoly) -> LaurentPoly:
     """Inverse of a modulo the (irreducible) modulus, by extended Euclid."""
-    r0, r1 = list(modulus), _dense_mod(a, modulus)
-    t0: list[Fraction] = []
-    t1: list[Fraction] = [Fraction(1)]
-    while r1:
-        quot, rem = _dense_divmod(r0, r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, _dense_sub(t0, _dense_mul(quot, t1))
-    if len(r0) != 1:
+    r0, r1 = modulus, _divmod(a, modulus)[1]
+    t0, t1 = LaurentPoly.zero(1), LaurentPoly.one(1)
+    while not r1.is_zero:
+        quot, rem = _divmod(r0, r1)
+        r0, r1, t0, t1 = r1, rem, t1, t0 - quot * t1
+    if list(r0.terms) != [(0,)]:
         raise ZeroDivisionError("element not invertible modulo the given polynomial")
-    return _dense_mod([c / r0[0] for c in t0], modulus)
+    return _divmod(t0 * (1 / r0.terms[(0,)]), modulus)[1]
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
+# Cyclotomic polynomials by index; see _memo.
+_CYCLOTOMICS: dict[int, LaurentPoly] = {}
+
+
+def _phi(d: int) -> LaurentPoly:
+    """Phi_d = (q^d - 1) / prod of the Phi_e for proper divisors e of d, built once."""
+
+    def build() -> LaurentPoly:
+        num = LaurentPoly(1, {(d,): 1, (0,): -1})
+        for e in range(1, d):
+            if d % e == 0:
+                num, rem = _divmod(num, _phi(e))
+                if not rem.is_zero:
+                    raise InconsistencyError("Phi_%d does not divide q^%d - 1" % (e, d))
+        if any(c.denominator != 1 for c in num.terms.values()):
+            raise InconsistencyError("non-integral coefficient in cyclotomic polynomial %d" % d)
+        return num
+
+    return recall(_CYCLOTOMICS, d, build)
 
 
 def cyclotomic(d: int) -> tuple[int, ...]:
     """Dense integer coefficients of the d-th cyclotomic polynomial (constant first)."""
     if not isinstance(d, int) or d < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    cached = _CYCLOTOMIC_CACHE.get(d)
-    if cached is None:
-        # Phi_d = (q^d - 1) / prod of the Phi_e for proper divisors e of d.
-        num = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
-        for e in range(1, d):
-            if d % e == 0:
-                num, rem = _dense_divmod(num, [Fraction(c) for c in cyclotomic(e)])
-                if rem:
-                    raise InconsistencyError("Phi_%d does not divide q^%d - 1" % (e, d))
-        if any(c.denominator != 1 for c in num):
-            raise InconsistencyError("non-integral coefficient in cyclotomic polynomial %d" % d)
-        cached = tuple(int(c) for c in num)
-        _CYCLOTOMIC_CACHE[d] = cached
-    return cached
-
-
-def _cyclotomic_fracs(d: int) -> list[Fraction]:
-    return [Fraction(c) for c in cyclotomic(d)]
-
-
-def _cyclotomic_poly(d: int) -> LaurentPoly:
-    return _dense_to_laurent(0, _cyclotomic_fracs(d))
-
-
-def _laurent_to_dense(poly: LaurentPoly) -> tuple[int, list[Fraction]]:
-    """Rank-1 Laurent polynomial as (shift, dense coefficients of q^-shift * poly)."""
-    if poly.is_zero:
-        return 0, []
-    exponents = [e[0] for e in poly.terms]
-    shift = min(exponents)
-    coeffs = [Fraction(0)] * (max(exponents) - shift + 1)
-    for (e,), c in poly.terms.items():
-        coeffs[e - shift] = c
-    return shift, coeffs
-
-
-def _dense_to_laurent(shift: int, coeffs: list[Fraction]) -> LaurentPoly:
-    return LaurentPoly(1, {(shift + i,): c for i, c in enumerate(coeffs) if c})
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    phi = _phi(d)
+    return tuple(int(phi.coefficient((i,))) for i in range(max(phi.terms)[0] + 1))
 
 
 def univariate_pfd(f: FactoredRational) -> UnivariatePFD:
@@ -323,53 +270,31 @@ def univariate_pfd(f: FactoredRational) -> UnivariatePFD:
 
     # 1 - q^a = -(q^a - 1) = - prod of Phi_d over divisors d of a.
     powers: dict[int, int] = {}
-    sign = 1
     for (a,), k in f.factors.items():
-        for d in _divisors(a):
-            powers[d] = powers.get(d, 0) + k
-        if k % 2:
-            sign = -sign
-    shift, num = _laurent_to_dense(f.numerator)
-    if sign < 0:
-        num = [-c for c in num]
+        for d in range(1, a + 1):
+            if a % d == 0:
+                powers[d] = powers.get(d, 0) + k
+    num = f.numerator * (-1) ** sum(f.factors.values())
 
     poles: list[CyclotomicPole] = []
     for d in sorted(powers):
-        if not powers[d]:
-            continue
-        phi = _cyclotomic_fracs(d)
-        rest = [Fraction(1)]
-        for d2, k2 in powers.items():
-            if d2 > d and k2:
-                for _ in range(k2):
-                    rest = _dense_mul(rest, _cyclotomic_fracs(d2))
-        rest_inv = _dense_mod_inverse(rest, phi)
-        while powers[d]:
-            k = powers[d]
-            # q^shift modulo Phi_d, using q^d == 1 in the quotient ring.
-            shift_poly = [Fraction(0)] * (shift % d) + [Fraction(1)]
-            residue = _dense_mod(_dense_mul(_dense_mod(num, phi), rest_inv), phi)
-            residue = _dense_mod(_dense_mul(residue, shift_poly), phi)
-            if residue:
-                poles.append(CyclotomicPole(index=d, power=k, numerator=tuple(residue)))
-            # (q^shift num - residue * rest) is divisible by Phi_d; divide it out.
-            sub = _dense_mul(residue, rest)
-            base = min(shift, 0)
-            width = max(shift + len(num), len(sub)) - base
-            merged = [Fraction(0)] * width
-            for i, c in enumerate(num):
-                merged[shift - base + i] += c
-            for i, c in enumerate(sub):
-                merged[-base + i] -= c
-            quot, rem = _dense_divmod(_trim(merged), phi)
-            if rem:
+        phi = _phi(d)
+        rest = prod((_phi(e) ** k for e, k in powers.items() if e > d), start=LaurentPoly.one(1))
+        rest_inv = _mod_inverse(rest, phi)
+        # Work on q^lift * num, with q^lift == 1 modulo Phi_d and every exponent >= 0.
+        lift = d * max(0, -(min(num.terms, default=(0,))[0] // d))
+        up = LaurentPoly.monomial((lift,))
+        num, rest_up = num * up, rest * up
+        for k in range(powers[d], 0, -1):
+            residue = _divmod(_divmod(num, phi)[1] * rest_inv, phi)[1]
+            if not residue.is_zero:
+                dense = tuple(residue.coefficient((i,)) for i in range(max(residue.terms)[0] + 1))
+                poles.append(CyclotomicPole(index=d, power=k, numerator=dense))
+            # q^lift * (num - residue * rest) is divisible by Phi_d; divide it out.
+            num, rem = _divmod(num - residue * rest_up, phi)
+            if not rem.is_zero:
                 raise InconsistencyError("cyclotomic reduction by Phi_%d is not exact" % d)
-            shift = base
-            num = quot
-            while num and not num[0]:
-                num.pop(0)
-                shift += 1
-            powers[d] -= 1
+        num = num * LaurentPoly.monomial((-lift,))
 
     poles.sort(key=lambda term: (term.index, term.power))
-    return UnivariatePFD(laurent_part=_dense_to_laurent(shift, num), pole_terms=tuple(poles))
+    return UnivariatePFD(laurent_part=num, pole_terms=tuple(poles))

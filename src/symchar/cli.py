@@ -150,7 +150,7 @@ def _cmd_pfd(args) -> int:
 
 
 def _require_degree(args) -> int:
-    if args.degree is None or args.degree < 0:
+    if args.degree < 0:
         raise ValueError("--N must be a non-negative integer")
     return args.degree
 

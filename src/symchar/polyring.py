@@ -20,7 +20,8 @@ running sum, behind reduced() and as_laurent(), is the only division.  A
 sum of many parts is merged pairwise, each merge over the pair's own common
 denominator.  The Fraction numerator is built only when asked for.
 
-All values are treated as immutable; operations return new objects.
+Values are immutable: ``terms`` and ``factors`` are read-only mappings
+(:class:`types.MappingProxyType`), and operations return new objects.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -99,7 +101,7 @@ class LaurentPoly:
                 if coeff:
                     clean[exponent] = coeff
         self.rank = rank
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -125,7 +127,7 @@ class LaurentPoly:
         """Wrap a dict of nonzero Fraction coefficients without copying or checking it."""
         result = cls.__new__(cls)
         result.rank = rank
-        result.terms = terms
+        result.terms = MappingProxyType(terms)
         return result
 
     # -- basic queries -----------------------------------------------------
@@ -160,7 +162,7 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == coerced.terms
 
-    __hash__ = None  # mutable mapping inside; semantic equality only
+    __hash__ = None  # semantic equality only
 
     def __add__(self, other) -> "LaurentPoly":
         coerced = self._coerce(other)
@@ -509,7 +511,7 @@ class FactoredRational:
         self.rank = rank
         self._terms = terms
         self._scale = scale
-        self.factors = factors if terms else {}
+        self.factors = MappingProxyType(factors if terms else {})
         self._numerator = None
 
     @classmethod

@@ -51,47 +51,28 @@ def is_dominant(mu: Weight) -> bool:
     return all(c >= 0 for c in mu)
 
 
-_SERIES_RANK_OK = {
-    "A": lambda r: r >= 1,
-    "B": lambda r: r >= 2,
-    "C": lambda r: r >= 3,
-    "D": lambda r: r >= 4,
-    "E": lambda r: r in (6, 7, 8),
-    "F": lambda r: r == 4,
-    "G": lambda r: r == 2,
+# Per series, as functions of the rank: (is the rank valid, number of
+# positive roots, Weyl group order).
+_SERIES = {
+    "A": (lambda r: r >= 1, lambda r: r * (r + 1) // 2, lambda r: factorial(r + 1)),
+    "B": (lambda r: r >= 2, lambda r: r * r, lambda r: 2**r * factorial(r)),
+    "C": (lambda r: r >= 3, lambda r: r * r, lambda r: 2**r * factorial(r)),
+    "D": (lambda r: r >= 4, lambda r: r * (r - 1), lambda r: 2 ** (r - 1) * factorial(r)),
+    "E": (lambda r: r in (6, 7, 8), {6: 36, 7: 63, 8: 120}.get,
+          {6: 51840, 7: 2903040, 8: 696729600}.get),
+    "F": (lambda r: r == 4, lambda r: 24, lambda r: 1152),
+    "G": (lambda r: r == 2, lambda r: 6, lambda r: 12),
 }
 
 
 def positive_root_count(series: str, rank: int) -> int:
-    if series == "A":
-        return rank * (rank + 1) // 2
-    if series in ("B", "C"):
-        return rank * rank
-    if series == "D":
-        return rank * (rank - 1)
-    if series == "E":
-        return {6: 36, 7: 63, 8: 120}[rank]
-    if series == "F":
-        return 24
-    if series == "G":
-        return 6
-    raise ValueError("unknown series %r" % series)
+    series, rank = _check_type(series, rank)
+    return _SERIES[series][1](rank)
 
 
 def weyl_group_order(series: str, rank: int) -> int:
-    if series == "A":
-        return factorial(rank + 1)
-    if series in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    if series == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[rank]
-    if series == "F":
-        return 1152
-    if series == "G":
-        return 12
-    raise ValueError("unknown series %r" % series)
+    series, rank = _check_type(series, rank)
+    return _SERIES[series][2](rank)
 
 
 def _cartan_data(series: str, rank: int):
@@ -274,10 +255,10 @@ class RootSystem:
 
 def _check_type(series: str, rank: int) -> tuple[str, int]:
     """The (series, rank) of a simple type, checked but not built; series upper-cased."""
-    if not isinstance(series, str) or series.upper() not in _SERIES_RANK_OK:
+    if not isinstance(series, str) or series.upper() not in _SERIES:
         raise ValueError("unknown series %r; expected one of A..G" % (series,))
     series = series.upper()
-    if not isinstance(rank, int) or not _SERIES_RANK_OK[series](rank):
+    if not isinstance(rank, int) or not _SERIES[series][0](rank):
         raise ValueError(
             "invalid rank %r for series %s (A: r>=1, B: r>=2, C: r>=3, D: r>=4, "
             "E: 6..8, F: 4, G: 2)" % (rank, series)

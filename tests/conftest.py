@@ -1,6 +1,8 @@
+import gc
+
 import pytest
 
-from symchar import build_root_system, pfdcore, rootsys, weight_system, weightsys
+from symchar import build_root_system, charformula, pfdcore, rootsys, weight_system, weightsys
 
 
 @pytest.fixture(autouse=True)
@@ -10,6 +12,20 @@ def cold_memos(monkeypatch):
     monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
     monkeypatch.setattr(weightsys, "_TABLES", {})
     monkeypatch.setattr(pfdcore, "_POLE_DATA", {})
+    monkeypatch.setattr(charformula, "_CYCLOTOMICS", {})
+
+
+@pytest.fixture(autouse=True, scope="module")
+def own_gc_callbacks():
+    # Hypothesis adds a Python callback to gc.callbacks and never takes it
+    # off.  Left in place, it runs on every collection in the later tests,
+    # and an exception that a signal handler raises while it runs is only
+    # reported as unraisable, not propagated: the perfbench tests that stop
+    # a slow call with SIGALRM then never stop it.  Each module leaves the
+    # callbacks as it found them.
+    before = list(gc.callbacks)
+    yield
+    gc.callbacks[:] = before
 
 
 @pytest.fixture(scope="session")

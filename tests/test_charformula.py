@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -154,6 +157,17 @@ class TestOrbitSplit:
         summands = orbit_split(pfd_decompose(sl3_adjoint), a2, 2)
         assert [s.dominant_weight for s in summands] == [(0, 0), (1, 1)]
 
+    def test_rejects_a_root_system_of_another_rank(self, a1):
+        closed = pfd_decompose(weight_system(build_root_system("A", 2), (1, 0)))
+        with pytest.raises(ValueError, match="A1"):
+            orbit_split(closed, a1, 2)
+
+    def test_rejects_a_weyl_group_that_moves_the_weights(self, a2, b2):
+        closed = pfd_decompose(weight_system(a2, (1, 0)))
+        with pytest.raises(ValueError, match="B2"):
+            orbit_split(closed, b2, 2)
+        assert [s.dominant_weight for s in orbit_split(closed, a2, 2)] == [(1, 0)]
+
 
 class TestCyclotomic:
     def test_small_values(self):
@@ -245,3 +259,43 @@ class TestUnivariatePFD:
         closed = pfd_decompose(sl3_adjoint)
         with pytest.raises(ValueError):
             univariate_pfd(closed.terms[0].coeff)
+
+
+def _random_rank_one(rng, max_alpha):
+    """A rank-1 rational function from rng: up to 4 numerator terms over (1 - q^+-a)^k factors."""
+    numerator = LaurentPoly(1, {
+        (int(rng.random() * 21) - 10,):
+            Fraction(int(rng.random() * 11) - 5, 1 + int(rng.random() * 3))
+        for _ in range(1 + int(rng.random() * 4))
+    })
+    factors = [
+        ((int(rng.random() * max_alpha + 1) * (1 if rng.random() < 0.5 else -1),),
+         1 + int(rng.random() * 3))
+        for _ in range(1 + int(rng.random() * 3))
+    ]
+    return FactoredRational(numerator, factors)
+
+
+def _pfd_sweep() -> list:
+    """cyclotomic(1..39) and the decompositions of: every pole coefficient of
+    A1(m), m <= 7; every orbit summand of A1(m), m <= 5, at N <= 7; and 120
+    seeded random rank-1 functions with factors (1 - q^+-a)^k, a <= 12."""
+    a1 = build_root_system("A", 1)
+    out: list = [list(cyclotomic(d)) for d in range(1, 40)]
+    for m in range(1, 8):
+        closed = pfd_decompose(weight_system(a1, (m,)))
+        out += [univariate_pfd(term.coeff).to_json() for term in closed.terms]
+        for n in range(8 if m <= 5 else 0):
+            out += [univariate_pfd(s.value).to_json() for s in orbit_split(closed, a1, n)]
+    rng = random.Random(2009)
+    out += [univariate_pfd(_random_rank_one(rng, 12)).to_json() for _ in range(120)]
+    return out
+
+
+PFD_SWEEP_SHA = "97e4d9fbead039eb228e32d1650069a52323840a6f1f4ed933ce9cecb4b3adbc"
+
+
+def test_pinned_pfd_sweep():
+    # Recorded from an independent dense-list implementation of the same reduction.
+    text = json.dumps(_pfd_sweep(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PFD_SWEEP_SHA

@@ -11,6 +11,8 @@ from symchar import (
     ClosedCharacter,
     build_root_system,
     character_at,
+    charformula,
+    cyclotomic,
     from_label,
     pfd_decompose,
     pfdcore,
@@ -129,6 +131,38 @@ class TestReadOnlyTables:
         assert table.dimension() == plain.dimension() == 15
 
 
+class TestReadOnlyResults:
+    def test_a_shared_character_cannot_be_changed(self, a1):
+        closed = pfd_decompose(weight_system(a1, (2,)))
+        character = character_at(closed, 2)
+        with pytest.raises(AttributeError):
+            character.terms.terms.clear()
+        with pytest.raises(TypeError):
+            character.terms.terms[(0,)] = Fraction(7)
+        with pytest.raises(TypeError):
+            del character.terms.terms[(0,)]
+        assert character_at(closed, 2) is character
+        assert character.coefficient_sum() == 6
+        assert character.to_json() == [
+            {"weight": [e], "mult": m} for e, m in ((-4, 1), (-2, 1), (0, 2), (2, 1), (4, 1))
+        ]
+
+    def test_shared_pole_data_cannot_be_changed(self, a1):
+        table = weight_system(a1, (2,))
+        closed = pfd_decompose(table)
+        before = closed.to_json()
+        coeff = closed.terms[0].coeff
+        with pytest.raises(TypeError):
+            coeff.factors[(2,)] = 5
+        with pytest.raises(AttributeError):
+            coeff.factors.clear()
+        with pytest.raises(TypeError):
+            coeff.numerator.terms[(0,)] = Fraction(1)
+        assert pfd_decompose(table) is closed
+        assert closed.to_json() == before
+        assert closed.coefficient_sum() == 1
+
+
 class TestBounded:
     def test_pole_data_memo_holds_at_most_the_bound(self, a1):
         tables = [weight_system(a1, (m,)) for m in range(1, MEMO_SIZE + 6)]
@@ -150,3 +184,8 @@ class TestBounded:
         assert len(closed._characters) <= MEMO_SIZE
         again = character_at(closed, 0)
         assert again is not first and again == first
+
+    def test_cyclotomic_memo_holds_at_most_the_bound(self):
+        first = [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)]
+        assert len(charformula._CYCLOTOMICS) <= MEMO_SIZE
+        assert [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)] == first

@@ -1,15 +1,19 @@
-"""Property test: the three routes agree on randomly drawn small modules.
+"""Property tests.
 
-The orbit split of the same draws must add up to the character.
+The three routes agree on randomly drawn small modules, and the orbit
+split of the same draws adds up to the character.  The rank-1 cyclotomic
+decomposition of random rational functions reassembles its input.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar.charformula import character_at, orbit_split
+from symchar.charformula import character_at, cyclotomic, orbit_split, univariate_pfd
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
-from symchar.polyring import FactoredRational
+from symchar.polyring import FactoredRational, LaurentPoly
 from symchar.rootsys import from_label
 from symchar.weightsys import dim_irrep, weight_system
 
@@ -56,3 +60,32 @@ def test_pole_data_agrees_with_both_oracles(module, n):
 
     summands = orbit_split(closed, rs, n)
     assert FactoredRational.sum([s.value for s in summands], rs.rank).as_laurent() == character
+
+
+rank_one_numerators = st.dictionaries(
+    st.tuples(st.integers(-10, 10)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+# (1 - q^+-a)^k with the first a >= 3, so that Phi_3..Phi_12 are reached.
+rank_one_factors = st.lists(
+    st.tuples(st.integers(1, 12), st.booleans(), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda factors: factors[0][0] >= 3)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(terms=rank_one_numerators, factors=rank_one_factors)
+def test_univariate_pfd_reassembles_its_input(terms, factors):
+    f = FactoredRational(
+        LaurentPoly(1, terms), [((-a if flip else a,), k) for a, flip, k in factors]
+    )
+    decomposition = univariate_pfd(f)
+    numerator, denominator = decomposition.as_fraction_pair()
+    expanded = LaurentPoly.one(1)
+    for alpha, k in f.factors.items():
+        expanded = expanded * (1 - LaurentPoly.monomial(alpha)) ** k
+    assert numerator * expanded == f.numerator * denominator
+    for pole in decomposition.pole_terms:
+        assert pole.numerator and pole.numerator[-1] != Fraction(0)
+        assert len(pole.numerator) < len(cyclotomic(pole.index))

@@ -74,6 +74,14 @@ def test_g2_positive_root_count():
     assert len(build_root_system("G", 2).positive_roots) == 6
 
 
+@pytest.mark.parametrize("series,rank", [("E", 5), ("F", 3), ("G", 3), ("B", 1), ("X", 2), (1, 2)])
+def test_counts_of_an_invalid_type_raise_value_error(series, rank):
+    with pytest.raises(ValueError):
+        positive_root_count(series, rank)
+    with pytest.raises(ValueError):
+        weyl_group_order(series, rank)
+
+
 def test_labels():
     assert from_label("a2").label == "A2"
     assert from_label("B2").rank == 2
