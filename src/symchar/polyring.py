@@ -10,9 +10,9 @@ front for :meth:`FactoredRational.as_laurent`.
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
 has this shape, so expanded denominators and multivariate GCDs are never
 needed.  Its numerator is stored as integer coefficients over one integer
-scale, and every operation on it runs on those ints: products (with
-exponent vectors packed into one int each), unit scalings, sums and
-reductions.  Multiplying by (1 - q^alpha) is one shift-and-subtract pass
+scale.  Products, sums and reductions pack each exponent vector into one
+int (:class:`_Packing`, Kronecker substitution) once, work on int keys and
+unpack once.  Multiplying by (1 - q^alpha) is one shift-and-subtract pass
 p - p*q^alpha, and dividing by it is a running sum along each alpha-chain,
 exact iff every chain's coefficient sum is 0; a trial division that fails
 is rejected on its chain sums before any quotient term is built.  That
@@ -29,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import add, sub
+from operator import add, lshift, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -203,8 +203,8 @@ class LaurentPoly:
         product: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in coerced.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                total = product.get(key, Fraction(0)) + ca * cb
+                key = tuple(map(add, ea, eb))
+                total = product.get(key, 0) + ca * cb
                 if total:
                     product[key] = total
                 else:
@@ -312,94 +312,91 @@ class LaurentPoly:
 # -- integer core: numerators as {exponent: int} over one scale ----------------
 
 
-def _chains(terms: Mapping[Exponent, int], alpha: Exponent) -> dict[Exponent, dict[int, int]]:
-    """Terms grouped by alpha-chain, {base: {t: coeff}} with e == base + t*alpha.
+def _reach(vectors: Collection[Exponent]) -> int:
+    """The largest |coordinate| among exponent vectors, 0 for none."""
+    return max(max(map(max, vectors), default=0), -min(map(min, vectors), default=0))
 
-    t = e[i] // alpha[i] for the first nonzero coordinate i of alpha, so
-    every base has 0 <= base[i] < alpha[i].
+
+class _Packing:
+    """Exponent vectors packed into ints, one signed digit per coordinate.
+
+    Coordinate i is digit i in radix 2^bits, with digits in [-half, half)
+    and half a power of two above ``reach``.  Packing is linear, so adding
+    keys adds exponent vectors (Kronecker substitution), and it is
+    injective on vectors whose coordinates all lie within the reach.
     """
-    i = next(k for k, a in enumerate(alpha) if a)
-    step = alpha[i]
-    shifts: dict[int, Exponent] = {}
-    chains: dict[Exponent, dict[int, int]] = {}
-    for e, coeff in terms.items():
-        t = e[i] // step
-        shift = shifts.get(t)
-        if shift is None:
-            shift = shifts[t] = tuple(t * a for a in alpha)
-        base = tuple(map(sub, e, shift))
-        chain = chains.get(base)
-        if chain is None:
-            chains[base] = {t: coeff}
-        else:
-            chain[t] = coeff
-    return chains
+
+    def __init__(self, rank: int, reach: int):
+        bits = reach.bit_length() + 1
+        self.half, self.mask = 1 << (bits - 1), (1 << bits) - 1
+        self.shifts = [bits * i for i in range(rank)]
+        self.offset = sum(self.half << s for s in self.shifts)
+
+    def key(self, e: Exponent) -> int:
+        return sum(map(lshift, e, self.shifts))
+
+    def pack(self, terms: Mapping[Exponent, int]) -> dict[int, int]:
+        return {self.key(e): c for e, c in terms.items()}
+
+    def unpack(self, packed: dict[int, int]) -> dict[Exponent, int]:
+        """The terms again, keyed by exponent vectors, in the same order."""
+        mask, half = self.mask, self.half
+        keys = [k + self.offset for k in packed]
+        columns = [[((k >> s) & mask) - half for k in keys] for s in self.shifts]
+        return dict(zip(zip(*columns), packed.values()))
 
 
 def _chain_div(
-    terms: Mapping[Exponent, int], alpha: Exponent, power: int
-) -> tuple[dict[Exponent, int], int]:
-    """Divide integer terms by (1 - q^alpha) while exact, at most ``power`` times.
+    terms: dict[int, int], packing: _Packing, alpha: Exponent, power: int
+) -> tuple[dict[int, int], int]:
+    """Divide packed integer terms by (1 - q^alpha) while exact, at most ``power`` times.
 
     alpha is lexicographically positive; returns (quotient, times divided).
     One division is the running sum Q(t) = P(t) + Q(t-1) up each alpha-chain,
-    exact iff every chain's coefficient sum is 0.  A failing first division
-    is rejected on the total sum, then on the chain sums, before any quotient
-    is built.  The chains are grouped once for all ``power`` divisions, as
-    dense lists; exponent tuples are built at the end, for nonzero
-    coefficients only.
+    exact iff every chain's coefficient sum is 0.  A key k lies on the chain
+    with base k - t*A, A the key of alpha and t its digit i divided by
+    alpha[i], for the first nonzero coordinate i of alpha; the window must
+    hold those bases.  A failing first division is rejected on the total
+    sum, then on the chain sums, before any quotient is built.  The chains
+    are grouped once for all ``power`` divisions, as dense lists.
     """
     if sum(terms.values()):
         return terms, 0
-    chains = _chains(terms, alpha)
+    i = next(k for k, a in enumerate(alpha) if a)
+    step, shift, lift = alpha[i], packing.shifts[i], packing.key(alpha)
+    offset, mask, half = packing.offset, packing.mask, packing.half
+    chains: dict[int, dict[int, int]] = {}
+    for k, coeff in terms.items():
+        t = ((((k + offset) >> shift) & mask) - half) // step
+        chains.setdefault(k - t * lift, {})[t] = coeff
     for chain in chains.values():
         if sum(chain.values()):
             return terms, 0
     dense = []
     for base, chain in chains.items():
         low = min(chain)
-        dense.append((base, low, [chain.get(t, 0) for t in range(low, max(chain) + 1)]))
+        dense.append((base + low * lift, [chain.get(t, 0) for t in range(low, max(chain) + 1)]))
     done = 0
-    while done < power and not any(sum(coeffs) for _, _, coeffs in dense):
-        for _, _, coeffs in dense:
+    while done < power and not any(sum(coeffs) for _, coeffs in dense):
+        for _, coeffs in dense:
             coeffs[:] = accumulate(coeffs)
             coeffs.pop()
         done += 1
-    quotient: dict[Exponent, int] = {}
-    for base, low, coeffs in dense:
-        key = tuple(b + low * a for b, a in zip(base, alpha))
+    quotient: dict[int, int] = {}
+    for key, coeffs in dense:
         for coeff in coeffs:
             if coeff:
                 quotient[key] = coeff
-            key = tuple(map(add, key, alpha))
+            key += lift
     return quotient, done
-
-
-def _times_factors(
-    terms: dict[Exponent, int], factors: Mapping[Exponent, int]
-) -> dict[Exponent, int]:
-    """Integer terms * prod (1 - q^alpha)^k, as k passes of p - p*q^alpha per factor."""
-    for alpha, power in factors.items():
-        for _ in range(power):
-            product = dict(terms)
-            for e, coeff in terms.items():
-                key = tuple(map(add, e, alpha))
-                total = product.get(key, 0) - coeff
-                if total:
-                    product[key] = total
-                else:
-                    del product[key]
-            terms = product
-    return terms
 
 
 def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
     """Product of two integer numerators, with packed exponents.
 
-    A one-term operand is a shift and a scaling.  Otherwise every exponent
-    vector is packed into one int, its mixed-radix position in the
-    product's exponent window (Kronecker substitution on the exponents), so
-    the key of a product term is one int addition.
+    A one-term operand is a shift and a scaling.  Otherwise both operands
+    are packed with a reach that holds every product exponent, so the key
+    of a product term is one int addition.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -408,52 +405,44 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
     if len(b) == 1:
         ((shift, factor),) = b.items()
         return {tuple(map(add, e, shift)): c * factor for e, c in a.items()}
-    columns = [list(zip(*terms)) for terms in (a, b)]
-    lows = [[min(column) for column in both] for both in columns]
-    low = list(map(add, *lows))
-    widths = [max(x) + max(y) - bottom + 1 for x, y, bottom in zip(*columns, low)]
-    strides, size = [], 1
-    for width in widths:
-        strides.append(size)
-        size *= width
-    packed_a, packed_b = (
-        [(sum((x - o) * s for x, o, s in zip(e, offset, strides)), c) for e, c in terms.items()]
-        for terms, offset in zip((a, b), lows)
-    )
+    packing = _Packing(len(next(iter(a))), _reach(a) + _reach(b))
+    packed_a = packing.pack(a).items()
     sums: dict[int, int] = {}
-    for kb, cb in packed_b:
+    for kb, cb in packing.pack(b).items():
         for ka, ca in packed_a:
             key = ka + kb
             sums[key] = sums.get(key, 0) + ca * cb
-    product: dict[Exponent, int] = {}
-    for key, coeff in sums.items():
-        if coeff:
-            e = []
-            for width, bottom in zip(widths, low):
-                key, digit = divmod(key, width)
-                e.append(bottom + digit)
-            product[tuple(e)] = coeff
-    return product
+    return packing.unpack({key: coeff for key, coeff in sums.items() if coeff})
 
 
-_Part = tuple[dict[Exponent, int], int, dict[Exponent, int]]  # (terms, scale, factors)
+_Part = tuple[dict[int, int], int, Mapping[Exponent, int]]  # (packed terms, scale, factors)
 
 
-def _merge(a: _Part, b: _Part) -> _Part:
-    """a + b over the pair's max-power denominator and the lcm of the two scales."""
+def _merge(a: _Part, b: _Part, lifts: Mapping[Exponent, int]) -> _Part:
+    """a + b over the pair's max-power denominator and lcm scale; lifts[alpha] is alpha's key."""
     common = dict(a[2])
     for alpha, power in b[2].items():
-        if common.get(alpha, 0) < power:
-            common[alpha] = power
+        common[alpha] = max(common.get(alpha, 0), power)
     scale = lcm(a[1], b[1])
-    total: dict[Exponent, int] = {}
+    total: dict[int, int] = {}
     for terms, part_scale, factors in a, b:
         if part_scale != scale:
-            terms = {e: c * (scale // part_scale) for e, c in terms.items()}
-        missing = {alpha: p - factors.get(alpha, 0) for alpha, p in common.items()}
-        for e, coeff in _times_factors(terms, missing).items():
-            total[e] = total.get(e, 0) + coeff
-    return {e: c for e, c in total.items() if c}, scale, common
+            terms = {k: c * (scale // part_scale) for k, c in terms.items()}
+        for alpha, power in common.items():
+            lift = lifts[alpha]
+            for _ in range(power - factors.get(alpha, 0)):
+                product = dict(terms)
+                for k, coeff in terms.items():
+                    key = k + lift
+                    left = product.get(key, 0) - coeff
+                    if left:
+                        product[key] = left
+                    else:
+                        del product[key]
+                terms = product
+        for k, coeff in terms.items():
+            total[k] = total.get(k, 0) + coeff
+    return {k: c for k, c in total.items() if c}, scale, common
 
 
 class FactoredRational:
@@ -537,24 +526,32 @@ class FactoredRational:
         multiplied by their missing factors (1 - q^alpha)^k, as k integer
         shift-and-subtract passes.  A partial sum is lifted once for all the
         parts in it, so n parts with distinct factors take O(n log n)
-        passes instead of O(n^2).  Nothing cancels on the way: the result
-        is over the largest power of each factor among all parts, with the
-        numerator that lifting every part at once would give.  It is not
-        reduced; callers that need a tidy denominator call reduced().
+        passes instead of O(n^2).  Each part is packed once, with a reach
+        that holds every lift, and the total is unpacked once.  Nothing
+        cancels on the way: the result is over the largest power of each
+        factor among all parts.  It is not reduced; callers that need a
+        tidy denominator call reduced().
         """
-        pending = []
+        parts = list(parts)
+        common: dict[Exponent, int] = {}
         for part in parts:
             if part.rank != rank:
                 raise ValueError("rank mismatch in summation")
-            pending.append((part._terms, part._scale, part.factors))
-        if not pending:
+            for alpha, power in part.factors.items():
+                common[alpha] = max(common.get(alpha, 0), power)
+        if not parts:
             return cls.zero(rank)
+        reach = max(_reach(part._terms) for part in parts)
+        packing = _Packing(rank, reach + sum(k * max(map(abs, a)) for a, k in common.items()))
+        lifts = {alpha: packing.key(alpha) for alpha in common}
+        pending = [(packing.pack(part._terms), part._scale, part.factors) for part in parts]
         while len(pending) > 1:
-            merged = [_merge(a, b) for a, b in zip(pending[::2], pending[1::2])]
+            merged = [_merge(a, b, lifts) for a, b in zip(pending[::2], pending[1::2])]
             if len(pending) % 2:
                 merged.append(pending[-1])
             pending = merged
-        return cls._raw(rank, *pending[0])
+        terms, scale, factors = pending[0]
+        return cls._raw(rank, packing.unpack(terms), scale, factors)
 
     # -- queries -----------------------------------------------------------
 
@@ -650,22 +647,27 @@ class FactoredRational:
 
         Greedy, in sorted factor order: each factor (1 - q^alpha) is divided
         out of the integer numerator (see :func:`_chain_div`) until a trial
-        division fails; the scale stays as it is.  A failing trial is
-        rejected on its chain sums before any quotient term is built.
-        Returns ``self`` when nothing cancels.
+        division fails; the scale stays as it is.  The numerator is packed
+        once with reach r^2 + r, r the largest |coordinate| of its terms and
+        factors, which holds every chain base; a quotient stays in its
+        dividend's bounding box, so one window serves every factor.  Returns
+        ``self`` when nothing cancels, and before packing when the
+        coefficient sum is nonzero, since every binomial vanishes at q = 1.
         """
-        if self.is_zero or not self.factors:
+        if self.is_zero or not self.factors or sum(self._terms.values()):
             return self
-        terms = self._terms
+        reach = max(_reach(self._terms), _reach(self.factors))
+        packing = _Packing(self.rank, reach * reach + reach)
+        terms = packing.pack(self._terms)
         remaining = dict(self.factors)
         for alpha in sorted(remaining):
-            terms, done = _chain_div(terms, alpha, remaining[alpha])
+            terms, done = _chain_div(terms, packing, alpha, remaining[alpha])
             remaining[alpha] -= done
             if not remaining[alpha]:
                 del remaining[alpha]
         if remaining == self.factors:
             return self
-        return FactoredRational._raw(self.rank, terms, self._scale, remaining)
+        return FactoredRational._raw(self.rank, packing.unpack(terms), self._scale, remaining)
 
     # -- evaluation and comparison ------------------------------------------
 

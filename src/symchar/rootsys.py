@@ -112,12 +112,10 @@ def _cartan_data(series: str, rank: int):
         chain(range(4))
         matrix[2][1] = -2  # third and fourth simple roots short
         sym = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    elif series == "G":
+    else:  # G, the one series left after _check_type
         matrix[0][1] = -3  # first simple root short
         matrix[1][0] = -1
         sym = [Fraction(1), Fraction(3)]
-    else:
-        raise ValueError("unknown series %r" % series)
     return tuple(tuple(row) for row in matrix), tuple(sym)
 
 

@@ -153,6 +153,10 @@ PINNED_OUTPUTS = [
      "cfa763215776983c0ce33039d6a32d8b72df9bd9c7ed0ed68e87945e5d095427"),
     (("char", "--algebra", "A3", "--lambda", "1,0,1", "--N", "3"), 0,
      "2850648142bf350ab23c14dc09e77cf1a72c631bb74c4a8f180558689fe38444"),
+    (("char", "--algebra", "A3", "--lambda", "1,0,1", "--N", "6"), 0,
+     "451e5d21c6b79abbe98906fea78f97a01de46aa56a7faefd76c2675e9d3adc91"),
+    (("pfd", "--algebra", "A2", "--lambda", "2,2", "--format", "text"), 0,
+     "c61536d590d30172659ec5de3aba100bd789e5c0713ed01366ee4cf0639c4ccf"),
 ]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symchar import polyring
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 
 
@@ -389,6 +390,23 @@ def _random_factored_case(rng):
     return FactoredRational(numerator, factors), exact
 
 
+def _agrees_with_references(f):
+    """Check reduced() and as_laurent() against the references; how much cancelled."""
+    numerator, remaining = _reference_reduced(f)
+    reduced = f.reduced()
+    assert reduced.factors == remaining
+    assert reduced.numerator == numerator
+    expected = _reference_as_laurent(f)
+    if expected is None:
+        with pytest.raises(ExactDivisionError):
+            f.as_laurent()
+    else:
+        assert f.as_laurent() == expected
+    if not remaining:
+        return "whole"
+    return "none" if remaining == f.factors else "partial"
+
+
 class TestIntegerCore:
     """as_laurent, reduced() and sum against references on Fraction arithmetic."""
 
@@ -442,6 +460,93 @@ class TestIntegerCore:
     def test_reduced_returns_self_when_nothing_cancels(self):
         f = FactoredRational(q(1) + Fraction(1, 2), [((2,), 1)])
         assert f.reduced() is f
+
+    def test_terms_on_different_chains_stay_apart(self):
+        # q^(0,0) and q^(1,0) lie on different (0,1)-chains: a chain index
+        # read modulo the key of alpha, rather than off its coordinate,
+        # would put them on one chain and call the division exact.
+        f = FactoredRational(LaurentPoly(2, {(0, 0): 1, (1, 0): -1}), [((0, 1), 1)])
+        assert f.reduced() is f
+        with pytest.raises(ExactDivisionError, match=r"divisible by \(1 - q2\)$"):
+            f.as_laurent()
+        g = FactoredRational(LaurentPoly(2, {(0, 0): 1, (0, 1): -1}), [((1, 0), 1)])
+        assert g.reduced() is g
+        # With r = 5 the chain base of q^(5,5,0) along (1,-5,0) is (0,30,0),
+        # r^2 + r from the origin; a window that held only the terms would
+        # wrap it onto the base of q^(0,-2,2).
+        h = FactoredRational(LaurentPoly(3, {(5, 5, 0): 1, (0, -2, 2): -1}), [((1, -5, 0), 1)])
+        assert h.reduced() is h
+        with pytest.raises(ExactDivisionError):
+            h.as_laurent()
+        assert FactoredRational(LaurentPoly(2, {(0, 0): 1, (0, 1): -1}), [((0, 1), 1)]).as_laurent() == 1
+
+    def test_wide_exponents_at_rank_four(self):
+        rng = random.Random(113)
+        outcomes = set()
+        for case in range(16):
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                alpha = [rng.randint(-60, 60) for _ in range(4)]
+                alpha[case % 2] = rng.randint(20, 60) * rng.choice((-1, 1))
+                if case % 2:
+                    alpha[0] = 0
+                factors.append((tuple(alpha), rng.randint(1, 2)))
+            numerator = LaurentPoly(4, {
+                tuple(rng.randint(-60, 60) for _ in range(4)): Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(3)
+            })
+            if case % 4 == 3:
+                numerator = numerator * _binomial((0, 0, 1, -60))
+            for alpha, power in FactoredRational(LaurentPoly.one(4), factors).factors.items():
+                numerator = numerator * _binomial(alpha) ** rng.randint(0, power)
+            outcomes.add(_agrees_with_references(FactoredRational(numerator, factors)))
+        assert outcomes == {"whole", "partial", "none"}
+
+    def test_mixed_sign_factors(self):
+        rng = random.Random(127)
+        # (-1,5) is normalized onto (1,-5), so that factor has power 3.
+        factors = [((1, -5), 2), ((2, -4), 1), ((0, 1), 2), ((-1, 5), 1)]
+        outcomes = set()
+        for case in range(9):
+            # Every factor, none of them (times 1 - q^(1,0), so that only
+            # the chain sums reject), or a random part of them.
+            numerator = _mixed_denominator_poly(rng, 2)
+            if case % 3 == 1:
+                numerator = numerator * _binomial((1, 0))
+            for alpha, power in (((1, -5), 3), ((2, -4), 1), ((0, 1), 2)):
+                kept = (power, 0, rng.randint(0, power))[case % 3]
+                numerator = numerator * _binomial(alpha) ** kept
+            outcomes.add(_agrees_with_references(FactoredRational(numerator, factors)))
+        assert outcomes == {"whole", "partial", "none"}
+
+    def test_reduced_returns_self_before_packing_when_the_coefficient_sum_is_nonzero(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("numerator packed")
+
+        monkeypatch.setattr(polyring, "_Packing", refuse)
+        f = FactoredRational(LaurentPoly(2, {(0, 0): 2, (1, 1): -1}), [((1, 1), 2), ((0, 1), 1)])
+        assert f.reduced() is f
+        with pytest.raises(ExactDivisionError, match=r"divisible by \(1 - q2\)$"):
+            f.as_laurent()
+
+    def test_sum_whose_lifts_reach_the_edge_of_the_window(self):
+        # q^(5*alpha) lifted by (1 - q^alpha)^3 ends at 8*alpha: the lifts
+        # reach exactly max|e| + 3*max|alpha| = 8, a power of two.
+        for rank in (2, 3, 4):
+            alpha = (1, -1, 1, -1)[:rank]
+            e = tuple(5 * a for a in alpha)
+            parts = [
+                FactoredRational(LaurentPoly.monomial(tuple(-x for x in e), Fraction(1, 3)), [(alpha, 3)]),
+                FactoredRational(LaurentPoly.monomial(e, 2)),
+                FactoredRational(LaurentPoly.monomial(e[::-1], -1), [(tuple(-x for x in alpha), 1)]),
+            ]
+            total = FactoredRational.sum(parts, rank)
+            numerator, factors = _reference_sum(parts, rank)
+            assert total.factors == factors
+            assert total.numerator == numerator
+            assert max(abs(x) for e in numerator.terms for x in e) == 8
 
     def test_sum_matches_evaluation(self):
         rng = random.Random(109)
