@@ -28,7 +28,7 @@ from math import prod
 
 from ._memo import recall
 from .pfdcore import ClosedCharacter, binomial_poly
-from .polyring import FactoredRational, InconsistencyError, LaurentPoly
+from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import RootSystem, Weight, weight_scale
 
 __all__ = [
@@ -151,13 +151,17 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
 
 def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
     """Sum the degree-n contributions over one common denominator and divide it out."""
-    rank = cc.rank
-    total = FactoredRational.sum([part for _, part in _contributions(cc, n)], rank)
-    poly = total.as_laurent()  # ExactDivisionError here means an upstream bug
-    for coeff in poly.terms.values():
-        if coeff.denominator != 1 or coeff <= 0:
-            raise InconsistencyError("character coefficients must be positive integers")
-    return CharacterPoly(rank=rank, terms=poly)
+    where = "%s%s, N=%d" % (cc.source.root_system.label, cc.source.highest_weight, n)
+    total = FactoredRational.sum([part for _, part in _contributions(cc, n)], cc.rank)
+    try:
+        poly = total.as_laurent()
+    except ExactDivisionError as error:
+        raise ExactDivisionError("%s: %s" % (where, error)) from error
+    bad = [mu for mu, coeff in poly.terms.items() if coeff.denominator != 1 or coeff <= 0]
+    if bad:
+        raise InconsistencyError("%s: character coefficients must be positive integers, "
+                                 "not %s at %s" % (where, poly.terms[min(bad)], min(bad)))
+    return CharacterPoly(rank=cc.rank, terms=poly)
 
 
 def multiplicity_at(cp: CharacterPoly, mu) -> int:
@@ -170,16 +174,13 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
 
     The summands add up to the full character of the n-th symmetric power;
     each one collects q^(n w.nu) times the pole coefficients of the orbit
-    weights w.nu.  rs must be the root system of the module: of its rank,
-    with a Weyl group that keeps every multiplicity; otherwise ValueError.
+    weights w.nu.  rs must be the root system of the module's table,
+    cc.source.root_system; otherwise ValueError.
     """
     _check_degree(n)
-    if rs.rank != cc.rank:
-        raise ValueError("root system %s does not match rank-%d pole data" % (rs.label, cc.rank))
-    entries = cc.source.entries
-    for mu, m in entries.items():
-        if any(entries.get(rs.reflect(i, mu)) != m for i in range(1, rs.rank + 1)):
-            raise ValueError("the Weyl group of %s does not keep the multiplicities" % rs.label)
+    if rs != cc.source.root_system:
+        raise ValueError("root system %s is not %s, the root system of the pole data"
+                         % (rs.label, cc.source.root_system.label))
     grouped: dict[Weight, list[FactoredRational]] = {}
     for weight, part in _contributions(cc, n):
         grouped.setdefault(rs.dominant_representative(weight), []).append(part)

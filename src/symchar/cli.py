@@ -208,7 +208,7 @@ def _cmd_vpart(args) -> int:
     rs, highest = _resolve(args)
     if args.max_degree < 0:
         raise ValueError("--max-n must be non-negative")
-    report = check_partition_equivalence(rs, weight_system(rs, highest), args.max_degree)
+    report = check_partition_equivalence(weight_system(rs, highest), args.max_degree)
     matrix = report["matrix"]
     payload = {
         "algebra": rs.label,

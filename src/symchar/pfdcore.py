@@ -20,8 +20,9 @@ are coprime.  The Leibniz products and the unit scalings
 (-1)^l/l! q^(-l*mu) are plain ``*``, which never cancels; a reduced value
 times a unit stays reduced, so every A(nu,k) comes out reduced.
 
-pfd_decompose checks its table on every call, then computes the pole data
-once per table content (highest weight and sorted entries) and hands the
+pfd_decompose checks its table's values on every call (its Weyl invariance
+was checked when it was built), then computes the pole data once per table
+content (root-system label, highest weight, sorted entries) and hands the
 same ClosedCharacter to every later caller; the oldest goes when the memo
 is full (see _memo).  Each ClosedCharacter also keeps the characters that
 charformula.character_at has computed from it, by degree.
@@ -121,7 +122,7 @@ def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
     return FactoredRational.sum(parts, rank)
 
 
-# Pole data by table content (highest weight, sorted entries); see _memo.
+# Pole data by (root-system label, highest weight, sorted entries); see _memo.
 _POLE_DATA: dict[tuple, ClosedCharacter] = {}
 
 
@@ -142,9 +143,8 @@ def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
             "multiplicity table needs integer weights, positive multiplicities "
             "and a dominant highest weight"
         )
-    return recall(
-        _POLE_DATA, (table.highest_weight, content), lambda: _decompose(table, support)
-    )
+    key = (table.root_system.label, table.highest_weight, content)
+    return recall(_POLE_DATA, key, lambda: _decompose(table, support))
 
 
 def _decompose(table: MultiplicityTable, support: list[Weight]) -> ClosedCharacter:

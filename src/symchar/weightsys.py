@@ -3,15 +3,16 @@
 Multiplicities come from the Freudenthal recursion, run on the root
 system's integral form (the Gram matrix as integers over one scale), so
 every multiplicity is one exact integer division; dimensions come from the
-Weyl dimension formula, in exact rationals.
-The two are computed independently and cross-checked against each other on
-every construction, so a bug in one shows up immediately.
+Weyl dimension formula, in exact rationals, and the two are cross-checked
+on every construction.  Each table carries its root system, whose simple
+reflections are checked to keep the multiplicities when the table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
@@ -25,14 +26,28 @@ __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Finite map weight -> multiplicity for one irreducible module.
+    """Finite map weight -> multiplicity for one module of a root system.
 
-    Tables from ``weight_system`` are shared between callers, so their
-    entries are a read-only mapping.
+    Construction checks that every weight has the root system's rank and
+    that each simple reflection keeps the multiplicities (ValueError
+    otherwise), and keeps the entries as a read-only copy, so the check
+    holds for the table's lifetime and tables can be shared.
     """
 
     highest_weight: Weight
     entries: Mapping[Weight, int]
+    root_system: RootSystem
+
+    def __post_init__(self):
+        rs, entries = self.root_system, dict(self.entries)
+        for mu in (self.highest_weight, *entries):
+            if len(mu) != rs.rank:
+                raise ValueError("weight %s does not have the rank of %s" % (mu, rs.label))
+        for mu, i in product(entries, range(1, rs.rank + 1)):
+            if entries.get(rs.reflect(i, mu)) != entries[mu]:
+                raise ValueError("%s: multiplicity of %s differs from its reflection %d"
+                                 % (rs.label, mu, i))
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @property
     def rank(self) -> int:
@@ -140,19 +155,15 @@ def _freudenthal(rs: RootSystem, highest: Weight) -> MultiplicityTable:
             )
         mult[mu] = value
 
-    table = MultiplicityTable(highest_weight=highest, entries=MappingProxyType(mult))
-    # Cross-checks: Weyl dimension formula and reflection invariance.
+    try:
+        table = MultiplicityTable(highest_weight=highest, entries=mult, root_system=rs)
+    except ValueError as error:
+        raise InconsistencyError("Freudenthal table: %s" % error) from error
     if table.dimension() != dim_irrep(rs, highest):
         raise InconsistencyError(
             "Freudenthal dimension %d differs from the Weyl dimension %d"
             % (table.dimension(), dim_irrep(rs, highest))
         )
-    for mu, count in mult.items():
-        for i in range(1, rs.rank + 1):
-            if mult.get(rs.reflect(i, mu)) != count:
-                raise InconsistencyError(
-                    "multiplicity of %s differs from its reflection %d" % (mu, i)
-                )
     return table
 
 

@@ -194,7 +194,7 @@ def test_criterion_7_normalization_properties(equivalence_data):
 def test_criterion_8_vector_partition_equivalence(a1, a2, sl2_adjoint, sl3_adjoint):
     with _Timer() as timer:
         for rs, table, n_max in ((a1, sl2_adjoint, 6), (a2, sl3_adjoint, 3)):
-            matrix = build_partition_matrix(rs, table)
+            matrix = build_partition_matrix(table)
             # grading, symmetry, multiplicity
             assert matrix.entries[-1] == (1,) * matrix.cols
             columns = sorted(matrix.weight_columns())
@@ -202,7 +202,7 @@ def test_criterion_8_vector_partition_equivalence(a1, a2, sl2_adjoint, sl3_adjoi
                 assert sorted(rs.reflect(i, col) for col in columns) == columns
             for mu in table.support():
                 assert columns.count(mu) == table.multiplicity(mu)
-            report = check_partition_equivalence(rs, table, n_max)
+            report = check_partition_equivalence(table, n_max)
             assert report["all_pass"]
             assert any(case["N"] == n_max for case in report["cases"])
     _report(8, "vector-partition counts match the pipeline", timer, 120.0)

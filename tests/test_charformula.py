@@ -107,6 +107,30 @@ class TestCharacterAt:
         with pytest.raises(InconsistencyError):
             character_at(scaled, 2)
 
+    def test_a_dropped_pole_term_is_reported_with_the_module(self, a2):
+        from symchar.polyring import ExactDivisionError
+
+        closed = pfd_decompose(weight_system(a2, (1, 1)))
+        broken = ClosedCharacter(source=closed.source, terms=closed.terms[:-1])
+        message = r"^A2\(1, 1\), N=2: numerator not divisible by \(1 - q1\^2\*q2\^-4\)$"
+        with pytest.raises(ExactDivisionError, match=message):
+            character_at(broken, 2)
+
+    def test_halved_pole_data_is_reported_with_the_first_offending_weight(self, a2):
+        from dataclasses import replace
+
+        from symchar.polyring import InconsistencyError
+
+        closed = pfd_decompose(weight_system(a2, (1, 1)))
+        halved = ClosedCharacter(
+            source=closed.source,
+            terms=tuple(replace(term, coeff=term.coeff * Fraction(1, 2)) for term in closed.terms),
+        )
+        message = (r"^A2\(1, 1\), N=2: character coefficients must be positive integers, "
+                   r"not 1/2 at \(-4, 2\)$")
+        with pytest.raises(InconsistencyError, match=message):
+            character_at(halved, 2)
+
 
 class TestMultiplicityAt:
     def test_known_multiplicities(self, sl2_adjoint):

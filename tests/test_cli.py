@@ -246,11 +246,22 @@ def test_failing_verify_check_is_internal(capsys, monkeypatch):
 def test_failing_vpart_report_is_internal(capsys, monkeypatch):
     real = symchar.check_partition_equivalence
     monkeypatch.setattr(cli, "check_partition_equivalence",
-                        lambda rs, table, n: {**real(rs, table, n), "all_pass": False})
+                        lambda table, n: {**real(table, n), "all_pass": False})
     code, out, err = run_cli(capsys, "vpart", "--algebra", "A1", "--lambda", "2", "--max-n", "2")
     assert code == 2
     assert json.loads(out)["all_pass"] is False
     assert err.startswith("internal inconsistency: ")
+
+
+def test_weight_table_that_a_reflection_moves_is_internal(capsys, monkeypatch):
+    # A Freudenthal table that is not Weyl invariant is a bug, not a user error.
+    real = symchar.weightsys._support_closure
+    monkeypatch.setattr(symchar.weightsys, "_support_closure",
+                        lambda rs, highest: real(rs, highest) - {(-1, -1)})
+    code, out, err = run_cli(capsys, "weights", "--algebra", "A2", "--lambda", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal inconsistency: Freudenthal table: A2: ")
 
 
 def test_module_entry_point():

@@ -14,6 +14,7 @@ from symchar import (
     charformula,
     cyclotomic,
     from_label,
+    orbit_split,
     pfd_decompose,
     pfdcore,
     weight_system,
@@ -24,7 +25,10 @@ from symchar.weightsys import MultiplicityTable
 
 
 def _dict_table(table):
-    return MultiplicityTable(highest_weight=table.highest_weight, entries=dict(table.entries))
+    return MultiplicityTable(
+        highest_weight=table.highest_weight, entries=dict(table.entries),
+        root_system=table.root_system,
+    )
 
 
 class TestShared:
@@ -41,9 +45,20 @@ class TestShared:
 
     def test_pole_data_is_keyed_on_content(self, a2):
         table = weight_system(a2, (1, 0))
-        other = MultiplicityTable(highest_weight=(0, 1), entries=dict(table.entries))
+        other = MultiplicityTable(highest_weight=(0, 1), entries=dict(table.entries),
+                                  root_system=a2)
         assert pfd_decompose(other) is not pfd_decompose(table)
         assert pfd_decompose(other).source is other
+
+    def test_pole_data_is_keyed_on_the_root_system(self):
+        # The trivial module has the same highest weight and entries on every
+        # rank-2 algebra; only the root system tells the tables apart.
+        systems = [from_label(label) for label in ("A2", "B2", "G2")]
+        closed = [pfd_decompose(weight_system(rs, (0, 0))) for rs in systems]
+        assert len({id(cc) for cc in closed}) == 3
+        for rs, cc in zip(systems, closed):
+            assert cc.source.root_system == rs
+            assert [s.dominant_weight for s in orbit_split(cc, rs, 2)] == [(0, 0)]
 
     def test_characters_live_on_their_pole_data(self, sl2_adjoint):
         closed = pfd_decompose(sl2_adjoint)
@@ -110,7 +125,8 @@ class TestChecksBeforeLookup:
         else:
             highest = (-1, 2)
         with pytest.raises(ValueError, match="multiplicity table"):
-            pfd_decompose(MultiplicityTable(highest_weight=highest, entries=entries))
+            pfd_decompose(MultiplicityTable(highest_weight=highest, entries=entries,
+                                            root_system=sl3_adjoint.root_system))
 
 
 class TestReadOnlyTables:

@@ -1,12 +1,15 @@
 """Property tests.
 
 The three routes agree on randomly drawn small modules, and the orbit
-split of the same draws adds up to the character.  The rank-1 cyclotomic
-decomposition of random rational functions reassembles its input.
+split of the same draws adds up to the character.  The pole data is Weyl
+equivariant: A(w.nu, k) = w.A(nu, k), on the same draws and on larger
+modules.  The rank-1 cyclotomic decomposition of random rational functions
+reassembles its input.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +63,47 @@ def test_pole_data_agrees_with_both_oracles(module, n):
 
     summands = orbit_split(closed, rs, n)
     assert FactoredRational.sum([s.value for s in summands], rs.rank).as_laurent() == character
+
+
+def _reflect(rs, i, coeff):
+    """s_i applied to every numerator exponent and every factor of coeff."""
+    numerator = {rs.reflect(i, e): c for e, c in coeff.numerator.terms.items()}
+    factors = [(rs.reflect(i, alpha), k) for alpha, k in coeff.factors.items()]
+    return FactoredRational(LaurentPoly(coeff.rank, numerator), factors)
+
+
+def _assert_weyl_equivariant(closed):
+    """Every term equals the dominant term of its orbit, transported to it."""
+    rs = closed.source.root_system
+    coeffs = {(term.weight, term.order): term.coeff for term in closed.terms}
+    for term in closed.terms:
+        # s_(i_m)...s_(i_1) nu is dominant, so nu = s_(i_1)...s_(i_m) of it.
+        word, nu = [], term.weight
+        while (i := next((i for i, c in enumerate(nu, 1) if c < 0), None)) is not None:
+            word.append(i)
+            nu = rs.reflect(i, nu)
+        coeff = coeffs[(nu, term.order)]
+        for i in reversed(word):
+            coeff = _reflect(rs, i, coeff)
+        assert coeff == term.coeff
+        assert coeff.to_json() == term.coeff.to_json()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(module=st.sampled_from(MODULES))
+def test_pole_data_is_weyl_equivariant(module):
+    label, highest = module
+    _assert_weyl_equivariant(pfd_decompose(weight_system(from_label(label), highest)))
+
+
+LARGER_MODULES = [("A2", (2, 2)), ("B2", (2, 1)), ("G2", (0, 1)), ("A3", (1, 0, 1)),
+                  ("B3", (0, 1, 0)), ("C3", (0, 1, 0)), ("D4", (0, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("label,highest", LARGER_MODULES,
+                         ids=["%s(%s)" % (label, ",".join(map(str, h))) for label, h in LARGER_MODULES])
+def test_larger_pole_data_is_weyl_equivariant(label, highest):
+    _assert_weyl_equivariant(pfd_decompose(weight_system(from_label(label), highest)))
 
 
 rank_one_numerators = st.dictionaries(

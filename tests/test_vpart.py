@@ -13,44 +13,44 @@ from symchar.weightsys import weight_system
 
 
 class TestBuildMatrix:
-    def test_rank_one_adjoint(self, a1, sl2_adjoint):
-        matrix = build_partition_matrix(a1, sl2_adjoint)
+    def test_rank_one_adjoint(self, sl2_adjoint):
+        matrix = build_partition_matrix(sl2_adjoint)
         assert matrix.to_json() == [[2, 0, -2], [1, 1, 1]]
 
     def test_trivial_module(self, a1):
-        matrix = build_partition_matrix(a1, weight_system(a1, (0,)))
+        matrix = build_partition_matrix(weight_system(a1, (0,)))
         assert matrix.to_json() == [[0], [1]]
 
-    def test_sl3_adjoint_shape(self, a2, sl3_adjoint):
-        matrix = build_partition_matrix(a2, sl3_adjoint)
+    def test_sl3_adjoint_shape(self, sl3_adjoint):
+        matrix = build_partition_matrix(sl3_adjoint)
         assert matrix.rows == 3 and matrix.cols == 8
         assert matrix.entries[-1] == (1,) * 8
         zero_columns = [col for col in matrix.weight_columns() if col == (0, 0)]
         assert len(zero_columns) == 2
 
-    def test_columns_match_table_multiplicities(self, a2, sl3_adjoint):
-        matrix = build_partition_matrix(a2, sl3_adjoint)
+    def test_columns_match_table_multiplicities(self, sl3_adjoint):
+        matrix = build_partition_matrix(sl3_adjoint)
         for mu in sl3_adjoint.support():
             count = sum(1 for col in matrix.weight_columns() if col == mu)
             assert count == sl3_adjoint.multiplicity(mu)
 
     def test_column_multiset_weyl_stable(self, b2):
         table = weight_system(b2, (1, 1))
-        matrix = build_partition_matrix(b2, table)
+        matrix = build_partition_matrix(table)
         columns = sorted(matrix.weight_columns())
         for i in range(1, 3):
             assert sorted(b2.reflect(i, col) for col in columns) == columns
 
-    def test_deterministic(self, a2, sl3_adjoint):
-        first = build_partition_matrix(a2, sl3_adjoint)
-        second = build_partition_matrix(a2, sl3_adjoint)
+    def test_deterministic(self, sl3_adjoint):
+        first = build_partition_matrix(sl3_adjoint)
+        second = build_partition_matrix(sl3_adjoint)
         assert first == second
 
 
 @pytest.fixture(scope="module")
 def adjoint_matrix():
     a1 = build_root_system("A", 1)
-    return build_partition_matrix(a1, weight_system(a1, (2,)))
+    return build_partition_matrix(weight_system(a1, (2,)))
 
 
 class TestCountSolutions:
@@ -77,7 +77,7 @@ class TestCountSolutions:
             assert count_solutions(permuted, target) == count_solutions(adjoint_matrix, target)
 
     def test_weyl_equivariance(self, a2, sl3_adjoint):
-        matrix = build_partition_matrix(a2, sl3_adjoint)
+        matrix = build_partition_matrix(sl3_adjoint)
         for n in range(3):
             for mu in [(1, 1), (2, -1), (1, -2), (3, 0)]:
                 base = count_solutions(matrix, (*mu, n))
@@ -85,8 +85,8 @@ class TestCountSolutions:
                     image = a2.reflect(i, mu)
                     assert count_solutions(matrix, (*image, n)) == base
 
-    def test_total_count_is_composition_number(self, a2, sl3_adjoint):
-        matrix = build_partition_matrix(a2, sl3_adjoint)
+    def test_total_count_is_composition_number(self, sl3_adjoint):
+        matrix = build_partition_matrix(sl3_adjoint)
         d = matrix.cols
         for n in range(3):
             # every composition of n lands on exactly one target vector
@@ -100,8 +100,8 @@ class TestCountSolutions:
 
 
 class TestEquivalence:
-    def test_rank_one_adjoint(self, a1, sl2_adjoint):
-        report = check_partition_equivalence(a1, sl2_adjoint, 4)
+    def test_rank_one_adjoint(self, sl2_adjoint):
+        report = check_partition_equivalence(sl2_adjoint, 4)
         assert report["all_pass"]
         assert any(
             case["N"] == 4 and case["mu"] == [0] and case["count"] == 3
@@ -109,10 +109,10 @@ class TestEquivalence:
         )
 
     def test_trivial_module(self, a2):
-        report = check_partition_equivalence(a2, weight_system(a2, (0, 0)), 3)
+        report = check_partition_equivalence(weight_system(a2, (0, 0)), 3)
         assert report["all_pass"]
         assert all(case["count"] == 1 for case in report["cases"])
 
-    def test_sl3_adjoint(self, a2, sl3_adjoint):
-        report = check_partition_equivalence(a2, sl3_adjoint, 2)
+    def test_sl3_adjoint(self, sl3_adjoint):
+        report = check_partition_equivalence(sl3_adjoint, 2)
         assert report["all_pass"]

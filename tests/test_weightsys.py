@@ -11,7 +11,9 @@ from symchar.rootsys import (
     weight_scale,
     weight_sum,
 )
-from symchar.weightsys import _support_closure, dim_irrep, weight_system
+from symchar import weightsys
+from symchar.polyring import InconsistencyError
+from symchar.weightsys import MultiplicityTable, _support_closure, dim_irrep, weight_system
 
 
 class TestRankOne:
@@ -105,6 +107,43 @@ def test_non_dominant_rejected(a2):
 def test_wrong_rank_rejected(a2):
     with pytest.raises(ValueError):
         weight_system(a2, (1,))
+
+
+class TestConstruction:
+    """A table checks its weights against its root system once, when it is built."""
+
+    def test_weight_of_the_wrong_length(self, a2):
+        entries = dict(weight_system(a2, (1, 0)).entries)
+        with pytest.raises(ValueError, match=r"\(0, -1, 0\) does not have the rank of A2"):
+            MultiplicityTable((1, 0), {**entries, (0, -1, 0): 1}, a2)
+        with pytest.raises(ValueError, match=r"\(1,\) does not have the rank of A2"):
+            MultiplicityTable((1,), entries, a2)
+
+    def test_entries_a_reflection_moves(self, a2, b2):
+        entries = dict(weight_system(a2, (1, 1)).entries)
+        with pytest.raises(ValueError,
+                           match=r"^A2: multiplicity of \(1, 1\) differs from its reflection 1$"):
+            MultiplicityTable((1, 1), {**entries, (-1, 2): 2}, a2)
+        # The A2 fundamental weights are not stable under the B2 reflections.
+        with pytest.raises(ValueError, match=r"^B2: multiplicity of \(1, 0\) differs"):
+            MultiplicityTable((1, 0), dict(weight_system(a2, (1, 0)).entries), b2)
+
+    def test_entries_are_a_read_only_copy(self, a2):
+        entries = dict(weight_system(a2, (1, 1)).entries)
+        table = MultiplicityTable((1, 1), entries, a2)
+        entries[(0, 0)] = 7
+        del entries[(1, 1)]
+        assert table.multiplicity((0, 0)) == 2 and table.multiplicity((1, 1)) == 1
+        assert table.dimension() == 8
+        with pytest.raises(TypeError):
+            table.entries[(0, 0)] = 7
+
+    def test_freudenthal_table_that_a_reflection_moves_is_internal(self, a2, monkeypatch):
+        real = weightsys._support_closure
+        monkeypatch.setattr(weightsys, "_support_closure",
+                            lambda rs, highest: real(rs, highest) - {(-1, -1)})
+        with pytest.raises(InconsistencyError, match="^Freudenthal table: A2: multiplicity of"):
+            weight_system(a2, (1, 1))
 
 
 def test_character_poly(sl2_adjoint):

@@ -13,7 +13,7 @@ when their digests are equal, so the check is a plain diff:
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_digest.py > old.txt
     diff old.txt new.txt
 
-The sweep takes about ten seconds.  It is not part of the test suite.
+The sweep takes a few seconds.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ POWERS = [
 
 VPART = [("A1", "2", 4), ("A1", "3", 3), ("A2", "1,0", 3), ("A2", "1,1", 2),
          ("B2", "0,1", 3), ("G2", "1,0", 2)]
+
+# The trivial module has the same weight table on every rank-2 algebra; run
+# back to back in one process, these requests would show pole data shared
+# across root systems.
+TRIVIAL = ["A2", "B2", "G2"]
 
 VERIFY = [
     ("--case", "A1", "--max-n", "4"),
@@ -113,6 +118,14 @@ def requests() -> list[tuple[str, ...]]:
         out.append(("orbits", *common, "--format", "text"))
     for algebra, weight, n in VPART:
         out.append(("vpart", "--algebra", algebra, "--lambda", weight, "--max-n", str(n)))
+    for algebra in TRIVIAL:
+        common = ("--algebra", algebra, "--lambda", "0,0")
+        out.append(("weights", *common))
+        out.append(("pfd", *common))
+        out.append(("orbits", *common, "--N", "2"))
+        out.append(("vpart", *common, "--max-n", "2"))
+    out.append(("orbits", "--algebra", "A3", "--lambda", "1,0,1", "--N", "2"))
+    out.append(("vpart", "--algebra", "A3", "--lambda", "1,0,0", "--max-n", "2"))
     out.extend(("verify", *flags) for flags in VERIFY)
     out.extend(ERRORS)
     return out
