@@ -20,6 +20,18 @@ are coprime.  The Leibniz products and the unit scalings
 (-1)^l/l! q^(-l*mu) are plain ``*``, which never cancels; a reduced value
 times a unit stays reduced, so every A(nu,k) comes out reduced.
 
+The recursion runs at the dominant weights of the support only.  The
+product is invariant under the Weyl group acting on exponents (the table
+is Weyl invariant, which MultiplicityTable checks), and the decomposition
+in z is unique, so A(w.nu, k) = w.A(nu, k): every other term is the
+dominant term of its orbit with its numerator exponents and factors mapped
+by the integer matrix of w (RootSystem.orbit_walk, FactoredRational.mapped).
+q^e -> q^(w.e) is a ring automorphism that permutes the binomials, so the
+mapped value is exact.  Its form equals the one the recursion would give at
+w.nu on every module checked, but reduced() is not canonical, so that is an
+observation which the pinned outputs guard, not a theorem.  A failure in
+the recursion names the module, the pole weight and the order.
+
 pfd_decompose checks its table's values on every call (its Weyl invariance
 was checked when it was built), then computes the pole data once per table
 content (root-system label, highest weight, sorted entries) and hands the
@@ -35,7 +47,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from ._memo import recall
-from .polyring import FactoredRational, LaurentPoly
+from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import Weight, is_dominant, weight_diff, weight_scale
 from .weightsys import MultiplicityTable
 
@@ -148,37 +160,64 @@ def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
 
 
 def _decompose(table: MultiplicityTable, support: list[Weight]) -> ClosedCharacter:
-    """The pole data of a checked table, its terms sorted by (weight, order)."""
-    rank = table.rank
+    """The pole data of a checked table, its terms sorted by (weight, order).
+
+    The terms are computed at the dominant weights and transported to the
+    rest of each orbit.
+    """
+    rs = table.root_system
     terms: list[PFDTerm] = []
-    for mu in support:
-        order_max = table.multiplicity(mu)
-        others = [(nu, table.multiplicity(nu)) for nu in support if nu != mu]
-
-        # G evaluated at z = q^(-mu): a pure product of binomial inverses.
-        g_values = [
-            FactoredRational(
-                LaurentPoly.one(rank),
-                [(weight_diff(nu, mu), count) for nu, count in others],
+    for mu in filter(is_dominant, support):
+        orbit = list(rs.orbit_walk(mu))
+        for order, coeff in _dominant_terms(table, support, mu):
+            terms.extend(
+                PFDTerm(weight=weight, order=order, coeff=coeff.mapped(matrix))
+                for weight, matrix in orbit
             )
-        ]
-        s_values = [_log_derivative(mu, others, j, rank) for j in range(order_max - 1)]
-        for l in range(1, order_max):
-            # G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j)
-            products = [
-                g * s * comb(l - 1, j)
-                for j, (g, s) in enumerate(zip(g_values, reversed(s_values[:l])))
-            ]
-            g_values.append(FactoredRational.sum(products, rank).reduced())
-
-        for l, value in enumerate(g_values):
-            coeff = value * LaurentPoly.monomial(
-                weight_scale(-l, mu), Fraction((-1) ** l, factorial(l))
-            )
-            terms.append(PFDTerm(weight=mu, order=order_max - l, coeff=coeff))
-
     terms.sort(key=lambda term: (term.weight, term.order))
     return ClosedCharacter(source=table, terms=tuple(terms))
+
+
+def _dominant_terms(
+    table: MultiplicityTable, support: list[Weight], mu: Weight
+) -> list[tuple[int, FactoredRational]]:
+    """(order, A(mu, order)) for every order of the pole at mu, by the Leibniz recursion.
+
+    An ExactDivisionError or InconsistencyError on the way is raised again
+    with the module, mu and the order being computed.
+    """
+    rank = table.rank
+    order_max = table.multiplicity(mu)
+    others = [(nu, table.multiplicity(nu)) for nu in support if nu != mu]
+
+    # G evaluated at z = q^(-mu): a pure product of binomial inverses.
+    g_values = [
+        FactoredRational(
+            LaurentPoly.one(rank),
+            [(weight_diff(nu, mu), count) for nu, count in others],
+        )
+    ]
+    s_values: list[FactoredRational] = []
+    try:
+        for l in range(1, order_max):
+            # G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j)
+            s_values.append(_log_derivative(mu, others, l - 1, rank))
+            products = [
+                g * s * comb(l - 1, j)
+                for j, (g, s) in enumerate(zip(g_values, reversed(s_values)))
+            ]
+            g_values.append(FactoredRational.sum(products, rank).reduced())
+    except (ExactDivisionError, InconsistencyError) as error:
+        raise type(error)("%s%s, pole weight %s, order %d: %s" % (
+            table.root_system.label, table.highest_weight, mu, order_max - l, error
+        )) from error
+
+    return [
+        (order_max - l, value * LaurentPoly.monomial(
+            weight_scale(-l, mu), Fraction((-1) ** l, factorial(l))
+        ))
+        for l, value in enumerate(g_values)
+    ]
 
 
 def sl2_coefficient(m: int, i: int) -> FactoredRational:

@@ -19,6 +19,9 @@ is rejected on its chain sums before any quotient term is built.  That
 running sum, behind reduced() and as_laurent(), is the only division.  A
 sum of many parts is merged pairwise, each merge over the pair's own common
 denominator.  The Fraction numerator is built only when asked for.
+mapped() substitutes q^e -> q^(M.e) for an invertible integer matrix M,
+such as a Weyl group element, and normalizes the images of the factors
+with the same helper as the constructor.
 
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
@@ -27,9 +30,9 @@ Values are immutable: ``terms`` and ``factors`` are read-only mappings
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm
-from operator import add, lshift, sub
+from operator import add, lshift, mul, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -415,6 +418,54 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
     return packing.unpack({key: coeff for key, coeff in sums.items() if coeff})
 
 
+def _apply(matrix, vectors: list[Exponent]) -> list[Exponent]:
+    """matrix . v for each vector v, built a coordinate at a time over all vectors."""
+    coords = list(zip(*vectors))
+    columns = []
+    for row in matrix:
+        column = None
+        for a, coord in zip(row, coords):
+            if a:
+                part = coord if a == 1 else list(map(mul, repeat(a), coord))
+                column = part if column is None else list(map(add, column, part))
+        columns.append([0] * len(vectors) if column is None else column)
+    return list(zip(*columns))
+
+
+def _normalized(
+    terms: dict[Exponent, int], factors: Iterable, rank: int
+) -> tuple[dict[Exponent, int], dict[Exponent, int]]:
+    """(terms, factors) of the same value, each alpha lexicographically positive.
+
+    factors is an iterable of (alpha, power), checked here; powers of equal
+    alphas add up and zero powers are dropped.  Each flipped factor leaves
+    the unit 1/(1 - q^-b)^p == (-1)^p q^(p*b) / (1 - q^b)^p, and the product
+    of those units goes into the integer terms, which are returned as they
+    came when there is none.
+    """
+    merged: dict[Exponent, int] = {}
+    zero = (0,) * rank
+    shift, sign = [0] * rank, 1
+    for alpha, power in factors:
+        alpha = tuple(alpha)
+        if len(alpha) != rank:
+            raise ValueError("denominator exponent of wrong length")
+        if alpha == zero:
+            raise ValueError("denominator factor with zero exponent vector")
+        if not isinstance(power, int) or power < 0:
+            raise ValueError("factor multiplicity must be a non-negative integer")
+        if power == 0:
+            continue
+        if alpha < zero:  # its first nonzero entry is negative
+            alpha = tuple(-x for x in alpha)
+            shift = [s + power * x for s, x in zip(shift, alpha)]
+            sign *= (-1) ** power
+        merged[alpha] = merged.get(alpha, 0) + power
+    if sign < 0 or any(shift):
+        terms = _product(terms, {tuple(shift): sign})
+    return terms, merged
+
+
 _Part = tuple[dict[int, int], int, Mapping[Exponent, int]]  # (packed terms, scale, factors)
 
 
@@ -468,33 +519,14 @@ class FactoredRational:
         if not isinstance(numerator, LaurentPoly):
             raise TypeError("numerator must be a LaurentPoly")
         rank = numerator.rank
-        merged: dict[Exponent, int] = {}
-        shift, sign = [0] * rank, 1
         items = factors.items() if isinstance(factors, Mapping) else factors
-        for alpha, power in items:
-            alpha = tuple(alpha)
-            if len(alpha) != rank:
-                raise ValueError("denominator exponent of wrong length")
-            if not any(alpha):
-                raise ValueError("denominator factor with zero exponent vector")
-            if not isinstance(power, int) or power < 0:
-                raise ValueError("factor multiplicity must be a non-negative integer")
-            if power == 0:
-                continue
-            if next(x for x in alpha if x) < 0:
-                # 1/(1 - q^-b)^p == (-1)^p q^(p*b) / (1 - q^b)^p
-                alpha = tuple(-x for x in alpha)
-                shift = [s + power * x for s, x in zip(shift, alpha)]
-                sign *= (-1) ** power
-            merged[alpha] = merged.get(alpha, 0) + power
         # Integer terms over one scale, the lcm of the coefficient denominators.
         scale = lcm(*(c.denominator for c in numerator.terms.values()))
-        terms = {e: c.numerator * (scale // c.denominator) for e, c in numerator.terms.items()}
-        if sign < 0 or any(shift):
-            terms = _product(terms, {tuple(shift): sign})
-            numerator = None
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in numerator.terms.items()}
+        terms, merged = _normalized(ints, items, rank)
         self._set(rank, terms, scale, merged)
-        self._numerator = numerator
+        if terms is ints:
+            self._numerator = numerator
 
     def _set(self, rank: int, terms: dict[Exponent, int], scale: int, factors) -> None:
         self.rank = rank
@@ -668,6 +700,25 @@ class FactoredRational:
         if remaining == self.factors:
             return self
         return FactoredRational._raw(self.rank, packing.unpack(terms), self._scale, remaining)
+
+    def mapped(self, matrix) -> "FactoredRational":
+        """The value with q^e replaced by q^(matrix.e) everywhere, over the same scale.
+
+        matrix is a tuple of rank rows of integers and must be invertible,
+        such as a Weyl group element on weight coordinates (see
+        RootSystem.orbit_walk).  Every exponent of the integer numerator and
+        every factor alpha is mapped; each mapped factor is then normalized
+        as in the constructor, its unit going into the numerator.
+        """
+        if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
+            raise ValueError("a rank-%d value needs a %d x %d matrix" % ((self.rank,) * 3))
+        images = _apply(matrix, [*self._terms, *self.factors])
+        count = len(self._terms)
+        terms = dict(zip(images[:count], self._terms.values()))
+        if len(terms) != count:
+            raise ValueError("matrix is singular: two exponents have the same image")
+        terms, factors = _normalized(terms, zip(images[count:], self.factors.values()), self.rank)
+        return FactoredRational._raw(self.rank, terms, self._scale, factors)
 
     # -- evaluation and comparison ------------------------------------------
 

@@ -203,21 +203,37 @@ class RootSystem:
         coeff = mu[i - 1]
         return tuple(m - coeff * a for m, a in zip(mu, alpha))
 
-    def orbit(self, mu: Weight) -> list[Weight]:
-        """The full Weyl orbit of mu, sorted lexicographically."""
+    def orbit_walk(self, mu: Weight):
+        """Each weight of the Weyl orbit of mu once, with a group element that takes mu there.
+
+        Yields (weight, matrix), mu with the identity first.  matrix is the
+        integer matrix, as a tuple of rows, of a Weyl group element w on
+        weight coordinates, with w(mu) == weight: the product of the simple
+        reflections s_i(e) = e - e_i a_i met along a breadth-first walk
+        from mu.  s_i M is M less a_i times the i-th row of M.
+        """
         mu = tuple(mu)
+        identity = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
         seen = {mu}
-        frontier = [mu]
+        frontier = [(mu, identity)]
         while frontier:
             nxt = []
-            for weight in frontier:
+            for weight, matrix in frontier:
+                yield weight, matrix
                 for i in range(1, self.rank + 1):
                     image = self.reflect(i, weight)
                     if image not in seen:
                         seen.add(image)
-                        nxt.append(image)
+                        alpha, row = self.simple_root(i), matrix[i - 1]
+                        nxt.append((image, tuple(
+                            tuple(x - a * y for x, y in zip(line, row))
+                            for line, a in zip(matrix, alpha)
+                        )))
             frontier = nxt
-        return sorted(seen)
+
+    def orbit(self, mu: Weight) -> list[Weight]:
+        """The full Weyl orbit of mu, sorted lexicographically."""
+        return sorted(weight for weight, _ in self.orbit_walk(mu))
 
     def dominant_representative(self, mu: Weight) -> Weight:
         """The unique dominant weight in the Weyl orbit of mu."""

@@ -157,6 +157,13 @@ PINNED_OUTPUTS = [
      "451e5d21c6b79abbe98906fea78f97a01de46aa56a7faefd76c2675e9d3adc91"),
     (("pfd", "--algebra", "A2", "--lambda", "2,2", "--format", "text"), 0,
      "c61536d590d30172659ec5de3aba100bd789e5c0713ed01366ee4cf0639c4ccf"),
+    # Most terms of these three are transported from a dominant weight.
+    (("pfd", "--algebra", "A2", "--lambda", "3,3"), 0,
+     "01645d5901270dab094e5752fe7a88baa77933846294b025e015b861763268fe"),
+    (("pfd", "--algebra", "B2", "--lambda", "1,3"), 0,
+     "ce85edae14128473eebd23c56473cf96990588bf58b37f271a26f35f61808d70"),
+    (("pfd", "--algebra", "G2", "--lambda", "1,1"), 0,
+     "04ccb101a8f15af0e27ad017b643e882bef7be1c61c67d61183173ee69341ed0"),
 ]
 
 

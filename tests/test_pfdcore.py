@@ -4,6 +4,8 @@ from math import factorial
 
 import pytest
 
+from symchar import cli
+from symchar.oracle import truncated_molien
 from symchar.pfdcore import (
     _log_derivative,
     binomial_poly,
@@ -11,7 +13,7 @@ from symchar.pfdcore import (
     pfd_decompose,
     sl2_coefficient,
 )
-from symchar.polyring import FactoredRational, LaurentPoly, PoleError
+from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 from symchar.rootsys import build_root_system, from_label, weight_diff
 from symchar.weightsys import weight_system
 
@@ -237,3 +239,68 @@ def test_log_derivative_by_direction_matches_one_sum(label, highest):
             expected = _one_sum_log_derivative(mu, others, j, table.rank)
             assert got.factors == expected.factors
             assert got.numerator == expected.numerator
+
+
+# Modules with a non-symmetric weight of multiplicity >= 3: most of their
+# pole terms are transported from the dominant ones.
+TRANSPORT_HEAVY = [("A2", (3, 3)), ("B2", (1, 3)), ("G2", (1, 1))]
+
+
+def _value_at(coeff, point):
+    """coeff at point, a tuple of Fractions, exactly: the integer numerator
+    is summed over one common denominator before the single division."""
+    rank = len(point)
+    low = [min(e[i] for e in coeff._terms) for i in range(rank)]
+    high = [max(e[i] for e in coeff._terms) for i in range(rank)]
+    total = 0
+    for e, c in coeff._terms.items():
+        for i, x in enumerate(point):
+            c *= x.numerator ** (e[i] - low[i]) * x.denominator ** (high[i] - e[i])
+        total += c
+    value = Fraction(total, coeff._scale)
+    for i, x in enumerate(point):
+        value *= x ** low[i] / x.denominator ** (high[i] - low[i])
+    for alpha, power in coeff.factors.items():
+        value /= (1 - _monomial_at(point, alpha)) ** power
+    return value
+
+
+def _monomial_at(point, exponent):
+    value = Fraction(1)
+    for x, e in zip(point, exponent):
+        value *= x**e
+    return value
+
+
+@pytest.mark.parametrize("label,highest", TRANSPORT_HEAVY,
+                         ids=["%s%s" % module for module in TRANSPORT_HEAVY])
+def test_transport_heavy_pole_data_matches_molien(label, highest):
+    # sum A(nu,k) C(N+k-1,N) q^(N nu) == Molien coefficient, exactly at one
+    # point whose coordinates are ratios of distinct primes, so no factor
+    # (1 - q^alpha) vanishes there; N = 0 is the coefficient sum.
+    table = weight_system(from_label(label), highest)
+    closed = pfd_decompose(table)
+    point = (Fraction(2, 3), Fraction(5, 7))
+    molien = truncated_molien(table, 2)
+    values = [(_value_at(term.coeff, point), term) for term in closed.terms]
+    for n in range(3):
+        got = sum(
+            value * binomial_poly(term.order, n) * _monomial_at(point, term.weight) ** n
+            for value, term in values
+        )
+        assert got == molien.coefficient(n).evaluate(point)
+
+
+def test_pole_data_failure_names_the_pole(capsys, monkeypatch):
+    def fail(self):
+        raise ExactDivisionError("numerator not divisible by (1 - q1)")
+
+    monkeypatch.setattr(FactoredRational, "reduced", fail)
+    message = r"^A2\(1, 1\), pole weight \(0, 0\), order 1: numerator not divisible by \(1 - q1\)$"
+    with pytest.raises(ExactDivisionError, match=message) as caught:
+        pfd_decompose(weight_system(from_label("A2"), (1, 1)))
+    assert isinstance(caught.value.__cause__, ExactDivisionError)
+    assert cli.main(["pfd", "--algebra", "A2", "--lambda", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pole weight (0, 0), order 1" in captured.err

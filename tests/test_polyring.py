@@ -704,3 +704,84 @@ class TestIntegerProduct:
             product = f * g
             assert product.numerator == polys[0] * polys[1]
             assert product.factors == ({(1,) * rank: 2} if not product.is_zero else {})
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _apply(matrix, e):
+    return tuple(sum(x * y for x, y in zip(row, e)) for row in matrix)
+
+
+def _unimodular(rng, rank):
+    """A random integer matrix of determinant +-1: signed row swaps and row additions."""
+    matrix = [[int(r == c) * rng.choice((1, -1)) for c in range(rank)] for r in range(rank)]
+    for _ in range(3 * rank):
+        i, j = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            matrix[i] = [x + k * y for x, y in zip(matrix[i], matrix[j])]
+            if rng.random() < 0.3:
+                matrix[i], matrix[j] = matrix[j], matrix[i]
+    return tuple(map(tuple, matrix))
+
+
+class TestMapped:
+    """FactoredRational.mapped: q^e -> q^(M.e) on numerator and factors."""
+
+    def test_identity_keeps_the_value_and_its_form(self):
+        rng = random.Random(71)
+        for _ in range(30):
+            rank = rng.randint(1, 3)
+            f = _random_fr(rng, rank)
+            identity = tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank))
+            image = f.mapped(identity)
+            assert image == f
+            assert image.to_json() == f.to_json()
+
+    def test_lex_negative_images_are_normalized_as_by_the_constructor(self):
+        rng = random.Random(73)
+        flips = 0
+        for case in range(40):
+            rank = 2 + case % 2
+            f = _random_fr(rng, rank)
+            matrix = _unimodular(rng, rank)
+            images = [(_apply(matrix, alpha), k) for alpha, k in f.factors.items()]
+            flips += any(next(x for x in alpha if x) < 0 for alpha, _ in images)
+            expected = FactoredRational(
+                LaurentPoly(rank, {_apply(matrix, e): c for e, c in f.numerator.terms.items()}),
+                images,
+            )
+            image = f.mapped(matrix)
+            assert image == expected
+            assert image.to_json() == expected.to_json()
+            assert all(next(x for x in alpha if x) > 0 for alpha in image.factors)
+        assert flips
+
+    def test_fraction_coefficients_keep_their_scale(self):
+        numerator = LaurentPoly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4)})
+        f = FactoredRational(numerator, [((1, 1), 1), ((0, 1), 2)])
+        image = f.mapped(((-1, 0), (1, 1)))
+        assert image._scale == f._scale == 12
+        # (1, 1) -> (-1, 2), flipped to (1, -2) with the unit -q^(1, -2).
+        assert image.factors == {(1, -2): 1, (0, 1): 2}
+        assert image.numerator == LaurentPoly(2, {(0, -1): Fraction(-1, 6), (1, -1): Fraction(3, 4)})
+
+    def test_composition(self):
+        rng = random.Random(79)
+        for case in range(30):
+            rank = 1 + case % 3
+            f = _random_fr(rng, rank)
+            first, second = _unimodular(rng, rank), _unimodular(rng, rank)
+            twice = f.mapped(first).mapped(second)
+            once = f.mapped(_matmul(second, first))
+            assert twice == once
+            assert twice.to_json() == once.to_json()
+
+    def test_matrix_of_the_wrong_shape_or_singular_is_rejected(self):
+        f = FactoredRational(LaurentPoly(2, {(1, 0): 1, (0, 1): 2}), [((1, 1), 1)])
+        with pytest.raises(ValueError, match="matrix"):
+            f.mapped(((1, 0),))
+        with pytest.raises(ValueError, match="singular"):
+            f.mapped(((1, 1), (1, 1)))

@@ -73,7 +73,13 @@ def _reflect(rs, i, coeff):
 
 
 def _assert_weyl_equivariant(closed):
-    """Every term equals the dominant term of its orbit, transported to it."""
+    """Every term equals the dominant term of its orbit, transported to it.
+
+    pfd_decompose computes the dominant terms only and maps each by the
+    matrix of a Weyl group element (FactoredRational.mapped).  This is an
+    independent path to the same terms: one simple reflection at a time,
+    normalized by the public FactoredRational constructor.
+    """
     rs = closed.source.root_system
     coeffs = {(term.weight, term.order): term.coeff for term in closed.terms}
     for term in closed.terms:

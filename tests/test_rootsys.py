@@ -144,6 +144,25 @@ class TestOrbit:
             assert group_order % len(orbit) == 0
 
 
+    @pytest.mark.parametrize("series,rank,mu", [("A", 2, (2, 1)), ("B", 2, (1, 3)),
+                                                ("G", 2, (1, 1)), ("C", 3, (1, 0, 1))])
+    def test_orbit_walk_matrices_are_weyl_group_elements(self, series, rank, mu):
+        rs = build_root_system(series, rank)
+        walk = list(rs.orbit_walk(mu))
+        assert walk[0] == (mu, tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank)))
+        assert sorted(weight for weight, _ in walk) == rs.orbit(mu)
+        assert len(walk) == len(rs.orbit(mu))
+        roots = set(rs.positive_roots) | {tuple(-x for x in beta) for beta in rs.positive_roots}
+        for weight, matrix in walk:
+            def apply(e):
+                return tuple(sum(x * y for x, y in zip(row, e)) for row in matrix)
+            assert apply(mu) == weight
+            # A Weyl group element permutes the roots and keeps the form.
+            assert {apply(beta) for beta in roots} == roots
+            for beta in rs.positive_roots:
+                assert rs.inner(apply(beta), apply(mu)) == rs.inner(beta, mu)
+
+
 class TestDominantRepresentative:
     def test_rank_one(self, a1):
         assert a1.dominant_representative((-4,)) == (4,)
