@@ -3,8 +3,10 @@ product, the Newton recursion, the h_n identity and a rank-1 quadrature check.
 
 Everything here works straight from a multiplicity table or a character
 polynomial and deliberately never touches the pole-decomposition modules,
-so the two routes share no failure modes beyond the base ring.  Floating
-point appears only in the quadrature check; all other arithmetic is exact.
+so the two routes share no failure modes beyond the base ring.  The
+Molien product and the Newton recursion run on plain {exponent: int} dicts
+and build their LaurentPoly results once, on return.  Floating point
+appears only in the quadrature check; all other arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from operator import add
 
 from .polyring import FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import Weight, weight_diff, weight_scale
@@ -43,24 +45,23 @@ def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
     """Expand prod_mu (1 - q^mu z)^(-m(mu)) through degree n_max in z.
 
     The degree-n coefficient is the character of the n-th symmetric power,
-    obtained here purely by truncated geometric-series multiplication.
+    obtained here purely by truncated geometric-series multiplication: each
+    of the m(mu) copies of a factor is one pass h_n += q^mu h_(n-1) in
+    increasing n, on integer coefficient dicts.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("truncation bound must be a non-negative integer")
     rank = table.rank
-    acc = [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank) for _ in range(n_max)]
+    rows: list[dict[Weight, int]] = [{(0,) * rank: 1}] + [{} for _ in range(n_max)]
     for mu in table.support():
-        count = table.multiplicity(mu)
-        out = [LaurentPoly.zero(rank) for _ in range(n_max + 1)]
-        for degree in range(n_max + 1):
-            coeff_poly = LaurentPoly.monomial(
-                weight_scale(degree, mu), comb(degree + count - 1, degree)
-            )
-            for base in range(n_max + 1 - degree):
-                if not acc[base].is_zero:
-                    out[base + degree] = out[base + degree] + acc[base] * coeff_poly
-        acc = out
-    return GradedTruncation(degree_bound=n_max, coefficients=tuple(acc))
+        for _ in range(table.multiplicity(mu)):
+            for below, row in zip(rows, rows[1:]):
+                for exponent, coeff in below.items():
+                    key = tuple(map(add, exponent, mu))
+                    row[key] = row.get(key, 0) + coeff
+    return GradedTruncation(
+        degree_bound=n_max, coefficients=tuple(LaurentPoly(rank, row) for row in rows)
+    )
 
 
 def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
@@ -68,20 +69,37 @@ def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
 
     With psi_k the exponent-scaling operation e -> k*e, the characters h_t
     of the symmetric powers satisfy t*h_t = sum_(k=1..t) psi_k(char) h_(t-k).
+    The recursion runs on integer coefficient dicts, and each division by t
+    must be exact.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("symmetric-power degree must be a non-negative integer")
-    powers = [char_v.scale_exponents(k) for k in range(1, n + 1)]
-    hs = [LaurentPoly.one(char_v.rank)]
+    rank = char_v.rank
+    if n == 0:
+        return LaurentPoly.one(rank)
+    # h_1 is char_v itself, so a non-integral input fails as its first step would.
+    if any(c.denominator != 1 for c in char_v.terms.values()):
+        raise InconsistencyError("non-integral intermediate symmetric-power character")
+    powers = [
+        {weight_scale(k, e): int(c) for e, c in char_v.terms.items()} for k in range(1, n + 1)
+    ]
+    hs: list[dict[Weight, int]] = [{(0,) * rank: 1}]
     for t in range(1, n + 1):
-        acc = LaurentPoly.zero(char_v.rank)
-        for k in range(1, t + 1):
-            acc = acc + powers[k - 1] * hs[t - k]
-        h = acc * Fraction(1, t)
-        if any(c.denominator != 1 for c in h.terms.values()):
-            raise InconsistencyError("non-integral intermediate symmetric-power character")
+        acc: dict[Weight, int] = {}
+        for power, lower in zip(powers, reversed(hs)):
+            for ea, ca in power.items():
+                for eb, cb in lower.items():
+                    key = tuple(map(add, ea, eb))
+                    acc[key] = acc.get(key, 0) + ca * cb
+        h = {}
+        for exponent, total in acc.items():
+            quotient, remainder = divmod(total, t)
+            if remainder:
+                raise InconsistencyError("non-integral intermediate symmetric-power character")
+            if quotient:
+                h[exponent] = quotient
         hs.append(h)
-    return hs[n]
+    return LaurentPoly(rank, hs[n])
 
 
 def hsym_character(weights: list[Weight], n: int) -> LaurentPoly:

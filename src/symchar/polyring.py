@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, lshift, mul, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
@@ -228,16 +228,6 @@ class LaurentPoly:
             if power:
                 base = base * base
         return result
-
-    def scale_exponents(self, factor: int) -> "LaurentPoly":
-        """Substitute q^e -> q^(factor*e) in every term."""
-        if not isinstance(factor, int):
-            raise TypeError("exponent scale factor must be an integer")
-        scaled: dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
-            key = tuple(factor * e for e in exponent)
-            scaled[key] = scaled.get(key, Fraction(0)) + coeff
-        return LaurentPoly(self.rank, scaled)
 
     def evaluate(self, point: Iterable) -> Fraction:
         values = tuple(_exact(v) for v in point)
@@ -746,8 +736,15 @@ class FactoredRational:
     # -- presentation ------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The value as JSON; each coefficient prints as Fraction does, from the integer terms."""
+        num = []
+        for exponent in sorted(self._terms):
+            c = self._terms[exponent]
+            g = gcd(c, self._scale)
+            p, q = c // g, self._scale // g
+            num.append({"exp": list(exponent), "coef": str(p) if q == 1 else "%d/%d" % (p, q)})
         return {
-            "num": self.numerator.to_json(),
+            "num": num,
             "den": [
                 {"alpha": list(alpha), "power": self.factors[alpha]}
                 for alpha in sorted(self.factors)

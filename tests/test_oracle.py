@@ -1,8 +1,12 @@
+import ast
+import hashlib
+import inspect
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from symchar import oracle
 from symchar.charformula import character_at, multiplicity_at
 from symchar.oracle import (
     adams_symmetric,
@@ -11,8 +15,8 @@ from symchar.oracle import (
     truncated_molien,
 )
 from symchar.pfdcore import pfd_decompose
-from symchar.polyring import LaurentPoly
-from symchar.rootsys import build_root_system
+from symchar.polyring import InconsistencyError, LaurentPoly
+from symchar.rootsys import build_root_system, from_label
 from symchar.weightsys import MultiplicityTable, weight_system
 
 
@@ -159,3 +163,69 @@ def test_adams_rejects_non_integral_input(a1):
     bad = LaurentPoly(1, {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)})
     with pytest.raises(ArithmeticError):
         adams_symmetric(bad, 2)
+    with pytest.raises(InconsistencyError):
+        adams_symmetric(bad, 1)
+    assert adams_symmetric(bad, 0) == LaurentPoly.one(1)
+
+
+def _rows_digest(rows):
+    """sha256 of the sorted (N, exponent, coefficient) rows of a graded series."""
+    digest = hashlib.sha256()
+    for n, exponent, coeff in sorted(rows):
+        digest.update(("%d %s %s\n" % (n, ",".join(map(str, exponent)), coeff)).encode())
+    return digest.hexdigest()
+
+
+# Recorded from the Fraction-coefficient oracles.  Both oracles give the same
+# rows on every case, so one digest pins each of them.
+PINNED_ROWS = [
+    ("A2", (2, 1), 6, "daf8f8c85e414dc04f66897ad9546b00496739b24a50c39fcd77f96c66538c75"),
+    ("B3", (1, 0, 0), 5, "e4aa31b16f6968b4c2579b0a017e0e1eb02b04f51abb8531299eae72c83c7567"),
+    ("G2", (1, 0), 6, "522b1538b11709fa146f0cfed3d679e15aad0baeff57a3d192b96d4057a12646"),
+    ("A1", (6,), 12, "2379fe9667dc1b8591f4352d085ae8496b600c0b0edaaee90e349f1fdf96070b"),
+]
+
+
+@pytest.mark.parametrize("label,highest,n_max,sha", PINNED_ROWS,
+                         ids=["%s(%s)" % (row[0], ",".join(map(str, row[1]))) for row in PINNED_ROWS])
+def test_oracle_rows_are_pinned(label, highest, n_max, sha):
+    table = weight_system(from_label(label), highest)
+    truncation = truncated_molien(table, n_max)
+    char = table.character_poly()
+    molien_rows = ((n, e, c) for n in range(n_max + 1)
+                   for e, c in truncation.coefficient(n).terms.items())
+    adams_rows = ((n, e, c) for n in range(n_max + 1)
+                  for e, c in adams_symmetric(char, n).terms.items())
+    assert _rows_digest(molien_rows) == sha
+    assert _rows_digest(adams_rows) == sha
+
+
+def test_molien_equals_adams_on_a2_adjoint_to_degree_ten(sl3_adjoint):
+    truncation = truncated_molien(sl3_adjoint, 10)
+    char = sl3_adjoint.character_poly()
+    for n in range(11):
+        assert truncation.coefficient(n) == adams_symmetric(char, n)
+
+
+# The oracles must not share code with the pole-data pipeline they check.
+PIPELINE_MODULES = {"pfdcore", "charformula", "vpart"}
+PIPELINE_NAMES = {"FactoredRational", "_Packing", "_product", "_chain_div"}
+
+
+def test_oracle_module_is_independent_of_the_pipeline():
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & PIPELINE_MODULES
+
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("truncated_molien", "adams_symmetric"):
+        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)}
+        assert not used & PIPELINE_NAMES, name

@@ -1,8 +1,8 @@
 """Property tests.
 
 The three routes agree on randomly drawn small modules, and the orbit
-split of the same draws adds up to the character.  The pole data is Weyl
-equivariant: A(w.nu, k) = w.A(nu, k), on the same draws and on larger
+split of the same draws adds up to the character, whose multiplicities are
+constant on each Weyl orbit.  The pole data is Weyl equivariant: A(w.nu, k) = w.A(nu, k), on the same draws and on larger
 modules.  The rank-1 cyclotomic decomposition of random rational functions
 reassembles its input.
 """
@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar.charformula import character_at, cyclotomic, orbit_split, univariate_pfd
+from symchar.charformula import (
+    character_at,
+    cyclotomic,
+    multiplicity_at,
+    orbit_split,
+    univariate_pfd,
+)
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
 from symchar.polyring import FactoredRational, LaurentPoly
@@ -63,6 +69,19 @@ def test_pole_data_agrees_with_both_oracles(module, n):
 
     summands = orbit_split(closed, rs, n)
     assert FactoredRational.sum([s.value for s in summands], rs.rank).as_laurent() == character
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(module=st.sampled_from(MODULES), n=st.integers(0, MAX_N))
+def test_character_is_constant_on_weyl_orbits(module, n):
+    label, highest = module
+    rs = from_label(label)
+    character = character_at(pfd_decompose(weight_system(rs, highest)), n)
+    for mu in character.terms.support():
+        value = multiplicity_at(character, mu)
+        assert value > 0
+        for nu in rs.orbit(mu):
+            assert multiplicity_at(character, nu) == value
 
 
 def _reflect(rs, i, coeff):

@@ -65,6 +65,7 @@ VPART = [("A1", "2", 4), ("A1", "3", 3), ("A2", "1,0", 3), ("A2", "1,1", 2),
 TRIVIAL = ["A2", "B2", "G2"]
 
 VERIFY = [
+    (),  # all seven cases at their full degree
     ("--case", "A1", "--max-n", "4"),
     ("--case", "A2", "--max-n", "3"),
     ("--case", "B2", "--max-n", "3", "--format", "text"),
