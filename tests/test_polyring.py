@@ -39,10 +39,6 @@ class TestLaurentPoly:
         assert poly.coefficient((-2,)) == 3
         assert poly.evaluate((Fraction(2),)) == Fraction(3, 4) + 4
 
-    def test_scale_exponents(self):
-        char = q(1) + q(-1)
-        assert char.scale_exponents(3) == q(3) + q(-3)
-
     def test_power(self):
         assert (q(1) + q(-1)) ** 2 == q(2) + 2 + q(-2)
         assert (q(1) + 1) ** 0 == LaurentPoly.one(1)

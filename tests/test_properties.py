@@ -2,9 +2,10 @@
 
 The three routes agree on randomly drawn small modules, and the orbit
 split of the same draws adds up to the character, whose multiplicities are
-constant on each Weyl orbit.  The pole data is Weyl equivariant: A(w.nu, k) = w.A(nu, k), on the same draws and on larger
-modules.  The rank-1 cyclotomic decomposition of random rational functions
-reassembles its input.
+constant on each Weyl orbit.  The pole data is Weyl equivariant:
+A(w.nu, k) = w.A(nu, k), on the same draws and on larger modules.  The
+rank-1 cyclotomic decomposition of random rational functions reassembles
+its input.
 """
 
 from fractions import Fraction
