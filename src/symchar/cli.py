@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .charformula import character_at, multiplicity_at, orbit_split
-from .oracle import adams_symmetric, truncated_molien
+from .oracle import adams_series, truncated_molien
 from .pfdcore import pfd_decompose
 from .polyring import InconsistencyError
-from .rootsys import RootSystem, build_root_system, from_label, parse_label
+from .rootsys import build_root_system, from_label, parse_label
 from .vpart import check_partition_equivalence
 from .weightsys import weight_system
 
@@ -36,14 +37,10 @@ VERIFY_CASES = (
 )
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; user errors must exit 1 here.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -56,176 +53,129 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
-def _emit(payload, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text_renderer())
+def _emit(payload, fmt: str, text_renderer, failure=None) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else text_renderer())
+    if failure:
+        raise InconsistencyError(failure)
 
 
-def _add_common(parser: argparse.ArgumentParser, with_n=False, with_mu=False) -> None:
-    parser.add_argument("--algebra", required=True, help="algebra label, e.g. A1, A2, B2")
-    parser.add_argument(
-        "--lambda",
-        dest="highest",
-        required=True,
-        metavar="WEIGHT",
-        help="highest weight as comma-separated fundamental-weight coordinates",
-    )
-    if with_n:
-        parser.add_argument("--N", dest="degree", type=int, required=True,
-                            help="symmetric-power degree (non-negative)")
-    if with_mu:
-        parser.add_argument("--mu", required=True, metavar="WEIGHT",
-                            help="weight to extract, comma-separated coordinates")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
+def _check_max_degree(args) -> None:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ValueError("--max-n must be non-negative")
+
+
+def _coords(weight) -> str:
+    return ",".join(str(c) for c in weight)
+
+
+# A module subcommand's handler takes the weight table and the parsed arguments
+# and returns its payload body, its text renderer and a failure message or None.
+def _weights(table, args):
+    return {"dim": table.dimension(), "weights": table.to_json()}, lambda: "\n".join(
+        "%s  %d" % (_coords(mu), table.multiplicity(mu)) for mu in table.support()
+    ), None
+
+
+def _pfd(table, args):
+    closed = pfd_decompose(table)
+    return {"terms": closed.to_json()}, lambda: "\n".join(
+        "weight %s  order %d:  %s" % (_coords(term.weight), term.order, term.coeff)
+        for term in closed.terms
+    ), None
+
+
+def _char(table, args):
+    character = character_at(pfd_decompose(table), args.degree)
+    return {"character": character.to_json()}, character.terms.render, None
+
+
+def _mult(table, args):
+    value = multiplicity_at(character_at(pfd_decompose(table), args.degree), args.mu)
+    return {"multiplicity": value}, lambda: str(value), None
+
+
+def _orbits(table, args):
+    summands = orbit_split(pfd_decompose(table), table.root_system, args.degree)
+    return {"summands": [summand.to_json() for summand in summands]}, lambda: "\n".join(
+        "dominant %s:  %s" % (_coords(s.dominant_weight), s.value) for s in summands
+    ), None
+
+
+def _vpart(table, args):
+    report = check_partition_equivalence(table, args.max_degree)
+    matrix, all_pass = report["matrix"], report["all_pass"]
+    body = {
+        "matrix": matrix,
+        "properties": {"grading_row": all(x == 1 for x in matrix[-1]), "columns": len(matrix[0])},
+        "equivalence": report["cases"],
+        "all_pass": all_pass,
+    }
+    failure = None if all_pass else "vector-partition counts differ from the pole-data characters"
+    return body, lambda: json.dumps(matrix) + "\nall_pass: %s" % all_pass, failure
+
+
+# The subcommands that act on one module, in the order --help lists them:
+# (help, handler, options beyond --algebra, --lambda and --format).
+_COMMANDS = {
+    "weights": ("weight multiplicities of the module", _weights, ()),
+    "pfd": ("pole coefficients of the graded character", _pfd, ()),
+    "char": ("character of one symmetric power", _char, ("--N",)),
+    "mult": ("one weight multiplicity of one symmetric power", _mult, ("--N", "--mu")),
+    "orbits": ("character split by Weyl orbits", _orbits, ("--N",)),
+    "vpart": ("vector-partition matrix and equivalence report", _vpart, ("--max-n",)),
+}
+
+# The options of the module subcommands, in the order --help lists them.
+_OPTIONS = {
+    "--algebra": dict(required=True, help="algebra label, e.g. A1, A2, B2"),
+    "--lambda": dict(dest="highest", required=True, metavar="WEIGHT",
+                     help="highest weight as comma-separated fundamental-weight coordinates"),
+    "--N": dict(dest="degree", type=int, required=True,
+                help="symmetric-power degree (non-negative)"),
+    "--mu": dict(required=True, metavar="WEIGHT",
+                 help="weight to extract, comma-separated coordinates"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--max-n": dict(dest="max_degree", type=int, default=3,
+                    help="largest symmetric-power degree to check (default 3)"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="symchar",
-        description="Exact characters of symmetric powers of irreducible modules",
-    )
+    parser = _Parser(prog="symchar",
+                     description="Exact characters of symmetric powers of irreducible modules")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    _add_common(sub.add_parser("weights", help="weight multiplicities of the module"))
-    _add_common(sub.add_parser("pfd", help="pole coefficients of the graded character"))
-    _add_common(sub.add_parser("char", help="character of one symmetric power"), with_n=True)
-    _add_common(sub.add_parser("mult", help="one weight multiplicity of one symmetric power"),
-                with_n=True, with_mu=True)
-    _add_common(sub.add_parser("orbits", help="character split by Weyl orbits"), with_n=True)
-
-    vpart = sub.add_parser("vpart", help="vector-partition matrix and equivalence report")
-    _add_common(vpart)
-    vpart.add_argument("--max-n", dest="max_degree", type=int, default=3,
-                       help="largest symmetric-power degree to check (default 3)")
-
+    for name, (help_text, _, options) in _COMMANDS.items():
+        module = sub.add_parser(name, help=help_text)
+        for flag, spec in _OPTIONS.items():
+            if flag in ("--algebra", "--lambda", "--format", *options):
+                module.add_argument(flag, **spec)
     verify = sub.add_parser("verify", help="run the three-way oracle equivalences")
-    verify.add_argument("--case", action="append", default=None,
+    verify.add_argument("--case", action="append",
                         help="restrict to one algebra label (repeatable)")
-    verify.add_argument("--max-n", dest="max_degree", type=int, default=None,
+    verify.add_argument("--max-n", dest="max_degree", type=int,
                         help="cap the symmetric-power degree for every case")
-    verify.add_argument("--format", choices=("json", "text"), default="json")
+    verify.add_argument("--format", **_OPTIONS["--format"])
     return parser
 
 
-def _resolve(args) -> tuple[RootSystem, tuple[int, ...]]:
+def _run(handler, options: tuple[str, ...], args) -> int:
     # Check the label and the weight's length before building: a user error
     # must not wait for the root system of a large rank.
     series, rank = parse_label(args.algebra)
     highest = _parse_weight(args.highest, rank)
-    return build_root_system(series, rank), highest
-
-
-def _cmd_weights(args) -> int:
-    rs, highest = _resolve(args)
-    table = weight_system(rs, highest)
-    payload = {
-        "algebra": rs.label,
-        "highest_weight": list(highest),
-        "dim": table.dimension(),
-        "weights": table.to_json(),
-    }
-    _emit(payload, args.format, lambda: "\n".join(
-        "%s  %d" % (",".join(str(c) for c in mu), table.multiplicity(mu))
-        for mu in table.support()
-    ))
-    return 0
-
-
-def _cmd_pfd(args) -> int:
-    rs, highest = _resolve(args)
-    closed = pfd_decompose(weight_system(rs, highest))
-    payload = {
-        "algebra": rs.label,
-        "highest_weight": list(highest),
-        "terms": closed.to_json(),
-    }
-    _emit(payload, args.format, lambda: "\n".join(
-        "weight %s  order %d:  %s"
-        % (",".join(str(c) for c in term.weight), term.order, term.coeff)
-        for term in closed.terms
-    ))
-    return 0
-
-
-def _require_degree(args) -> int:
-    if args.degree < 0:
-        raise ValueError("--N must be a non-negative integer")
-    return args.degree
-
-
-def _cmd_char(args) -> int:
-    rs, highest = _resolve(args)
-    degree = _require_degree(args)
-    character = character_at(pfd_decompose(weight_system(rs, highest)), degree)
-    payload = {
-        "algebra": rs.label,
-        "highest_weight": list(highest),
-        "N": degree,
-        "character": character.to_json(),
-    }
-    _emit(payload, args.format, lambda: character.terms.render())
-    return 0
-
-
-def _cmd_mult(args) -> int:
-    rs, highest = _resolve(args)
-    degree = _require_degree(args)
-    mu = _parse_weight(args.mu, rs.rank)
-    character = character_at(pfd_decompose(weight_system(rs, highest)), degree)
-    value = multiplicity_at(character, mu)
-    payload = {
-        "algebra": rs.label,
-        "highest_weight": list(highest),
-        "N": degree,
-        "mu": list(mu),
-        "multiplicity": value,
-    }
-    _emit(payload, args.format, lambda: str(value))
-    return 0
-
-
-def _cmd_orbits(args) -> int:
-    rs, highest = _resolve(args)
-    degree = _require_degree(args)
-    summands = orbit_split(pfd_decompose(weight_system(rs, highest)), rs, degree)
-    payload = {
-        "algebra": rs.label,
-        "highest_weight": list(highest),
-        "N": degree,
-        "summands": [summand.to_json() for summand in summands],
-    }
-    _emit(payload, args.format, lambda: "\n".join(
-        "dominant %s:  %s"
-        % (",".join(str(c) for c in s.dominant_weight), s.value)
-        for s in summands
-    ))
-    return 0
-
-
-def _cmd_vpart(args) -> int:
-    rs, highest = _resolve(args)
-    if args.max_degree < 0:
-        raise ValueError("--max-n must be non-negative")
-    report = check_partition_equivalence(weight_system(rs, highest), args.max_degree)
-    matrix = report["matrix"]
-    payload = {
-        "algebra": rs.label,
-        "highest_weight": list(highest),
-        "matrix": matrix,
-        "properties": {
-            "grading_row": all(x == 1 for x in matrix[-1]),
-            "columns": len(matrix[0]),
-        },
-        "equivalence": report["cases"],
-        "all_pass": report["all_pass"],
-    }
-    _emit(payload, args.format, lambda: json.dumps(payload["matrix"]) + (
-        "\nall_pass: %s" % report["all_pass"]
-    ))
-    if not report["all_pass"]:
-        raise InconsistencyError("vector-partition counts differ from the pole-data characters")
+    rs = build_root_system(series, rank)
+    header = {"algebra": rs.label, "highest_weight": list(highest)}
+    if "--N" in options:
+        if args.degree < 0:
+            raise ValueError("--N must be a non-negative integer")
+        header["N"] = args.degree
+    if "--mu" in options:
+        args.mu = _parse_weight(args.mu, rank)
+        header["mu"] = list(args.mu)
+    if "--max-n" in options:
+        _check_max_degree(args)
+    body, text_renderer, failure = handler(weight_system(rs, highest), args)
+    _emit({**header, **body}, args.format, text_renderer, failure)
     return 0
 
 
@@ -233,53 +183,37 @@ def _cmd_verify(args) -> int:
     known = list(dict.fromkeys(label for label, _, _ in VERIFY_CASES))
     unknown = [label for label in args.case or () if label not in known]
     if unknown:
-        raise ValueError(
-            "unknown verify case %s; the cases are %s" % (", ".join(unknown), ", ".join(known))
-        )
+        raise ValueError("unknown verify case %s; the cases are %s"
+                         % (", ".join(unknown), ", ".join(known)))
+    _check_max_degree(args)
     rows = []
     for label, highest, n_max in VERIFY_CASES:
         if args.case and label not in args.case:
             continue
         if args.max_degree is not None:
             n_max = min(n_max, args.max_degree)
-        rs = from_label(label)
-        table = weight_system(rs, highest)
+        table = weight_system(from_label(label), highest)
         closed = pfd_decompose(table)
-        truncation = truncated_molien(table, n_max)
-        char_v = table.character_poly()
-        case = "%s lambda=%s" % (label, ",".join(str(c) for c in highest))
-
-        unit = closed.coefficient_sum() == 1
-        rows.append({"case": case, "N": None, "check": "coefficient-sum-1",
-                     "status": "pass" if unit else "fail"})
+        molien = truncated_molien(table, n_max)
+        adams = adams_series(table.character_poly(), n_max)
+        case = "%s lambda=%s" % (label, _coords(highest))
+        checks = [(None, "coefficient-sum-1", closed.coefficient_sum() == 1)]
         for n in range(n_max + 1):
             from_pfd = character_at(closed, n).terms
-            checks = (
-                ("pfd-vs-molien", from_pfd == truncation.coefficient(n)),
-                ("pfd-vs-adams", from_pfd == adams_symmetric(char_v, n)),
-            )
-            for name, ok in checks:
-                rows.append({"case": case, "N": n, "check": name,
-                             "status": "pass" if ok else "fail"})
-    failed = [row for row in rows if row["status"] == "fail"]
-    if args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        for row in rows:
-            print("%-18s N=%-4s %-18s %s" % (row["case"], row["N"], row["check"], row["status"]))
-        print("%d checks, %d failed" % (len(rows), len(failed)))
-    if failed:
-        raise InconsistencyError("%d of %d verify checks failed" % (len(failed), len(rows)))
+            checks += [(n, "pfd-vs-molien", from_pfd == molien.coefficient(n)),
+                       (n, "pfd-vs-adams", from_pfd == adams.coefficient(n))]
+        rows += [{"case": case, "N": n, "check": name, "status": "pass" if ok else "fail"}
+                 for n, name, ok in checks]
+    failed = sum(row["status"] == "fail" for row in rows)
+    _emit(rows, args.format, lambda: "\n".join(
+        ["%(case)-18s N=%(N)-4s %(check)-18s %(status)s" % row for row in rows]
+        + ["%d checks, %d failed" % (len(rows), failed)]
+    ), "%d of %d verify checks failed" % (failed, len(rows)) if failed else None)
     return 0
 
 
 _HANDLERS = {
-    "weights": _cmd_weights,
-    "pfd": _cmd_pfd,
-    "char": _cmd_char,
-    "mult": _cmd_mult,
-    "orbits": _cmd_orbits,
-    "vpart": _cmd_vpart,
+    **{name: partial(_run, handler, options) for name, (_, handler, options) in _COMMANDS.items()},
     "verify": _cmd_verify,
 }
 

@@ -24,6 +24,7 @@ from .weightsys import MultiplicityTable
 __all__ = [
     "GradedTruncation",
     "truncated_molien",
+    "adams_series",
     "adams_symmetric",
     "hsym_character",
     "quadrature_check",
@@ -64,27 +65,25 @@ def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
     )
 
 
-def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
-    """Character of the n-th symmetric power via the Newton-style recursion.
+def adams_series(char_v: LaurentPoly, n_max: int) -> GradedTruncation:
+    """Characters of the symmetric powers 0..n_max via the Newton-style recursion.
 
     With psi_k the exponent-scaling operation e -> k*e, the characters h_t
     of the symmetric powers satisfy t*h_t = sum_(k=1..t) psi_k(char) h_(t-k).
-    The recursion runs on integer coefficient dicts, and each division by t
-    must be exact.
+    The recursion runs once, on integer coefficient dicts, and each division
+    by t must be exact.
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("symmetric-power degree must be a non-negative integer")
     rank = char_v.rank
-    if n == 0:
-        return LaurentPoly.one(rank)
+    hs: list[dict[Weight, int]] = [{(0,) * rank: 1}]
     # h_1 is char_v itself, so a non-integral input fails as its first step would.
-    if any(c.denominator != 1 for c in char_v.terms.values()):
+    if n_max and any(c.denominator != 1 for c in char_v.terms.values()):
         raise InconsistencyError("non-integral intermediate symmetric-power character")
     powers = [
-        {weight_scale(k, e): int(c) for e, c in char_v.terms.items()} for k in range(1, n + 1)
+        {weight_scale(k, e): int(c) for e, c in char_v.terms.items()} for k in range(1, n_max + 1)
     ]
-    hs: list[dict[Weight, int]] = [{(0,) * rank: 1}]
-    for t in range(1, n + 1):
+    for t in range(1, n_max + 1):
         acc: dict[Weight, int] = {}
         for power, lower in zip(powers, reversed(hs)):
             for ea, ca in power.items():
@@ -99,7 +98,14 @@ def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
             if quotient:
                 h[exponent] = quotient
         hs.append(h)
-    return LaurentPoly(rank, hs[n])
+    return GradedTruncation(
+        degree_bound=n_max, coefficients=tuple(LaurentPoly(rank, h) for h in hs)
+    )
+
+
+def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:
+    """Character of the n-th symmetric power: the top row of `adams_series`."""
+    return adams_series(char_v, n).coefficient(n)
 
 
 def hsym_character(weights: list[Weight], n: int) -> LaurentPoly:

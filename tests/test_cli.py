@@ -11,6 +11,7 @@ import pytest
 import symchar
 from symchar import cli
 from symchar.cli import main
+from symchar.oracle import GradedTruncation
 
 PACKAGE_DIR = Path(symchar.__file__).parent
 
@@ -226,6 +227,19 @@ class TestUserErrors:
         for label, _, _ in cli.VERIFY_CASES:
             assert label in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--max-n", "-1"),
+        ("vpart", "--algebra", "A1", "--lambda", "2", "--max-n", "-1"),
+    ], ids=" ".join)
+    def test_negative_max_degree(self, capsys, argv):
+        # One message for both subcommands, naming the option, not an oracle parameter.
+        assert run_cli(capsys, *argv) == (1, "", "error: --max-n must be non-negative\n")
+
+    def test_unknown_verify_case_wins_over_negative_max_degree(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--case", "X9", "--max-n", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown verify case X9")
+
 
 @pytest.mark.parametrize("error", [KeyError, IndexError])
 def test_lookup_errors_are_internal(capsys, monkeypatch, error):
@@ -241,7 +255,8 @@ def test_lookup_errors_are_internal(capsys, monkeypatch, error):
 
 def test_failing_verify_check_is_internal(capsys, monkeypatch):
     # A pipeline/oracle mismatch is a bug, not a user error.
-    monkeypatch.setattr(cli, "adams_symmetric", lambda char_v, n: char_v * 0 + 7)
+    monkeypatch.setattr(cli, "adams_series", lambda char_v, n_max: GradedTruncation(
+        n_max, tuple(char_v * 0 + 7 for _ in range(n_max + 1))))
     code, out, err = run_cli(capsys, "verify", "--case", "A1", "--max-n", "2")
     assert code == 2
     rows = json.loads(out)

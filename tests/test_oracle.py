@@ -9,6 +9,7 @@ import pytest
 from symchar import oracle
 from symchar.charformula import character_at, multiplicity_at
 from symchar.oracle import (
+    adams_series,
     adams_symmetric,
     hsym_character,
     quadrature_check,
@@ -196,8 +197,12 @@ def test_oracle_rows_are_pinned(label, highest, n_max, sha):
                    for e, c in truncation.coefficient(n).terms.items())
     adams_rows = ((n, e, c) for n in range(n_max + 1)
                   for e, c in adams_symmetric(char, n).terms.items())
+    series = adams_series(char, n_max)
+    series_rows = ((n, e, c) for n in range(n_max + 1)
+                   for e, c in series.coefficient(n).terms.items())
     assert _rows_digest(molien_rows) == sha
     assert _rows_digest(adams_rows) == sha
+    assert _rows_digest(series_rows) == sha
 
 
 def test_molien_equals_adams_on_a2_adjoint_to_degree_ten(sl3_adjoint):
@@ -225,7 +230,7 @@ def test_oracle_module_is_independent_of_the_pipeline():
     assert not imported & PIPELINE_MODULES
 
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("truncated_molien", "adams_symmetric"):
+    for name in ("truncated_molien", "adams_series", "adams_symmetric"):
         used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
         used |= {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)}
         assert not used & PIPELINE_NAMES, name

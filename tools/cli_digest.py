@@ -5,15 +5,18 @@ and prints, for each one,
 
     <sha256 of stdout, a NUL byte and stderr> <exit code> <argv>
 
-The requests cover all seven subcommands, text and JSON output, and user
-errors.  Two source trees produce the same bytes on every request exactly
-when their digests are equal, so the check is a plain diff:
+The requests cover all seven subcommands, text and JSON output, ``--help``
+and user errors.  Every request runs with ``COLUMNS=80``, so the help text
+is wrapped the same way on any terminal.  Two source trees produce the
+same bytes on every request exactly when their digests are equal, so the
+check is a plain diff:
 
     PYTHONPATH=src python tools/cli_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_digest.py > old.txt
     diff old.txt new.txt
 
-The sweep takes a few seconds.  It is not part of the test suite.
+The sweep takes a few seconds.  ``tests/test_cli_digest.py`` runs it
+against the lines recorded in ``tests/cli_digest.txt``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
+from unittest import mock
 
 from symchar import cli
 
@@ -74,6 +79,8 @@ VERIFY = [
     ("--case", "Z1", "--max-n", "2"),
 ]
 
+SUBCOMMANDS = ["weights", "pfd", "char", "mult", "orbits", "vpart", "verify"]
+
 ERRORS = [
     ("weights", "--algebra", "A60", "--lambda", "1"),
     ("weights", "--algebra", "A30", "--lambda", "1"),
@@ -115,10 +122,13 @@ def requests() -> list[tuple[str, ...]]:
         out.append(("char", *common))
         out.append(("char", *common, "--format", "text"))
         out.append(("mult", *common, "--mu", mu))
+        out.append(("mult", *common, "--mu", mu, "--format", "text"))
         out.append(("orbits", *common))
         out.append(("orbits", *common, "--format", "text"))
     for algebra, weight, n in VPART:
         out.append(("vpart", "--algebra", algebra, "--lambda", weight, "--max-n", str(n)))
+        out.append(("vpart", "--algebra", algebra, "--lambda", weight, "--max-n", str(n),
+                    "--format", "text"))
     for algebra in TRIVIAL:
         common = ("--algebra", algebra, "--lambda", "0,0")
         out.append(("weights", *common))
@@ -129,25 +139,33 @@ def requests() -> list[tuple[str, ...]]:
     out.append(("vpart", "--algebra", "A3", "--lambda", "1,0,0", "--max-n", "2"))
     out.extend(("verify", *flags) for flags in VERIFY)
     out.extend(ERRORS)
+    out.append(("--help",))
+    out.extend((command, "--help") for command in SUBCOMMANDS)
     return out
 
 
 def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
-        except SystemExit as stop:  # argparse usage errors
+        except SystemExit as stop:  # --help
             code = 0 if stop.code is None else stop.code if isinstance(stop.code, int) else 1
     return code, out.getvalue(), err.getvalue()
 
 
+def line(argv: tuple[str, ...]) -> str:
+    """The digest line of one request."""
+    code, out, err = run(argv)
+    digest = hashlib.sha256((out + "\0" + err).encode()).hexdigest()
+    return "%s %d %s" % (digest, code, " ".join(argv) or "(no arguments)")
+
+
 def main() -> int:
     for argv in requests():
-        code, out, err = run(argv)
-        digest = hashlib.sha256((out + "\0" + err).encode()).hexdigest()
-        print(digest, code, " ".join(argv) or "(no arguments)", flush=True)
+        print(line(argv), flush=True)
     return 0
 
 
