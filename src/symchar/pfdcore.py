@@ -14,11 +14,12 @@ powers; G^(l+1) then follows from the Leibniz rule.  No polynomial in z is
 ever materialized and every denominator stays a product of binomials.
 
 Each G^(l) value is summed once over one common denominator and reduced
-once.  Each S^(j) value is reduced one direction of alpha at a time, which
-gives the same reduced form, because binomials of different directions
-are coprime.  The Leibniz products and the unit scalings
-(-1)^l/l! q^(-l*mu) are plain ``*``, which never cancels; a reduced value
-times a unit stays reduced, so every A(nu,k) comes out reduced.
+once.  Each S^(j) value is summed and reduced once per direction of alpha,
+which gives the same reduced form as one reduction of the whole sum,
+because binomials of different directions are coprime.  The Leibniz
+products and the unit scalings (-1)^l/l! q^(-l*mu) are plain ``*``, which
+never cancels; a reduced value times a unit stays reduced, so every
+A(nu,k) comes out reduced.
 
 The recursion runs at the dominant weights of the support only.  The
 product is invariant under the Weyl group acting on exponents (the table
@@ -106,27 +107,23 @@ def binomial_poly(k: int, n: int) -> int:
 def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
     """S^(j)(q^-mu) = sum_nu m(nu) j! q^((j+1)nu) / (1 - q^(nu-mu))^(j+1), reduced.
 
-    nu and 2mu - nu share the normalized factor (1 - q^+-(nu-mu)); such a pair
-    is summed and reduced on its own first.  A lone piece is a monomial over
-    one binomial power and already reduced.  Then the parts whose alphas are
-    parallel are summed and reduced together.  Binomials of different
-    directions are coprime, so a reduction of the whole sum could only
-    cancel within one direction, which the class reductions already did in
-    the same sorted order; the sum of the classes is returned unreduced.
+    The pieces are grouped by the primitive direction of their normalized
+    factor (nu and 2mu - nu share one factor, and parallel alphas share a
+    direction), and each class is summed and reduced once; a lone piece is
+    a monomial over one binomial power and already reduced.  Binomials of
+    different directions are coprime, so a reduction of the whole sum could
+    only cancel within one direction, which the class reductions already
+    did; the sum of the classes is returned unreduced.
     """
-    groups: dict[Weight, list[FactoredRational]] = {}
+    classes: dict[Weight, list[FactoredRational]] = {}
     for nu, count in others:
         piece = FactoredRational(
             LaurentPoly.monomial(weight_scale(j + 1, nu), count * factorial(j)),
             [(weight_diff(nu, mu), j + 1)],
         )
         (alpha,) = piece.factors
-        groups.setdefault(alpha, []).append(piece)
-    classes: dict[Weight, list[FactoredRational]] = {}
-    for alpha, pieces in groups.items():
-        part = pieces[0] if len(pieces) == 1 else FactoredRational.sum(pieces, rank).reduced()
         step = gcd(*alpha)
-        classes.setdefault(tuple(a // step for a in alpha), []).append(part)
+        classes.setdefault(tuple(a // step for a in alpha), []).append(piece)
     parts = [
         members[0] if len(members) == 1 else FactoredRational.sum(members, rank).reduced()
         for members in classes.values()

@@ -100,6 +100,8 @@ class LaurentPoly:
                         "exponent vector of length %d in a rank-%d polynomial"
                         % (len(exponent), rank)
                     )
+                if not all(map(isinstance, exponent, repeat(int))):
+                    raise ValueError("non-integer exponent %r" % (exponent,))
                 coeff = _exact(value)
                 if coeff:
                     clean[exponent] = coeff
@@ -440,6 +442,8 @@ def _normalized(
         alpha = tuple(alpha)
         if len(alpha) != rank:
             raise ValueError("denominator exponent of wrong length")
+        if not all(map(isinstance, alpha, repeat(int))):
+            raise ValueError("non-integer denominator exponent %r" % (alpha,))
         if alpha == zero:
             raise ValueError("denominator factor with zero exponent vector")
         if not isinstance(power, int) or power < 0:

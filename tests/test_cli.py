@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -320,6 +321,20 @@ def test_no_private_names_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_package_exports_every_pipeline_module():
+    # Every public module but the command line is a pipeline module.
+    names = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem.startswith("_") or path.stem == "cli":
+            continue
+        module = importlib.import_module("symchar." + path.stem)
+        for name in module.__all__:
+            assert getattr(symchar, name) is getattr(module, name), name
+        names.extend(module.__all__)
+    assert len(symchar.__all__) == len(set(symchar.__all__))
+    assert sorted(symchar.__all__) == sorted(names + ["__version__"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -208,19 +208,15 @@ class TestClosedForms:
 
 
 def _one_sum_log_derivative(mu, others, j, rank):
-    """S^(j)(q^-mu) reduced over one common denominator: each pair sharing an
-    alpha summed and reduced first, then everything summed and reduced once."""
-    groups = {}
-    for nu, count in others:
-        piece = FactoredRational(
+    """S^(j)(q^-mu) with every piece summed over one common denominator and reduced once."""
+    pieces = [
+        FactoredRational(
             LaurentPoly.monomial(tuple((j + 1) * x for x in nu), count * factorial(j)),
             [(weight_diff(nu, mu), j + 1)],
         )
-        (alpha,) = piece.factors
-        groups.setdefault(alpha, []).append(piece)
-    parts = [p[0] if len(p) == 1 else FactoredRational.sum(p, rank).reduced()
-             for p in groups.values()]
-    return FactoredRational.sum(parts, rank).reduced()
+        for nu, count in others
+    ]
+    return FactoredRational.sum(pieces, rank).reduced()
 
 
 @pytest.mark.parametrize("label,highest", [

@@ -34,6 +34,10 @@ class TestLaurentPoly:
         with pytest.raises(TypeError):
             LaurentPoly(1, {(0,): 0.5})
 
+    def test_non_integer_exponent_rejected(self):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            LaurentPoly(1, {(0.5,): 1})
+
     def test_negative_exponents(self):
         poly = q(-2, 3) + q(2)
         assert poly.coefficient((-2,)) == 3
@@ -177,6 +181,15 @@ class TestFactoredRational:
     def test_zero_exponent_factor_rejected(self):
         with pytest.raises(ValueError):
             FactoredRational(LaurentPoly.one(2), [((0, 0), 1)])
+
+    def test_non_integer_factor_exponent_rejected(self):
+        with pytest.raises(ValueError, match="non-integer denominator exponent"):
+            FactoredRational(LaurentPoly.one(1), [((1.5,), 1)])
+        with pytest.raises(ValueError, match="non-integer denominator exponent"):
+            FactoredRational.sum([FactoredRational(LaurentPoly.one(1), [((1.0,), 1)]),
+                                  FactoredRational(LaurentPoly.one(1), [((2,), 1)])], 1)
+        with pytest.raises(ValueError, match="denominator exponent of wrong length"):
+            FactoredRational(LaurentPoly.one(1), [((1, 2), 1)])
 
     def test_mixed_normalizations_compare_equal(self):
         # q^6/((q^4-1)(q^2-1)) written via negative exponents: -q^-2... the

@@ -3,7 +3,8 @@
 The three routes agree on randomly drawn small modules, and the orbit
 split of the same draws adds up to the character, whose multiplicities are
 constant on each Weyl orbit.  The pole data is Weyl equivariant:
-A(w.nu, k) = w.A(nu, k), on the same draws and on larger modules.  The
+A(w.nu, k) = w.A(nu, k), on the same draws and on larger modules, and
+each dominant term A(mu, k) is fixed by the stabilizer of mu.  The
 rank-1 cyclotomic decomposition of random rational functions reassembles
 its input.
 """
@@ -24,7 +25,7 @@ from symchar.charformula import (
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
 from symchar.polyring import FactoredRational, LaurentPoly
-from symchar.rootsys import from_label
+from symchar.rootsys import from_label, is_dominant
 from symchar.weightsys import dim_irrep, weight_system
 
 ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
@@ -130,6 +131,41 @@ LARGER_MODULES = [("A2", (2, 2)), ("B2", (2, 1)), ("G2", (0, 1)), ("A3", (1, 0, 
                          ids=["%s(%s)" % (label, ",".join(map(str, h))) for label, h in LARGER_MODULES])
 def test_larger_pole_data_is_weyl_equivariant(label, highest):
     _assert_weyl_equivariant(pfd_decompose(weight_system(from_label(label), highest)))
+
+
+def _assert_stabilizer_invariant(closed):
+    """Each dominant term A(mu, k) is fixed by every simple reflection that fixes mu.
+
+    s_i fixes mu when mu_i = 0; on exponents it is the matrix I - a_i e_i^T.
+    The mapped term must equal the term as a value and term for term.
+    """
+    rs = closed.source.root_system
+    for term in closed.terms:
+        if not is_dominant(term.weight):
+            continue
+        for i in range(1, rs.rank + 1):
+            if term.weight[i - 1]:
+                continue
+            alpha = rs.simple_root(i)
+            matrix = [[int(r == c) - (alpha[r] if c == i - 1 else 0) for c in range(rs.rank)]
+                      for r in range(rs.rank)]
+            image = term.coeff.mapped(matrix)
+            assert image == term.coeff
+            assert image.factors == term.coeff.factors
+            assert image.numerator == term.coeff.numerator
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(module=st.sampled_from(MODULES))
+def test_dominant_pole_data_is_stabilizer_invariant(module):
+    label, highest = module
+    _assert_stabilizer_invariant(pfd_decompose(weight_system(from_label(label), highest)))
+
+
+@pytest.mark.parametrize("label,highest", LARGER_MODULES,
+                         ids=["%s(%s)" % (label, ",".join(map(str, h))) for label, h in LARGER_MODULES])
+def test_larger_dominant_pole_data_is_stabilizer_invariant(label, highest):
+    _assert_stabilizer_invariant(pfd_decompose(weight_system(from_label(label), highest)))
 
 
 rank_one_numerators = st.dictionaries(
