@@ -46,24 +46,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharacterPoly:
-    """The character of one symmetric power as a Laurent polynomial."""
+    """A symmetric-power character: a Laurent polynomial with positive integer coefficients."""
 
     rank: int
     terms: LaurentPoly
 
+    def __post_init__(self):
+        terms = self.terms.terms
+        bad = [mu for mu, coeff in terms.items() if coeff.denominator != 1 or coeff <= 0]
+        if bad:
+            raise InconsistencyError("character coefficients must be positive integers, "
+                                     "not %s at %s" % (terms[min(bad)], min(bad)))
+
     def multiplicity(self, mu) -> int:
-        value = self.terms.coefficient(tuple(mu))
-        if value.denominator != 1:
-            raise InconsistencyError(
-                "non-integral multiplicity %s at weight %s" % (value, tuple(mu))
-            )
-        return int(value)
+        return int(self.terms.coefficient(tuple(mu)))
 
     def coefficient_sum(self) -> int:
-        total = self.terms.coefficient_sum()
-        if total.denominator != 1:
-            raise InconsistencyError("non-integral coefficient sum %s" % total)
-        return int(total)
+        return int(self.terms.coefficient_sum())
 
     def support(self) -> list[Weight]:
         return self.terms.support()
@@ -154,14 +153,9 @@ def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
     where = "%s%s, N=%d" % (cc.source.root_system.label, cc.source.highest_weight, n)
     total = FactoredRational.sum([part for _, part in _contributions(cc, n)], cc.rank)
     try:
-        poly = total.as_laurent()
-    except ExactDivisionError as error:
-        raise ExactDivisionError("%s: %s" % (where, error)) from error
-    bad = [mu for mu, coeff in poly.terms.items() if coeff.denominator != 1 or coeff <= 0]
-    if bad:
-        raise InconsistencyError("%s: character coefficients must be positive integers, "
-                                 "not %s at %s" % (where, poly.terms[min(bad)], min(bad)))
-    return CharacterPoly(rank=cc.rank, terms=poly)
+        return CharacterPoly(rank=cc.rank, terms=total.as_laurent())
+    except (ExactDivisionError, InconsistencyError) as error:
+        raise type(error)("%s: %s" % (where, error)) from error
 
 
 def multiplicity_at(cp: CharacterPoly, mu) -> int:

@@ -35,8 +35,11 @@ __all__ = [
 class GradedTruncation:
     """Coefficients of z^0..z^degree_bound of a graded character series."""
 
-    degree_bound: int
     coefficients: tuple[LaurentPoly, ...]
+
+    @property
+    def degree_bound(self) -> int:
+        return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> LaurentPoly:
         return self.coefficients[n]
@@ -60,9 +63,7 @@ def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
                 for exponent, coeff in below.items():
                     key = tuple(map(add, exponent, mu))
                     row[key] = row.get(key, 0) + coeff
-    return GradedTruncation(
-        degree_bound=n_max, coefficients=tuple(LaurentPoly(rank, row) for row in rows)
-    )
+    return GradedTruncation(tuple(LaurentPoly(rank, row) for row in rows))
 
 
 def adams_series(char_v: LaurentPoly, n_max: int) -> GradedTruncation:
@@ -98,9 +99,7 @@ def adams_series(char_v: LaurentPoly, n_max: int) -> GradedTruncation:
             if quotient:
                 h[exponent] = quotient
         hs.append(h)
-    return GradedTruncation(
-        degree_bound=n_max, coefficients=tuple(LaurentPoly(rank, h) for h in hs)
-    )
+    return GradedTruncation(tuple(LaurentPoly(rank, h) for h in hs))
 
 
 def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:

@@ -1,5 +1,7 @@
 """Root systems and Weyl-group combinatorics for the simple complex Lie algebras.
 
+A root system is stored as its type (series, rank); the Cartan matrix, the
+symmetrizer, rho and the positive roots are derived from it once and kept.
 Weights are kept in fundamental-weight coordinates throughout: the tuple
 (c1, ..., cr) stands for c1*w1 + ... + cr*wr.  Simple-root coordinates are
 derived on demand through the inverse Cartan matrix.  The Cartan matrix
@@ -75,50 +77,6 @@ def weyl_group_order(series: str, rank: int) -> int:
     return _SERIES[series][2](rank)
 
 
-def _cartan_data(series: str, rank: int):
-    """Cartan matrix (tuple of rows) and symmetrizer diag(d) with D*C symmetric."""
-    matrix = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        matrix[i][i] = 2
-    ones = [Fraction(1)] * rank
-
-    def chain(nodes):
-        for a, b in zip(nodes, nodes[1:]):
-            matrix[a][b] = -1
-            matrix[b][a] = -1
-
-    if series == "A":
-        chain(range(rank))
-        sym = ones
-    elif series == "B":
-        chain(range(rank))
-        matrix[rank - 1][rank - 2] = -2  # last simple root short
-        sym = ones[:-1] + [Fraction(1, 2)]
-    elif series == "C":
-        chain(range(rank))
-        matrix[rank - 2][rank - 1] = -2  # last simple root long
-        sym = ones[:-1] + [Fraction(2)]
-    elif series == "D":
-        chain(range(rank - 1))
-        matrix[rank - 3][rank - 1] = -1
-        matrix[rank - 1][rank - 3] = -1
-        sym = ones
-    elif series == "E":
-        chain([0] + list(range(2, rank)))
-        matrix[1][3] = -1
-        matrix[3][1] = -1
-        sym = ones
-    elif series == "F":
-        chain(range(4))
-        matrix[2][1] = -2  # third and fourth simple roots short
-        sym = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    else:  # G, the one series left after _check_type
-        matrix[0][1] = -3  # first simple root short
-        matrix[1][0] = -1
-        sym = [Fraction(1), Fraction(3)]
-    return tuple(tuple(row) for row in matrix), tuple(sym)
-
-
 def _invert(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adj, det) with matrix^-1 == adj / det and det > 0, for a nonsingular integer matrix.
 
@@ -146,18 +104,105 @@ def _invert(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable root-system data for one simple type.
+    """The root system of one simple type, stored as its type (series, rank).
 
-    positive_roots are in fundamental-weight coordinates; rho is the
-    half-sum of positive roots, always (1, ..., 1) in this basis.
+    Making one checks the type and runs the root closure; everything else
+    is derived once, when first needed.  Roots are in fundamental-weight
+    coordinates, where rho, the half-sum of the positive roots, is (1, ..., 1).
     """
 
     series: str
     rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
-    positive_roots: tuple[Weight, ...]
-    rho: Weight
+
+    def __post_init__(self):
+        """Check the type, then run the root closure, which checks the root count."""
+        if _check_type(self.series, self.rank) != (self.series, self.rank):
+            raise ValueError("series must be upper case, not %r" % (self.series,))
+        self.positive_roots
+
+    @cached_property
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """C[i][j] = 2(a_i, a_j)/(a_i, a_i) in the Bourbaki numbering, as a tuple of rows."""
+        series, rank = self.series, self.rank
+        matrix = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+
+        def chain(nodes):
+            for a, b in zip(nodes, nodes[1:]):
+                matrix[a][b] = matrix[b][a] = -1
+
+        if series == "A":
+            chain(range(rank))
+        elif series == "B":
+            chain(range(rank))
+            matrix[rank - 1][rank - 2] = -2  # last simple root short
+        elif series == "C":
+            chain(range(rank))
+            matrix[rank - 2][rank - 1] = -2  # last simple root long
+        elif series == "D":
+            chain(range(rank - 1))
+            matrix[rank - 3][rank - 1] = matrix[rank - 1][rank - 3] = -1
+        elif series == "E":
+            chain([0] + list(range(2, rank)))
+            matrix[1][3] = matrix[3][1] = -1
+        elif series == "F":
+            chain(range(4))
+            matrix[2][1] = -2  # third and fourth simple roots short
+        else:  # G, the one series left after _check_type
+            matrix[0][1] = -3  # first simple root short
+            matrix[1][0] = -1
+        return tuple(tuple(row) for row in matrix)
+
+    @cached_property
+    def symmetrizer(self) -> tuple[Fraction, ...]:
+        """diag(d) with D*C symmetric: d_1 = 1 and d_j = d_i*C_ij/C_ji along each Dynkin edge."""
+        matrix = self.cartan_matrix
+        d = [Fraction(1)] + [None] * (self.rank - 1)
+        reached = [0]
+        for i in reached:
+            for j, c in enumerate(matrix[i]):
+                if c and d[j] is None:
+                    d[j] = d[i] * c / matrix[j][i]
+                    reached.append(j)
+        return tuple(d)
+
+    @cached_property
+    def rho(self) -> Weight:
+        return (1,) * self.rank
+
+    @cached_property
+    def positive_roots(self) -> tuple[Weight, ...]:
+        """The positive roots, sorted by height and then lexicographically.
+
+        They are generated by reflection closure from the simple roots,
+        each with its integer height: s_i lowers the height of beta by
+        <beta, a_i^v> = beta[i], and a root is positive exactly when its
+        height is.  The classical count for the type is checked afterwards.
+        """
+        rank, cartan = self.rank, self.cartan_matrix
+        simple_roots = [tuple(cartan[k][j] for k in range(rank)) for j in range(rank)]
+        heights = dict.fromkeys(simple_roots, 1)
+        frontier = list(simple_roots)
+        while frontier:
+            nxt = []
+            for beta in frontier:
+                for i, alpha in enumerate(simple_roots):
+                    coeff = beta[i]
+                    image = tuple(b - coeff * a for b, a in zip(beta, alpha))
+                    if image not in heights:
+                        heights[image] = heights[beta] - coeff
+                        nxt.append(image)
+            frontier = nxt
+
+        positive = [beta for beta, height in heights.items() if height > 0]
+        positive.sort(key=lambda beta: (heights[beta], beta))
+
+        expected = positive_root_count(self.series, rank)
+        if len(positive) != expected or len(heights) != 2 * expected:
+            raise InconsistencyError(
+                "root closure for %s%d gave %d positive of %d roots, expected %d positive"
+                % (self.series, rank, len(positive), len(heights), expected)
+            )
+        return tuple(positive)
 
     @property
     def label(self) -> str:
@@ -195,7 +240,7 @@ class RootSystem:
         """The i-th simple root (1-based) in fundamental-weight coordinates."""
         if not 1 <= i <= self.rank:
             raise IndexError("simple-root index %d out of range 1..%d" % (i, self.rank))
-        return tuple(self.cartan_matrix[k][i - 1] for k in range(self.rank))
+        return tuple(row[i - 1] for row in self.cartan_matrix)
 
     def reflect(self, i: int, mu: Weight) -> Weight:
         """Simple reflection s_i(mu) = mu - <mu, a_i^v> a_i (1-based index)."""
@@ -291,65 +336,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     (series, rank), so ``from_label`` shares it.
     """
     key = _check_type(series, rank)
-    return recall(_ROOT_SYSTEMS, key, lambda: _build(*key))
-
-
-def _build(series: str, rank: int) -> RootSystem:
-    """Construct the root system of a checked simple type.
-
-    Positive roots are generated by reflection closure from the simple
-    roots, each with its integer height: s_i lowers the height of beta by
-    <beta, a_i^v> = beta[i], and a root is positive exactly when its height
-    is.  The classical count for the type is checked afterwards.
-    """
-    cartan, symmetrizer = _cartan_data(series, rank)
-
-    simple_roots = [tuple(cartan[k][j] for k in range(rank)) for j in range(rank)]
-
-    def reflect(i: int, beta: Weight) -> Weight:
-        coeff = beta[i]
-        alpha = simple_roots[i]
-        return tuple(b - coeff * a for b, a in zip(beta, alpha))
-
-    heights = dict.fromkeys(simple_roots, 1)
-    frontier = list(simple_roots)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(rank):
-                image = reflect(i, beta)
-                if image not in heights:
-                    heights[image] = heights[beta] - beta[i]
-                    nxt.append(image)
-        frontier = nxt
-
-    positive = [beta for beta, height in heights.items() if height > 0]
-    positive.sort(key=lambda beta: (heights[beta], beta))
-
-    expected = positive_root_count(series, rank)
-    if len(positive) != expected or len(heights) != 2 * expected:
-        raise InconsistencyError(
-            "root closure for %s%d gave %d positive of %d roots, expected %d positive"
-            % (series, rank, len(positive), len(heights), expected)
-        )
-
-    # D * C must be symmetric for the chosen symmetrizer.
-    for i in range(rank):
-        for j in range(rank):
-            if symmetrizer[i] * cartan[i][j] != symmetrizer[j] * cartan[j][i]:
-                raise InconsistencyError(
-                    "symmetrized Cartan matrix of %s%d not symmetric at (%d, %d)"
-                    % (series, rank, i, j)
-                )
-
-    return RootSystem(
-        series=series,
-        rank=rank,
-        cartan_matrix=cartan,
-        symmetrizer=symmetrizer,
-        positive_roots=tuple(positive),
-        rho=(1,) * rank,
-    )
+    return recall(_ROOT_SYSTEMS, key, lambda: RootSystem(*key))
 
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from symchar.charformula import (
+    CharacterPoly,
     character_at,
     cyclotomic,
     multiplicity_at,
@@ -14,7 +15,7 @@ from symchar.charformula import (
     univariate_pfd,
 )
 from symchar.pfdcore import ClosedCharacter, pfd_decompose
-from symchar.polyring import FactoredRational, LaurentPoly
+from symchar.polyring import FactoredRational, InconsistencyError, LaurentPoly
 from symchar.rootsys import build_root_system
 from symchar.weightsys import dim_irrep, weight_system
 
@@ -141,6 +142,18 @@ class TestMultiplicityAt:
     def test_outside_support(self, sl2_adjoint):
         character = character_at(pfd_decompose(sl2_adjoint), 4)
         assert multiplicity_at(character, (100,)) == 0
+
+
+class TestCharacterPoly:
+    @pytest.mark.parametrize("terms,message", [
+        ({(0,): Fraction(1, 2), (4,): -1}, r"1/2 at \(0,\)"),
+        ({(0,): 1, (4,): -1}, r"-1 at \(4,\)"),
+    ], ids=["half", "negative"])
+    def test_coefficients_are_checked_when_made(self, terms, message):
+        with pytest.raises(InconsistencyError,
+                           match=r"^character coefficients must be positive integers, not "
+                           + message + "$"):
+            CharacterPoly(rank=1, terms=LaurentPoly(1, terms))
 
 
 class TestOrbitSplit:

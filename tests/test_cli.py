@@ -257,7 +257,7 @@ def test_lookup_errors_are_internal(capsys, monkeypatch, error):
 def test_failing_verify_check_is_internal(capsys, monkeypatch):
     # A pipeline/oracle mismatch is a bug, not a user error.
     monkeypatch.setattr(cli, "adams_series", lambda char_v, n_max: GradedTruncation(
-        n_max, tuple(char_v * 0 + 7 for _ in range(n_max + 1))))
+        tuple(char_v * 0 + 7 for _ in range(n_max + 1))))
     code, out, err = run_cli(capsys, "verify", "--case", "A1", "--max-n", "2")
     assert code == 2
     rows = json.loads(out)

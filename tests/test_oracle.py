@@ -198,6 +198,7 @@ def test_oracle_rows_are_pinned(label, highest, n_max, sha):
     adams_rows = ((n, e, c) for n in range(n_max + 1)
                   for e, c in adams_symmetric(char, n).terms.items())
     series = adams_series(char, n_max)
+    assert truncation.degree_bound == series.degree_bound == n_max
     series_rows = ((n, e, c) for n in range(n_max + 1)
                    for e, c in series.coefficient(n).terms.items())
     assert _rows_digest(molien_rows) == sha

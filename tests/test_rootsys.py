@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from symchar import rootsys
+from symchar.polyring import InconsistencyError
 from symchar.rootsys import (
+    RootSystem,
     build_root_system,
     from_label,
     is_dominant,
@@ -52,6 +57,43 @@ def test_construction(series, rank):
     )
 
 
+# Every derived field of 31 types, A1-A8, B2-B8, C3-C8, D4-D8, E6-E8, F4, G2.
+PINNED_TYPES = [
+    *(("A", r) for r in range(1, 9)),
+    *(("B", r) for r in range(2, 9)),
+    *(("C", r) for r in range(3, 9)),
+    *(("D", r) for r in range(4, 9)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+ROOT_SYSTEMS_SHA = "9a1edc668b54f2db891496c191d10c1e5a93114d13754a726c92ae4e32944b6b"
+
+
+def test_root_system_values_are_pinned():
+    lines = []
+    for series, rank in PINNED_TYPES:
+        rs = build_root_system(series, rank)
+        lines.append(repr((rs.series, rs.rank, rs.cartan_matrix, rs.symmetrizer,
+                           rs.positive_roots, rs.rho, rs.integral_form)))
+    assert len(lines) == 31
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ROOT_SYSTEMS_SHA
+
+
+def test_root_system_is_its_type():
+    assert [f.name for f in dataclasses.fields(RootSystem)] == ["series", "rank"]
+    assert RootSystem("G", 2) == build_root_system("G", 2)
+    with pytest.raises(ValueError, match="^series must be upper case, not 'g'$"):
+        RootSystem("g", 2)
+
+
+def test_wrong_root_count_raises_when_built(monkeypatch):
+    valid, _, order = rootsys._SERIES["G"]
+    monkeypatch.setitem(rootsys._SERIES, "G", (valid, lambda r: 7, order))
+    with pytest.raises(InconsistencyError,
+                       match=r"^root closure for G2 gave 6 positive of 12 roots, expected 7"):
+        build_root_system("G", 2)
+    assert rootsys._ROOT_SYSTEMS == {}
+
+
 @pytest.mark.parametrize(
     "series,rank",
     [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)],
@@ -59,6 +101,8 @@ def test_construction(series, rank):
 def test_invalid_types_rejected(series, rank):
     with pytest.raises(ValueError):
         build_root_system(series, rank)
+    with pytest.raises(ValueError):
+        RootSystem(series, rank)
 
 
 def test_a1_data(a1):

@@ -1,0 +1,51 @@
+"""Byte-identity hashes of ``symchar pfd`` on a fixed list of 28 modules.
+
+Runs ``pfd --algebra X --lambda W`` in process through ``cli.main`` for
+each module below and prints, for each one,
+
+    <sha256 of stdout> <algebra> <highest weight>
+
+and then one last line, the sha256 of all the stdouts concatenated in list
+order.  Two source trees give the same ``pfd`` JSON on every module exactly
+when their last lines are equal:
+
+    PYTHONPATH=src python tools/pfd_hashes.py
+
+The list holds the transport-heavy modules that ``tests/test_cli_digest.py``
+leaves out.  C3(1,0,1) alone takes minutes, so the sweep is a tool and not
+a test.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+from cli_digest import run
+
+MODULES = [
+    *(("A2", w) for w in ("1,0", "1,1", "2,1", "2,2", "3,1", "3,3", "4,0")),
+    *(("B2", w) for w in ("1,0", "1,1", "2,0", "2,1", "0,3", "1,3")),
+    *(("G2", w) for w in ("0,1", "2,0", "1,1", "0,2")),
+    *(("A3", w) for w in ("1,0,0", "1,1,0", "1,0,1", "2,0,1")),
+    ("B3", "0,1,0"), ("B3", "1,0,1"),
+    *(("C3", w) for w in ("1,0,0", "0,1,0", "1,0,1")),
+    ("D4", "0,1,0,0"), ("F4", "0,0,0,1"),
+]
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    for algebra, weight in MODULES:
+        code, out, err = run(("pfd", "--algebra", algebra, "--lambda", weight))
+        if code:
+            print("exit %d on %s(%s): %s" % (code, algebra, weight, err.strip()), file=sys.stderr)
+            return code
+        total.update(out.encode())
+        print(hashlib.sha256(out.encode()).hexdigest(), algebra, weight, flush=True)
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
