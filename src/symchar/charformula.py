@@ -52,6 +52,8 @@ class CharacterPoly:
     terms: LaurentPoly
 
     def __post_init__(self):
+        if self.rank != self.terms.rank:
+            raise ValueError("rank-%d character with rank-%d terms" % (self.rank, self.terms.rank))
         terms = self.terms.terms
         bad = [mu for mu, coeff in terms.items() if coeff.denominator != 1 or coeff <= 0]
         if bad:

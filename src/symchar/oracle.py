@@ -132,17 +132,19 @@ def hsym_character(weights: list[Weight], n: int) -> LaurentPoly:
     return FactoredRational.sum(parts, rank).as_laurent()
 
 
+_SAMPLES = 512
+
+
 def quadrature_check(
     table: MultiplicityTable,
     mu: Weight,
     z,
     n_max: int,
-    samples: int = 512,
 ) -> tuple[float, Fraction, float]:
     """Numeric check of the generating function sum_n z^n m_n(mu) at rank 1.
 
     The left side is the circle integral of q^(-mu) times the graded
-    character, integrated by the trapezoid rule on `samples` uniform points
+    character, integrated by the trapezoid rule on _SAMPLES uniform points
     (spectrally accurate for this smooth periodic integrand); the right
     side is the exact series truncated at n_max.  Returns (numeric value,
     exact truncated series, absolute gap).  The gap is dominated by the
@@ -166,11 +168,11 @@ def quadrature_check(
     z_f = float(z)
     target = mu[0]
     total = 0j
-    for t in range(samples):
-        x = 2.0 * math.pi * t / samples
+    for t in range(_SAMPLES):
+        x = 2.0 * math.pi * t / _SAMPLES
         value = 1.0 + 0j
         for exponent, count in weights:
             value *= (1.0 - cmath.exp(1j * exponent * x) * z_f) ** (-count)
         total += cmath.exp(-1j * target * x) * value
-    numeric = (total / samples).real
+    numeric = (total / _SAMPLES).real
     return numeric, series, abs(numeric - float(series))

@@ -2,24 +2,25 @@
 
 For a module with multiplicity table m, the graded character
 prod_nu (1 - q^nu z)^(-m(nu)) decomposes over the z-poles as
-sum_(nu,k) A_(nu,k)(q) (1 - q^nu z)^(-k) with 1 <= k <= m(nu).  The
-coefficient attached to the pole at z = q^(-mu) of order m(mu) - l is
+sum_(nu,k) A_(nu,k)(q) (1 - q^nu z)^(-k) with 1 <= k <= m(nu).  In
+u = 1 - q^mu z each other factor is (1 - q^(nu-mu)) (1 - d_nu u), with
+d_nu = 1/(1 - q^(mu-nu)), so the product is u^(-m(mu)) G(q^(-mu)) times
+prod_(nu != mu) (1 - d_nu u)^(-m(nu)), G(z) being the product over the
+other weights, and A_(mu, m(mu)-l) = g_l is the u^l coefficient of
+G(q^(-mu)) times that product.  Newton's identity on the power sums
+p_k = sum_nu m(nu) d_nu^k gives it, as oracle.adams_series does on the q^nu:
 
-    A_(mu, m(mu)-l) = (-1)^l / (l! q^(l*mu)) * G^(l)(q^(-mu)),
+    g_0 = G(q^(-mu)),    l * g_l = sum_(k=1..l) p_k g_(l-k).
 
-where G(z) is the product over the other weights.  The derivatives are
-evaluated through the logarithmic derivative S = G'/G, whose own
-derivatives at z = q^(-mu) are explicit sums of monomials over binomial
-powers; G^(l+1) then follows from the Leibniz rule.  No polynomial in z is
-ever materialized and every denominator stays a product of binomials.
+No polynomial in z is ever materialized and every denominator stays a
+product of binomials.
 
-Each G^(l) value is summed once over one common denominator and reduced
-once.  Each S^(j) value is summed and reduced once per direction of alpha,
-which gives the same reduced form as one reduction of the whole sum,
-because binomials of different directions are coprime.  The Leibniz
-products and the unit scalings (-1)^l/l! q^(-l*mu) are plain ``*``, which
-never cancels; a reduced value times a unit stays reduced, so every
-A(nu,k) comes out reduced.
+Each g_l is summed once over one common denominator and reduced once.
+Each p_k is summed and reduced once per direction of alpha, which gives the
+same reduced form as one reduction of the whole sum, because binomials of
+different directions are coprime.  The products p_k g_(l-k) and the
+scaling by 1/l are plain ``*``, which never cancels; a reduced value times
+a nonzero scalar stays reduced, so every A(nu,k) comes out reduced.
 
 The recursion runs at the dominant weights of the support only.  The
 product is invariant under the Weyl group acting on exponents (the table
@@ -45,11 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 from ._memo import recall
 from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
-from .rootsys import Weight, is_dominant, weight_diff, weight_scale
+from .rootsys import Weight, is_dominant, weight_diff
 from .weightsys import MultiplicityTable
 
 __all__ = [
@@ -104,23 +105,20 @@ def binomial_poly(k: int, n: int) -> int:
     return comb(n + k - 1, n)
 
 
-def _log_derivative(mu: Weight, others, j: int, rank: int) -> FactoredRational:
-    """S^(j)(q^-mu) = sum_nu m(nu) j! q^((j+1)nu) / (1 - q^(nu-mu))^(j+1), reduced.
+def _power_sum(mu: Weight, others, k: int, rank: int) -> FactoredRational:
+    """p_k = sum_nu m(nu) / (1 - q^(mu-nu))^k, reduced.
 
     The pieces are grouped by the primitive direction of their normalized
     factor (nu and 2mu - nu share one factor, and parallel alphas share a
     direction), and each class is summed and reduced once; a lone piece is
-    a monomial over one binomial power and already reduced.  Binomials of
+    a constant over one binomial power and already reduced.  Binomials of
     different directions are coprime, so a reduction of the whole sum could
     only cancel within one direction, which the class reductions already
     did; the sum of the classes is returned unreduced.
     """
     classes: dict[Weight, list[FactoredRational]] = {}
     for nu, count in others:
-        piece = FactoredRational(
-            LaurentPoly.monomial(weight_scale(j + 1, nu), count * factorial(j)),
-            [(weight_diff(nu, mu), j + 1)],
-        )
+        piece = FactoredRational(LaurentPoly.constant(rank, count), [(weight_diff(mu, nu), k)])
         (alpha,) = piece.factors
         step = gcd(*alpha)
         classes.setdefault(tuple(a // step for a in alpha), []).append(piece)
@@ -178,7 +176,7 @@ def _decompose(table: MultiplicityTable, support: list[Weight]) -> ClosedCharact
 def _dominant_terms(
     table: MultiplicityTable, support: list[Weight], mu: Weight
 ) -> list[tuple[int, FactoredRational]]:
-    """(order, A(mu, order)) for every order of the pole at mu, by the Leibniz recursion.
+    """(order, A(mu, order)) for every order of the pole at mu, by Newton's identity.
 
     An ExactDivisionError or InconsistencyError on the way is raised again
     with the module, mu and the order being computed.
@@ -187,34 +185,26 @@ def _dominant_terms(
     order_max = table.multiplicity(mu)
     others = [(nu, table.multiplicity(nu)) for nu in support if nu != mu]
 
-    # G evaluated at z = q^(-mu): a pure product of binomial inverses.
+    # g_0 = G(q^(-mu)): a pure product of binomial inverses.
     g_values = [
         FactoredRational(
             LaurentPoly.one(rank),
             [(weight_diff(nu, mu), count) for nu, count in others],
         )
     ]
-    s_values: list[FactoredRational] = []
+    p_values: list[FactoredRational] = []
     try:
         for l in range(1, order_max):
-            # G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j)
-            s_values.append(_log_derivative(mu, others, l - 1, rank))
-            products = [
-                g * s * comb(l - 1, j)
-                for j, (g, s) in enumerate(zip(g_values, reversed(s_values)))
-            ]
-            g_values.append(FactoredRational.sum(products, rank).reduced())
+            # l g_l = sum_(k=1..l) p_k g_(l-k)
+            p_values.append(_power_sum(mu, others, l, rank))
+            products = [p * g for p, g in zip(p_values, reversed(g_values))]
+            g_values.append(FactoredRational.sum(products, rank).reduced() * Fraction(1, l))
     except (ExactDivisionError, InconsistencyError) as error:
         raise type(error)("%s%s, pole weight %s, order %d: %s" % (
             table.root_system.label, table.highest_weight, mu, order_max - l, error
         )) from error
 
-    return [
-        (order_max - l, value * LaurentPoly.monomial(
-            weight_scale(-l, mu), Fraction((-1) ** l, factorial(l))
-        ))
-        for l, value in enumerate(g_values)
-    ]
+    return [(order_max - l, value) for l, value in enumerate(g_values)]
 
 
 def sl2_coefficient(m: int, i: int) -> FactoredRational:

@@ -142,7 +142,11 @@ class LaurentPoly:
         return not self.terms
 
     def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
+        exponent = tuple(exponent)
+        if len(exponent) != self.rank:
+            raise ValueError("exponent vector of length %d in a rank-%d polynomial"
+                             % (len(exponent), self.rank))
+        return self.terms.get(exponent, Fraction(0))
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))

@@ -12,6 +12,7 @@ entry of b, so plain enumeration with per-row suffix bounds is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .charformula import character_at, multiplicity_at
 from .pfdcore import pfd_decompose
@@ -74,28 +75,25 @@ def count_solutions(matrix: PartitionMatrix, target) -> int:
     target = tuple(target)
     if len(target) != matrix.rows:
         raise ValueError("target vector has length %d, expected %d" % (len(target), matrix.rows))
+    if not all(isinstance(entry, int) for entry in target):
+        raise ValueError("target entries must be integers, got %r" % (target,))
     budget = target[-1]
     if budget < 0:
         return 0
     goals = target[:-1]
     columns = matrix.weight_columns()
     d = len(columns)
-    n_rows = len(goals)
-
-    suffix_min = [[0] * n_rows for _ in range(d + 1)]
-    suffix_max = [[0] * n_rows for _ in range(d + 1)]
-    for j in range(d - 1, -1, -1):
-        for t in range(n_rows):
-            suffix_min[j][t] = min(columns[j][t], suffix_min[j + 1][t]) if j < d - 1 else columns[j][t]
-            suffix_max[j][t] = max(columns[j][t], suffix_max[j + 1][t]) if j < d - 1 else columns[j][t]
+    # bounds[j]: the minimum and the maximum of each row over columns j..d-1.
+    bounds = list(accumulate(
+        ((column, column) for column in reversed(columns)),
+        lambda seen, new: (tuple(map(min, seen[0], new[0])), tuple(map(max, seen[1], new[1]))),
+    ))[::-1]
 
     def walk(index: int, remaining: int, residual: tuple[int, ...]) -> int:
         if index == d:
             return 1 if remaining == 0 and not any(residual) else 0
-        for t in range(n_rows):
-            low = remaining * suffix_min[index][t]
-            high = remaining * suffix_max[index][t]
-            if not low <= residual[t] <= high:
+        for res, low, high in zip(residual, *bounds[index]):
+            if not remaining * low <= res <= remaining * high:
                 return 0
         column = columns[index]
         total = 0

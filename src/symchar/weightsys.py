@@ -105,6 +105,12 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
     The weight is checked on every call; the table is computed once per
     (root system, highest weight) and then shared.
     """
+    highest = _checked_highest(rs, highest)
+    return recall(_TABLES, (rs, highest), lambda: _freudenthal(rs, highest))
+
+
+def _checked_highest(rs: RootSystem, highest) -> Weight:
+    """highest as a tuple of ints, or ValueError unless it is an integral dominant weight of rs."""
     highest = tuple(highest)
     if len(highest) != rs.rank:
         raise ValueError("highest weight has %d coordinates, expected %d" % (len(highest), rs.rank))
@@ -112,8 +118,7 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
         raise ValueError("highest weight coordinates must be integers")
     if not is_dominant(highest):
         raise ValueError("highest weight %r is not dominant" % (highest,))
-    highest = tuple(map(int, highest))
-    return recall(_TABLES, (rs, highest), lambda: _freudenthal(rs, highest))
+    return tuple(map(int, highest))
 
 
 def _freudenthal(rs: RootSystem, highest: Weight) -> MultiplicityTable:
@@ -169,9 +174,7 @@ def _freudenthal(rs: RootSystem, highest: Weight) -> MultiplicityTable:
 
 def dim_irrep(rs: RootSystem, highest) -> int:
     """Dimension of the irreducible module, by the Weyl dimension formula."""
-    highest = tuple(highest)
-    if len(highest) != rs.rank or not is_dominant(highest):
-        raise ValueError("highest weight %r is not dominant of rank %d" % (highest, rs.rank))
+    highest = _checked_highest(rs, highest)
     shifted = weight_sum(highest, rs.rho)
     value = Fraction(1)
     for alpha in rs.positive_roots:

@@ -133,7 +133,7 @@ def test_criterion_5_multiplicity_extraction(sl2_adjoint):
         character = character_at(pfd_decompose(sl2_adjoint), 4)
         assert multiplicity_at(character, (2,)) == 2
         assert multiplicity_at(character, (0,)) == 3
-        numeric, series, gap = quadrature_check(sl2_adjoint, (2,), Fraction(1, 2), 30, 512)
+        numeric, series, gap = quadrature_check(sl2_adjoint, (2,), Fraction(1, 2), 30)
         assert gap < 1e-6
     _report(5, "multiplicity extraction and quadrature gap < 1e-6", timer, 10.0)
 

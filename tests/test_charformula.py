@@ -143,6 +143,11 @@ class TestMultiplicityAt:
         character = character_at(pfd_decompose(sl2_adjoint), 4)
         assert multiplicity_at(character, (100,)) == 0
 
+    def test_weight_of_the_wrong_length(self, sl3_adjoint):
+        character = character_at(pfd_decompose(sl3_adjoint), 2)
+        with pytest.raises(ValueError, match="exponent vector of length 1 in a rank-2 polynomial"):
+            multiplicity_at(character, (1,))
+
 
 class TestCharacterPoly:
     @pytest.mark.parametrize("terms,message", [
@@ -154,6 +159,10 @@ class TestCharacterPoly:
                            match=r"^character coefficients must be positive integers, not "
                            + message + "$"):
             CharacterPoly(rank=1, terms=LaurentPoly(1, terms))
+
+    def test_rank_must_be_the_rank_of_the_terms(self):
+        with pytest.raises(ValueError, match=r"^rank-3 character with rank-1 terms$"):
+            CharacterPoly(rank=3, terms=LaurentPoly.one(1))
 
 
 class TestOrbitSplit:

@@ -119,7 +119,7 @@ class TestHsymCharacter:
 
 class TestQuadratureCheck:
     def test_gap_small_at_spec_parameters(self, sl2_adjoint):
-        numeric, series, gap = quadrature_check(sl2_adjoint, (2,), Fraction(1, 2), 30, 512)
+        numeric, series, gap = quadrature_check(sl2_adjoint, (2,), Fraction(1, 2), 30)
         assert gap < 1e-6
         # the exact series must agree with the pipeline multiplicities
         closed = pfd_decompose(sl2_adjoint)
@@ -131,21 +131,21 @@ class TestQuadratureCheck:
 
     def test_gap_shrinks_with_truncation_order(self, sl2_adjoint):
         gaps = [
-            quadrature_check(sl2_adjoint, (0,), Fraction(1, 2), n_max, 256)[2]
+            quadrature_check(sl2_adjoint, (0,), Fraction(1, 2), n_max)[2]
             for n_max in (10, 20, 30)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_weight_outside_all_supports(self, sl2_adjoint):
-        numeric, series, gap = quadrature_check(sl2_adjoint, (1,), Fraction(1, 2), 20, 256)
+        numeric, series, gap = quadrature_check(sl2_adjoint, (1,), Fraction(1, 2), 20)
         assert series == 0
         assert abs(numeric) < 1e-9
 
     def test_z_zero(self, sl2_adjoint):
-        numeric, series, gap = quadrature_check(sl2_adjoint, (0,), 0, 10, 128)
+        numeric, series, gap = quadrature_check(sl2_adjoint, (0,), 0, 10)
         assert series == 1
         assert abs(numeric - 1.0) < 1e-12
-        numeric, series, gap = quadrature_check(sl2_adjoint, (1,), 0, 10, 128)
+        numeric, series, gap = quadrature_check(sl2_adjoint, (1,), 0, 10)
         assert series == 0
 
     def test_rank_and_radius_guards(self, sl3_adjoint, sl2_adjoint):

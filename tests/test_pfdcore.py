@@ -1,20 +1,21 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from symchar import cli
 from symchar.oracle import truncated_molien
 from symchar.pfdcore import (
-    _log_derivative,
+    _dominant_terms,
+    _power_sum,
     binomial_poly,
     fundamental_coefficient,
     pfd_decompose,
     sl2_coefficient,
 )
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
-from symchar.rootsys import build_root_system, from_label, weight_diff
+from symchar.rootsys import build_root_system, from_label, is_dominant, weight_diff
 from symchar.weightsys import weight_system
 
 
@@ -207,13 +208,10 @@ class TestClosedForms:
             fundamental_coefficient(2, 3)
 
 
-def _one_sum_log_derivative(mu, others, j, rank):
-    """S^(j)(q^-mu) with every piece summed over one common denominator and reduced once."""
+def _one_sum_power_sum(mu, others, k, rank):
+    """p_k with every piece summed over one common denominator and reduced once."""
     pieces = [
-        FactoredRational(
-            LaurentPoly.monomial(tuple((j + 1) * x for x in nu), count * factorial(j)),
-            [(weight_diff(nu, mu), j + 1)],
-        )
+        FactoredRational(LaurentPoly.constant(rank, count), [(weight_diff(mu, nu), k)])
         for nu, count in others
     ]
     return FactoredRational.sum(pieces, rank).reduced()
@@ -224,17 +222,81 @@ def _one_sum_log_derivative(mu, others, j, rank):
     ("G2", (1, 0)), ("G2", (0, 1)), ("A3", (1, 0, 1)),
 ])
 def test_log_derivative_by_direction_matches_one_sum(label, highest):
-    # Each module has weight strings of length >= 3 through some mu, so some
-    # directions hold several alphas (nu - mu, 2(nu - mu), ...).
+    # The p_k are the Taylor coefficients in u of the logarithmic derivative
+    # of prod_nu (1 - d_nu u)^(-m(nu)).  Each module has weight strings of
+    # length >= 3 through some mu, so some directions hold several alphas
+    # (nu - mu, 2(nu - mu), ...).
     table = weight_system(from_label(label), highest)
     support = table.support()
     for mu in support:
         others = [(nu, table.multiplicity(nu)) for nu in support if nu != mu]
-        for j in range(2):
-            got = _log_derivative(mu, others, j, table.rank)
-            expected = _one_sum_log_derivative(mu, others, j, table.rank)
+        for k in (1, 2):
+            got = _power_sum(mu, others, k, table.rank)
+            expected = _one_sum_power_sum(mu, others, k, table.rank)
             assert got.factors == expected.factors
             assert got.numerator == expected.numerator
+
+
+def _leibniz_terms(table, mu):
+    """(order, A(mu, order)) by the derivative route, as a reference.
+
+    A(mu, m(mu)-l) = (-1)^l / (l! q^(l*mu)) G^(l)(q^(-mu)), where G^(l)
+    follows from the Leibniz rule G^(l) = sum_j C(l-1, j) G^(j) S^(l-1-j)
+    on the logarithmic derivative S = G'/G, whose derivatives
+    S^(j)(q^-mu) = sum_nu m(nu) j! q^((j+1)nu) / (1 - q^(nu-mu))^(j+1)
+    are each summed over one common denominator and reduced once.
+    """
+    rank = table.rank
+    order_max = table.multiplicity(mu)
+    others = [(nu, table.multiplicity(nu)) for nu in table.support() if nu != mu]
+    g_values = [
+        FactoredRational(LaurentPoly.one(rank), [(weight_diff(nu, mu), m) for nu, m in others])
+    ]
+    s_values = []
+    for l in range(1, order_max):
+        j = l - 1
+        pieces = [
+            FactoredRational(
+                LaurentPoly.monomial(tuple((j + 1) * x for x in nu), count * factorial(j)),
+                [(weight_diff(nu, mu), j + 1)],
+            )
+            for nu, count in others
+        ]
+        s_values.append(FactoredRational.sum(pieces, rank).reduced())
+        products = [
+            g * s * comb(j, i) for i, (g, s) in enumerate(zip(g_values, reversed(s_values)))
+        ]
+        g_values.append(FactoredRational.sum(products, rank).reduced())
+    return [
+        (order_max - l, value * LaurentPoly.monomial(
+            tuple(-l * x for x in mu), Fraction((-1) ** l, factorial(l))
+        ))
+        for l, value in enumerate(g_values)
+    ]
+
+
+# Modules with a dominant weight of multiplicity >= 2.
+MULTIPLE_WEIGHTS = [
+    ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (0, 1)), ("C3", (0, 1, 0)), ("A3", (1, 0, 1)),
+    ("A2", (2, 2)), ("B3", (0, 1, 0)), ("F4", (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("label,highest", MULTIPLE_WEIGHTS,
+                         ids=["%s%s" % module for module in MULTIPLE_WEIGHTS])
+def test_newton_terms_match_the_leibniz_route(label, highest):
+    # Each Newton sum is a nonzero scalar times a unit monomial times the
+    # Leibniz sum over the same factor multiset, so reduced() cancels the
+    # same factors and the terms agree in form, not only in value.
+    table = weight_system(from_label(label), highest)
+    support = table.support()
+    for mu in filter(is_dominant, support):
+        got = _dominant_terms(table, support, mu)
+        expected = _leibniz_terms(table, mu)
+        assert [order for order, _ in got] == [order for order, _ in expected]
+        for (_, coeff), (_, reference) in zip(got, expected):
+            assert coeff.factors == reference.factors
+            assert coeff.numerator == reference.numerator
 
 
 # Modules with a non-symmetric weight of multiplicity >= 3: most of their

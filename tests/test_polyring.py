@@ -43,6 +43,12 @@ class TestLaurentPoly:
         assert poly.coefficient((-2,)) == 3
         assert poly.evaluate((Fraction(2),)) == Fraction(3, 4) + 4
 
+    def test_coefficient_rejects_an_exponent_of_the_wrong_length(self):
+        poly = LaurentPoly.monomial((1, 1)) - 1
+        message = r"^exponent vector of length 1 in a rank-2 polynomial$"
+        with pytest.raises(ValueError, match=message):
+            poly.coefficient((1,))
+
     def test_power(self):
         assert (q(1) + q(-1)) ** 2 == q(2) + 2 + q(-2)
         assert (q(1) + 1) ** 0 == LaurentPoly.one(1)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -70,6 +71,11 @@ class TestCountSolutions:
     def test_wrong_target_length(self, adjoint_matrix):
         with pytest.raises(ValueError):
             count_solutions(adjoint_matrix, (0, 0, 0))
+
+    @pytest.mark.parametrize("target", [(1, 1.5), (Fraction(1), 2)], ids=["float", "fraction"])
+    def test_non_integer_target_rejected(self, adjoint_matrix, target):
+        with pytest.raises(ValueError, match="target entries must be integers"):
+            count_solutions(adjoint_matrix, target)
 
     def test_column_order_irrelevant(self, adjoint_matrix):
         permuted = PartitionMatrix(entries=((-2, 2, 0), (1, 1, 1)))

@@ -104,6 +104,13 @@ def test_non_dominant_rejected(a2):
         dim_irrep(a2, (-1, 2))
 
 
+@pytest.mark.parametrize("highest", [(1.5, 0), (1.0, 0)])
+def test_non_integer_highest_weight_rejected(a2, highest):
+    for build in (weight_system, dim_irrep):
+        with pytest.raises(ValueError, match=r"^highest weight coordinates must be integers$"):
+            build(a2, highest)
+
+
 def test_wrong_rank_rejected(a2):
     with pytest.raises(ValueError):
         weight_system(a2, (1,))
