@@ -4,9 +4,10 @@ product, the Newton recursion, the h_n identity and a rank-1 quadrature check.
 Everything here works straight from a multiplicity table or a character
 polynomial and deliberately never touches the pole-decomposition modules,
 so the two routes share no failure modes beyond the base ring.  The
-Molien product and the Newton recursion run on plain {exponent: int} dicts
-and build their LaurentPoly results once, on return.  Floating point
-appears only in the quadrature check; all other arithmetic is exact.
+Molien product and the Newton recursion run on {int: int} dicts keyed by
+exponent vectors packed with this module's own helper, and unpack each row
+once, into the LaurentPoly they return.  Floating point appears only in
+the quadrature check; all other arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import lshift
 
 from .polyring import FactoredRational, InconsistencyError, LaurentPoly
 from .rootsys import Weight, weight_diff, weight_scale
@@ -42,7 +43,33 @@ class GradedTruncation:
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> LaurentPoly:
+        if not isinstance(n, int) or not 0 <= n <= self.degree_bound:
+            raise ValueError("degree %r outside 0..%d" % (n, self.degree_bound))
         return self.coefficients[n]
+
+
+def _packing(rank: int, exponents, n_max: int):
+    """Pack and unpack the sums of at most n_max of the given exponent vectors.
+
+    Coordinate i is a signed digit of radix 2^bits at position i, with
+    2^(bits-1) above the reach: n_max times the largest |coordinate| of the
+    exponents, which bounds every coordinate of such a sum, so keys add.
+    """
+    reach = n_max * max((abs(c) for e in exponents for c in e), default=0)
+    bits = reach.bit_length() + 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    shifts = [bits * i for i in range(rank)]
+    offset = sum(half << s for s in shifts)
+
+    def pack(e: Weight) -> int:
+        return sum(map(lshift, e, shifts))
+
+    def unpack(row: dict[int, int]) -> LaurentPoly:
+        keys = [key + offset for key in row]
+        columns = [[((key >> s) & mask) - half for key in keys] for s in shifts]
+        return LaurentPoly(rank, dict(zip(zip(*columns), row.values())))
+
+    return pack, unpack
 
 
 def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
@@ -51,19 +78,21 @@ def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
     The degree-n coefficient is the character of the n-th symmetric power,
     obtained here purely by truncated geometric-series multiplication: each
     of the m(mu) copies of a factor is one pass h_n += q^mu h_(n-1) in
-    increasing n, on integer coefficient dicts.
+    increasing n, on integer coefficient dicts with packed exponent keys.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("truncation bound must be a non-negative integer")
-    rank = table.rank
-    rows: list[dict[Weight, int]] = [{(0,) * rank: 1}] + [{} for _ in range(n_max)]
-    for mu in table.support():
+    support = table.support()
+    pack, unpack = _packing(table.rank, support, n_max)
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n_max)]
+    for mu in support:
+        step = pack(mu)
         for _ in range(table.multiplicity(mu)):
             for below, row in zip(rows, rows[1:]):
-                for exponent, coeff in below.items():
-                    key = tuple(map(add, exponent, mu))
+                for key, coeff in below.items():
+                    key += step
                     row[key] = row.get(key, 0) + coeff
-    return GradedTruncation(tuple(LaurentPoly(rank, row) for row in rows))
+    return GradedTruncation(tuple(map(unpack, rows)))
 
 
 def adams_series(char_v: LaurentPoly, n_max: int) -> GradedTruncation:
@@ -71,35 +100,34 @@ def adams_series(char_v: LaurentPoly, n_max: int) -> GradedTruncation:
 
     With psi_k the exponent-scaling operation e -> k*e, the characters h_t
     of the symmetric powers satisfy t*h_t = sum_(k=1..t) psi_k(char) h_(t-k).
-    The recursion runs once, on integer coefficient dicts, and each division
-    by t must be exact.
+    The recursion runs once, on integer coefficient dicts with packed
+    exponent keys, and each division by t must be exact.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("symmetric-power degree must be a non-negative integer")
-    rank = char_v.rank
-    hs: list[dict[Weight, int]] = [{(0,) * rank: 1}]
+    pack, unpack = _packing(char_v.rank, char_v.terms, n_max)
+    hs: list[dict[int, int]] = [{0: 1}]
     # h_1 is char_v itself, so a non-integral input fails as its first step would.
     if n_max and any(c.denominator != 1 for c in char_v.terms.values()):
         raise InconsistencyError("non-integral intermediate symmetric-power character")
-    powers = [
-        {weight_scale(k, e): int(c) for e, c in char_v.terms.items()} for k in range(1, n_max + 1)
-    ]
+    char = {pack(e): int(c) for e, c in char_v.terms.items()}
+    powers = [{k * key: c for key, c in char.items()} for k in range(1, n_max + 1)]
     for t in range(1, n_max + 1):
-        acc: dict[Weight, int] = {}
+        acc: dict[int, int] = {}
         for power, lower in zip(powers, reversed(hs)):
             for ea, ca in power.items():
                 for eb, cb in lower.items():
-                    key = tuple(map(add, ea, eb))
+                    key = ea + eb
                     acc[key] = acc.get(key, 0) + ca * cb
         h = {}
-        for exponent, total in acc.items():
+        for key, total in acc.items():
             quotient, remainder = divmod(total, t)
             if remainder:
                 raise InconsistencyError("non-integral intermediate symmetric-power character")
             if quotient:
-                h[exponent] = quotient
+                h[key] = quotient
         hs.append(h)
-    return GradedTruncation(tuple(LaurentPoly(rank, h) for h in hs))
+    return GradedTruncation(tuple(map(unpack, hs)))
 
 
 def adams_symmetric(char_v: LaurentPoly, n: int) -> LaurentPoly:

@@ -149,7 +149,10 @@ class LaurentPoly:
         return self.terms.get(exponent, Fraction(0))
 
     def coefficient_sum(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        """The sum of the coefficients, over the lcm of their denominators."""
+        values = self.terms.values()
+        scale = lcm(*(c.denominator for c in values))
+        return Fraction(sum(c.numerator * (scale // c.denominator) for c in values), scale)
 
     def support(self) -> list[Exponent]:
         return sorted(self.terms)

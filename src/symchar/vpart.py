@@ -113,6 +113,8 @@ def check_partition_equivalence(table: MultiplicityTable, n_max: int) -> dict:
 
     Failures are reported in the returned record, never raised.
     """
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("degree bound must be a non-negative integer, got %r" % (n_max,))
     matrix = build_partition_matrix(table)
     closed = pfd_decompose(table)
     cases = []

@@ -3,8 +3,10 @@ import hashlib
 import inspect
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
+from test_properties import MODULES
 
 from symchar import oracle
 from symchar.charformula import character_at, multiplicity_at
@@ -160,6 +162,15 @@ def test_graded_truncation_guard(sl2_adjoint):
         truncated_molien(sl2_adjoint, -1)
 
 
+@pytest.mark.parametrize("n", [-1, 4, 2.0])
+def test_graded_truncation_rejects_degrees_outside_its_bound(sl2_adjoint, n):
+    truncation = truncated_molien(sl2_adjoint, 3)
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        truncation.coefficient(n)
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        adams_series(sl2_adjoint.character_poly(), 3).coefficient(n)
+
+
 def test_adams_rejects_non_integral_input(a1):
     bad = LaurentPoly(1, {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)})
     with pytest.raises(ArithmeticError):
@@ -206,6 +217,57 @@ def test_oracle_rows_are_pinned(label, highest, n_max, sha):
     assert _rows_digest(series_rows) == sha
 
 
+# The oracles pack exponent vectors into ints with one shared helper, so
+# they could agree on a wrong row.  These are the tuple-key loops they
+# replaced, kept as independent references.
+def _reference_molien(table, n_max):
+    rows = [{(0,) * table.rank: 1}] + [{} for _ in range(n_max)]
+    for mu in table.support():
+        for _ in range(table.multiplicity(mu)):
+            for below, row in zip(rows, rows[1:]):
+                for exponent, coeff in below.items():
+                    key = tuple(map(add, exponent, mu))
+                    row[key] = row.get(key, 0) + coeff
+    return rows
+
+
+def _reference_adams(char_v, n_max):
+    hs = [{(0,) * char_v.rank: 1}]
+    powers = [{tuple(k * c for c in e): int(coeff) for e, coeff in char_v.terms.items()}
+              for k in range(1, n_max + 1)]
+    for t in range(1, n_max + 1):
+        acc = {}
+        for power, lower in zip(powers, reversed(hs)):
+            for ea, ca in power.items():
+                for eb, cb in lower.items():
+                    key = tuple(map(add, ea, eb))
+                    acc[key] = acc.get(key, 0) + ca * cb
+        assert all(total % t == 0 for total in acc.values())
+        hs.append({e: total // t for e, total in acc.items() if total})
+    return hs
+
+
+REFERENCE_CASES = (
+    [(label, highest, 6) for label, highest in MODULES]
+    + [("F4", (0, 0, 0, 1), 3), ("E6", (1, 0, 0, 0, 0, 0), 3), ("A1", (12,), 30), ("A2", (1, 1), 0)]
+)
+
+
+@pytest.mark.parametrize("label,highest,n_max", REFERENCE_CASES,
+                         ids=["%s(%s)N%d" % (c[0], ",".join(map(str, c[1])), c[2])
+                              for c in REFERENCE_CASES])
+def test_packed_oracles_equal_the_tuple_key_references(label, highest, n_max):
+    table = weight_system(from_label(label), highest)
+    char = table.character_poly()
+    molien = truncated_molien(table, n_max)
+    adams = adams_series(char, n_max)
+    expected = _reference_molien(table, n_max)
+    assert _reference_adams(char, n_max) == expected
+    for n, row in enumerate(expected):
+        assert dict(molien.coefficient(n).terms) == row
+        assert dict(adams.coefficient(n).terms) == row
+
+
 def test_molien_equals_adams_on_a2_adjoint_to_degree_ten(sl3_adjoint):
     truncation = truncated_molien(sl3_adjoint, 10)
     char = sl3_adjoint.character_poly()
@@ -230,8 +292,19 @@ def test_oracle_module_is_independent_of_the_pipeline():
             imported.update(alias.name for alias in node.names)
     assert not imported & PIPELINE_MODULES
 
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("truncated_molien", "adams_series", "adams_symmetric"):
-        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
-        used |= {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)}
+    # Follow every module-level function or class that the oracle path
+    # names, transitively, so that a helper cannot bring the pipeline in.
+    definitions = {node.name: node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen = set()
+    pending = ["truncated_molien", "adams_series", "adams_symmetric"]
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        used = {n.id for n in ast.walk(definitions[name]) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(definitions[name]) if isinstance(n, ast.Attribute)}
         assert not used & PIPELINE_NAMES, name
+        pending.extend(used & definitions.keys())
+    assert {"_packing", "GradedTruncation"} <= seen

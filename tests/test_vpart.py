@@ -122,3 +122,9 @@ class TestEquivalence:
     def test_sl3_adjoint(self, sl3_adjoint):
         report = check_partition_equivalence(sl3_adjoint, 2)
         assert report["all_pass"]
+
+    @pytest.mark.parametrize("n_max", [-1, 1.0, "2", None])
+    def test_bound_must_be_a_non_negative_int(self, sl2_adjoint, n_max):
+        # A report over no degrees would pass without checking anything.
+        with pytest.raises(ValueError, match="non-negative integer"):
+            check_partition_equivalence(sl2_adjoint, n_max)
