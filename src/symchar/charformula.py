@@ -28,7 +28,9 @@ from math import prod
 
 from ._memo import recall
 from .pfdcore import ClosedCharacter, binomial_poly
-from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
+from .polyring import (
+    ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
+)
 from .rootsys import RootSystem, Weight, weight_scale
 
 __all__ = [
@@ -126,11 +128,6 @@ class UnivariatePFD:
         }
 
 
-def _check_degree(n) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("symmetric-power degree must be a non-negative integer")
-
-
 def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRational]]:
     """(nu, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term: the degree-n summands."""
     return [
@@ -146,7 +143,7 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
     n is checked on every call; the character is computed once per degree
     and kept on cc, so it lives as long as the pole data and is shared.
     """
-    _check_degree(n)
+    check_count(n, "symmetric-power degree")
     return recall(cc._characters, n, lambda: _assemble(cc, n))
 
 
@@ -173,7 +170,7 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
     weights w.nu.  rs must be the root system of the module's table,
     cc.source.root_system; otherwise ValueError.
     """
-    _check_degree(n)
+    check_count(n, "symmetric-power degree")
     if rs != cc.source.root_system:
         raise ValueError("root system %s is not %s, the root system of the pole data"
                          % (rs.label, cc.source.root_system.label))
@@ -248,8 +245,7 @@ def _phi(d: int) -> LaurentPoly:
 
 def cyclotomic(d: int) -> tuple[int, ...]:
     """Dense integer coefficients of the d-th cyclotomic polynomial (constant first)."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("cyclotomic index must be a positive integer")
+    check_count(d, "cyclotomic index", 1)
     phi = _phi(d)
     return tuple(int(phi.coefficient((i,))) for i in range(max(phi.terms)[0] + 1))
 

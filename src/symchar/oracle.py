@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift
 
-from .polyring import FactoredRational, InconsistencyError, LaurentPoly
+from .polyring import FactoredRational, InconsistencyError, LaurentPoly, check_count
 from .rootsys import Weight, weight_diff, weight_scale
 from .weightsys import MultiplicityTable
 
@@ -80,8 +80,7 @@ def truncated_molien(table: MultiplicityTable, n_max: int) -> GradedTruncation:
     of the m(mu) copies of a factor is one pass h_n += q^mu h_(n-1) in
     increasing n, on integer coefficient dicts with packed exponent keys.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("truncation bound must be a non-negative integer")
+    check_count(n_max, "truncation bound")
     support = table.support()
     pack, unpack = _packing(table.rank, support, n_max)
     rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n_max)]
@@ -103,8 +102,7 @@ def adams_series(char_v: LaurentPoly, n_max: int) -> GradedTruncation:
     The recursion runs once, on integer coefficient dicts with packed
     exponent keys, and each division by t must be exact.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("symmetric-power degree must be a non-negative integer")
+    check_count(n_max, "symmetric-power degree")
     pack, unpack = _packing(char_v.rank, char_v.terms, n_max)
     hs: list[dict[int, int]] = [{0: 1}]
     # h_1 is char_v itself, so a non-integral input fails as its first step would.
@@ -147,8 +145,7 @@ def hsym_character(weights: list[Weight], n: int) -> LaurentPoly:
         raise ValueError("weights must be pairwise distinct (multiplicity-free module)")
     if not weights:
         raise ValueError("empty weight list")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("symmetric-power degree must be a non-negative integer")
+    check_count(n, "symmetric-power degree")
     rank = len(weights[0])
     parts = [
         FactoredRational(

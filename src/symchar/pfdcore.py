@@ -34,12 +34,13 @@ w.nu on every module checked, but reduced() is not canonical, so that is an
 observation which the pinned outputs guard, not a theorem.  A failure in
 the recursion names the module, the pole weight and the order.
 
-pfd_decompose checks its table's values on every call (its Weyl invariance
-was checked when it was built), then computes the pole data once per table
-content (root-system label, highest weight, sorted entries) and hands the
-same ClosedCharacter to every later caller; the oldest goes when the memo
-is full (see _memo).  Each ClosedCharacter also keeps the characters that
-charformula.character_at has computed from it, by degree.
+A table checks its entries and their Weyl invariance when it is built, so
+pfd_decompose checks only that the highest weight is dominant, then
+computes the pole data once per table content (root-system label, highest
+weight, sorted entries) and hands the same ClosedCharacter to every later
+caller; the oldest goes when the memo is full (see _memo).  Each
+ClosedCharacter also keeps the characters that charformula.character_at
+has computed from it, by degree.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from fractions import Fraction
 from math import comb, gcd
 
 from ._memo import recall
-from .polyring import ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly
+from .polyring import (
+    ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
+)
 from .rootsys import Weight, is_dominant, weight_diff
 from .weightsys import MultiplicityTable
 
@@ -98,10 +101,8 @@ class ClosedCharacter:
 
 def binomial_poly(k: int, n: int) -> int:
     """Value of the degree-(k-1) coefficient polynomial: C(n + k - 1, n)."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("order k must be a positive integer")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    check_count(k, "order k", 1)
+    check_count(n, "n")
     return comb(n + k - 1, n)
 
 
@@ -136,31 +137,24 @@ _POLE_DATA: dict[tuple, ClosedCharacter] = {}
 def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
     """All pole coefficients of the graded character of the given module.
 
-    The table is checked on every call; the pole data is computed once per
-    table content and then shared, with the characters kept on it.
+    The table checked its entries when it was built; the highest weight is
+    checked to be dominant on every call.  The pole data is computed once
+    per table content and then shared, with the characters kept on it.
     """
-    support = table.support()
-    if not support:
-        raise ValueError("empty multiplicity table")
-    content = tuple((mu, table.entries[mu]) for mu in support)
-    integral = all(isinstance(c, int) for mu in (table.highest_weight, *support) for c in mu)
-    positive = all(isinstance(m, int) and m >= 1 for _, m in content)
-    if not (integral and positive and is_dominant(table.highest_weight)):
-        raise ValueError(
-            "multiplicity table needs integer weights, positive multiplicities "
-            "and a dominant highest weight"
-        )
-    key = (table.root_system.label, table.highest_weight, content)
-    return recall(_POLE_DATA, key, lambda: _decompose(table, support))
+    if not is_dominant(table.highest_weight):
+        raise ValueError("multiplicity table: highest weight %s is not dominant"
+                         % (table.highest_weight,))
+    key = (table.root_system.label, table.highest_weight, tuple(sorted(table.entries.items())))
+    return recall(_POLE_DATA, key, lambda: _decompose(table))
 
 
-def _decompose(table: MultiplicityTable, support: list[Weight]) -> ClosedCharacter:
+def _decompose(table: MultiplicityTable) -> ClosedCharacter:
     """The pole data of a checked table, its terms sorted by (weight, order).
 
     The terms are computed at the dominant weights and transported to the
     rest of each orbit.
     """
-    rs = table.root_system
+    rs, support = table.root_system, table.support()
     terms: list[PFDTerm] = []
     for mu in filter(is_dominant, support):
         orbit = list(rs.orbit_walk(mu))
@@ -182,8 +176,8 @@ def _dominant_terms(
     with the module, mu and the order being computed.
     """
     rank = table.rank
-    order_max = table.multiplicity(mu)
-    others = [(nu, table.multiplicity(nu)) for nu in support if nu != mu]
+    order_max = table.entries[mu]
+    others = [(nu, table.entries[nu]) for nu in support if nu != mu]
 
     # g_0 = G(q^(-mu)): a pure product of binomial inverses.
     g_values = [
@@ -213,8 +207,7 @@ def sl2_coefficient(m: int, i: int) -> FactoredRational:
     The coefficient attached to the weight m - 2i is
     (-1)^i q^((m-i)(m-i+1)) / prod_(j != i) (q^(2|i-j|) - 1).
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a non-negative integer")
+    check_count(m, "m")
     if not isinstance(i, int) or not 0 <= i <= m:
         raise ValueError("index i=%r out of range 0..%d" % (i, m))
     # (q^(2a) - 1) = -(1 - q^(2a)); one sign flip per factor.
@@ -232,8 +225,7 @@ def fundamental_coefficient(rank: int, i: int) -> FactoredRational:
     (1 - q^(e_(j+1) + e_i - e_j - e_(i+1)))^(-1), where e_k is the exponent
     vector of the k-th variable (zero for k = 0 and k = r + 1).
     """
-    if not isinstance(rank, int) or rank < 1:
-        raise ValueError("rank must be a positive integer")
+    check_count(rank, "rank", 1)
     if not isinstance(i, int) or not 0 <= i <= rank:
         raise ValueError("index i=%r out of range 0..%d" % (i, rank))
 

@@ -73,6 +73,24 @@ def _exact(value) -> Fraction:
     raise TypeError("exact coefficient expected, got %s" % type(value).__name__)
 
 
+def check_count(value, what: str, least: int = 0) -> None:
+    """ValueError unless value is an int of at least ``least`` (0 or 1)."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError("%s must be a %s integer, got %r"
+                         % (what, "positive" if least else "non-negative", value))
+
+
+def _exponent(exponent: Iterable[int], rank: int) -> Exponent:
+    """exponent as a tuple, or ValueError unless it is a vector of rank ints."""
+    exponent = tuple(exponent)
+    if len(exponent) != rank:
+        raise ValueError("exponent vector of length %d in a rank-%d polynomial"
+                         % (len(exponent), rank))
+    if not all(map(isinstance, exponent, repeat(int))):
+        raise ValueError("non-integer exponent %r" % (exponent,))
+    return exponent
+
+
 def _grlex(exponent: Exponent):
     return (sum(exponent), exponent)
 
@@ -89,22 +107,13 @@ class LaurentPoly:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms: Mapping[Exponent, Fraction | int] | None = None):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError("rank must be a positive integer")
+        check_count(rank, "rank", 1)
         clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exponent, value in terms.items():
-                exponent = tuple(exponent)
-                if len(exponent) != rank:
-                    raise ValueError(
-                        "exponent vector of length %d in a rank-%d polynomial"
-                        % (len(exponent), rank)
-                    )
-                if not all(map(isinstance, exponent, repeat(int))):
-                    raise ValueError("non-integer exponent %r" % (exponent,))
-                coeff = _exact(value)
-                if coeff:
-                    clean[exponent] = coeff
+        for exponent, value in (terms or {}).items():
+            exponent = _exponent(exponent, rank)
+            coeff = _exact(value)
+            if coeff:
+                clean[exponent] = coeff
         self.rank = rank
         self.terms = MappingProxyType(clean)
 
@@ -142,11 +151,7 @@ class LaurentPoly:
         return not self.terms
 
     def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        exponent = tuple(exponent)
-        if len(exponent) != self.rank:
-            raise ValueError("exponent vector of length %d in a rank-%d polynomial"
-                             % (len(exponent), self.rank))
-        return self.terms.get(exponent, Fraction(0))
+        return self.terms.get(_exponent(exponent, self.rank), Fraction(0))
 
     def coefficient_sum(self) -> Fraction:
         """The sum of the coefficients, over the lcm of their denominators."""
@@ -226,8 +231,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "LaurentPoly":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        check_count(power, "exponent")
         base = self
         result = LaurentPoly.one(self.rank)
         while power:
@@ -619,17 +623,15 @@ class FactoredRational:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "FactoredRational | None":
-        if isinstance(other, FactoredRational):
-            if other.rank != self.rank:
-                raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-            return other
-        if isinstance(other, LaurentPoly):
-            if other.rank != self.rank:
-                raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-            return FactoredRational(other)
         if isinstance(other, (int, Fraction)):
             return FactoredRational(LaurentPoly.constant(self.rank, other))
-        return None
+        if isinstance(other, LaurentPoly):
+            other = FactoredRational(other)
+        if not isinstance(other, FactoredRational):
+            return None
+        if other.rank != self.rank:
+            raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
+        return other
 
     def __add__(self, other) -> "FactoredRational":
         coerced = self._coerce(other)

@@ -16,6 +16,7 @@ from itertools import accumulate
 
 from .charformula import character_at, multiplicity_at
 from .pfdcore import pfd_decompose
+from .polyring import check_count
 from .weightsys import MultiplicityTable
 
 __all__ = [
@@ -57,10 +58,7 @@ class PartitionMatrix:
 
 def build_partition_matrix(table: MultiplicityTable) -> PartitionMatrix:
     """Assemble the weight matrix of the module, columns sorted for determinism."""
-    columns: list[tuple[int, ...]] = []
-    for mu in table.support():
-        columns.extend([mu] * table.multiplicity(mu))
-    columns.sort(reverse=True)
+    columns = sorted((mu for mu, m in table.entries.items() for _ in range(m)), reverse=True)
     rows = [tuple(col[i] for col in columns) for i in range(table.rank)] + [(1,) * len(columns)]
     return PartitionMatrix(entries=tuple(rows))
 
@@ -113,8 +111,7 @@ def check_partition_equivalence(table: MultiplicityTable, n_max: int) -> dict:
 
     Failures are reported in the returned record, never raised.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("degree bound must be a non-negative integer, got %r" % (n_max,))
+    check_count(n_max, "degree bound")
     matrix = build_partition_matrix(table)
     closed = pfd_decompose(table)
     cases = []

@@ -4,8 +4,8 @@ Multiplicities come from the Freudenthal recursion, run on the root
 system's integral form (the Gram matrix as integers over one scale), so
 every multiplicity is one exact integer division; dimensions come from the
 Weyl dimension formula, in exact rationals, and the two are cross-checked
-on every construction.  Each table carries its root system, whose simple
-reflections are checked to keep the multiplicities when the table is built.
+on every construction.  Each table carries its root system; building a
+table checks its entries and that the simple reflections keep them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._memo import recall
-from .polyring import InconsistencyError, LaurentPoly
+from .polyring import InconsistencyError, LaurentPoly, check_count
 from .rootsys import RootSystem, Weight, is_dominant, weight_diff, weight_sum
 
 __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
@@ -28,10 +28,12 @@ __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 class MultiplicityTable:
     """Finite map weight -> multiplicity for one module of a root system.
 
-    Construction checks that every weight has the root system's rank and
-    that each simple reflection keeps the multiplicities (ValueError
-    otherwise), and keeps the entries as a read-only copy, so the check
-    holds for the table's lifetime and tables can be shared.
+    Construction checks that there are entries, that every weight (the
+    highest too) is an integer vector of the root system's rank, that every
+    multiplicity is a positive integer and that each simple reflection keeps
+    the multiplicities, and a lookup checks its weight (ValueError
+    otherwise).  The entries are kept as a read-only copy, so the checks
+    hold for the table's lifetime and tables can be shared.
     """
 
     highest_weight: Weight
@@ -40,9 +42,12 @@ class MultiplicityTable:
 
     def __post_init__(self):
         rs, entries = self.root_system, dict(self.entries)
-        for mu in (self.highest_weight, *entries):
-            if len(mu) != rs.rank:
-                raise ValueError("weight %s does not have the rank of %s" % (mu, rs.label))
+        if not entries:
+            raise ValueError("empty multiplicity table")
+        _checked_weight(rs, self.highest_weight)
+        for mu, count in entries.items():
+            _checked_weight(rs, mu)
+            check_count(count, "multiplicity table entry %s" % (mu,), 1)
         for mu, i in product(entries, range(1, rs.rank + 1)):
             if entries.get(rs.reflect(i, mu)) != entries[mu]:
                 raise ValueError("%s: multiplicity of %s differs from its reflection %d"
@@ -57,7 +62,7 @@ class MultiplicityTable:
         return sum(self.entries.values())
 
     def multiplicity(self, mu) -> int:
-        return self.entries.get(tuple(mu), 0)
+        return self.entries.get(_checked_weight(self.root_system, mu), 0)
 
     def support(self) -> list[Weight]:
         return sorted(self.entries)
@@ -68,6 +73,16 @@ class MultiplicityTable:
 
     def to_json(self) -> list[dict]:
         return [{"weight": list(mu), "mult": self.entries[mu]} for mu in self.support()]
+
+
+def _checked_weight(rs: RootSystem, mu) -> Weight:
+    """mu as a tuple, or ValueError unless it is an integer vector of rs's rank."""
+    mu = tuple(mu)
+    if len(mu) != rs.rank:
+        raise ValueError("weight %s does not have the rank of %s" % (mu, rs.label))
+    if not all(isinstance(c, int) for c in mu):
+        raise ValueError("multiplicity table: non-integer weight %r" % (mu,))
+    return mu
 
 
 def _support_closure(rs: RootSystem, highest: Weight) -> set[Weight]:

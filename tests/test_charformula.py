@@ -148,6 +148,13 @@ class TestMultiplicityAt:
         with pytest.raises(ValueError, match="exponent vector of length 1 in a rank-2 polynomial"):
             multiplicity_at(character, (1,))
 
+    @pytest.mark.parametrize("mu", [(1.5, 0), (0.0, 0.0)])
+    def test_non_integer_weight(self, sl3_adjoint, mu):
+        # (0.0, 0.0) hashes and compares like (0, 0), so a plain lookup finds 6.
+        character = character_at(pfd_decompose(sl3_adjoint), 2)
+        with pytest.raises(ValueError, match=r"^non-integer exponent \(%s, %s\)$" % mu):
+            multiplicity_at(character, mu)
+
 
 class TestCharacterPoly:
     @pytest.mark.parametrize("terms,message", [

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from symchar import polyring
+from symchar import (
+    adams_series, binomial_poly, character_at, check_partition_equivalence, cyclotomic,
+    fundamental_coefficient, hsym_character, orbit_split, pfd_decompose, polyring, sl2_coefficient,
+    truncated_molien,
+)
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 
 
@@ -800,3 +804,31 @@ class TestMapped:
             f.mapped(((1, 0),))
         with pytest.raises(ValueError, match="singular"):
             f.mapped(((1, 1), (1, 1)))
+
+
+# Every count argument goes through polyring.check_count: (call on a table, least value).
+COUNT_ARGUMENTS = {
+    "LaurentPoly rank": (lambda t, x: LaurentPoly(x), 1),
+    "LaurentPoly power": (lambda t, x: q(1) ** x, 0),
+    "binomial_poly k": (lambda t, x: binomial_poly(x, 2), 1),
+    "binomial_poly n": (lambda t, x: binomial_poly(2, x), 0),
+    "sl2_coefficient": (lambda t, x: sl2_coefficient(x, 0), 0),
+    "fundamental_coefficient": (lambda t, x: fundamental_coefficient(x, 0), 1),
+    "character_at": (lambda t, x: character_at(pfd_decompose(t), x), 0),
+    "orbit_split": (lambda t, x: orbit_split(pfd_decompose(t), t.root_system, x), 0),
+    "cyclotomic": (lambda t, x: cyclotomic(x), 1),
+    "truncated_molien": (lambda t, x: truncated_molien(t, x), 0),
+    "adams_series": (lambda t, x: adams_series(t.character_poly(), x), 0),
+    "hsym_character": (lambda t, x: hsym_character(t.support(), x), 0),
+    "check_partition_equivalence": (lambda t, x: check_partition_equivalence(t, x), 0),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 1.5])
+@pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+def test_count_arguments_are_checked(sl2_adjoint, name, value):
+    call, least = COUNT_ARGUMENTS[name]
+    call(sl2_adjoint, least)
+    kind = "positive" if least else "non-negative"
+    with pytest.raises(ValueError, match=r" must be a %s integer, got %r$" % (kind, value)):
+        call(sl2_adjoint, value)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -116,8 +120,11 @@ def test_wrong_rank_rejected(a2):
         weight_system(a2, (1,))
 
 
+ENTRY = r"^multiplicity table entry \(0, 0\) must be a positive integer, got "
+
+
 class TestConstruction:
-    """A table checks its weights against its root system once, when it is built."""
+    """A table checks its entries once, when it is built, and each lookup's weight."""
 
     def test_weight_of_the_wrong_length(self, a2):
         entries = dict(weight_system(a2, (1, 0)).entries)
@@ -125,6 +132,33 @@ class TestConstruction:
             MultiplicityTable((1, 0), {**entries, (0, -1, 0): 1}, a2)
         with pytest.raises(ValueError, match=r"\(1,\) does not have the rank of A2"):
             MultiplicityTable((1,), entries, a2)
+
+    @pytest.mark.parametrize("highest,changes,message", [
+        ((1, 1), {(0.0, 0): 2}, r"^multiplicity table: non-integer weight \(0\.0, 0\)$"),
+        ((1.0, 1), {}, r"^multiplicity table: non-integer weight \(1\.0, 1\)$"),
+        ((1, 1), {(0, 0): 2.0}, ENTRY + r"2\.0$"),
+        ((1, 1), {(0, 0): 0}, ENTRY + r"0$"),
+        ((1, 1), {(0, 0): -2}, ENTRY + r"-2$"),
+        ((1, 1), None, r"^empty multiplicity table$"),
+    ], ids=["float coordinate", "float highest weight", "float multiplicity", "zero multiplicity",
+            "negative multiplicity", "no entries"])
+    def test_malformed_entries(self, a2, highest, changes, message):
+        entries = dict(weight_system(a2, (1, 1)).entries) if changes is not None else {}
+        for mu, count in (changes or {}).items():
+            del entries[mu]  # an equal key with int coordinates goes too
+            entries[mu] = count
+        with pytest.raises(ValueError, match=message):
+            MultiplicityTable(highest, entries, a2)
+
+    @pytest.mark.parametrize("mu", [(1.5, 0), (0.0, 0.0)])
+    def test_lookup_by_a_non_integer_weight(self, sl3_adjoint, mu):
+        # (0.0, 0.0) hashes and compares like (0, 0), so a plain lookup finds 2.
+        with pytest.raises(ValueError, match=r"^multiplicity table: non-integer weight"):
+            sl3_adjoint.multiplicity(mu)
+
+    def test_lookup_by_a_weight_of_the_wrong_length(self, sl3_adjoint):
+        with pytest.raises(ValueError, match=r"^weight \(0,\) does not have the rank of A2$"):
+            sl3_adjoint.multiplicity((0,))
 
     def test_entries_a_reflection_moves(self, a2, b2):
         entries = dict(weight_system(a2, (1, 1)).entries)
@@ -151,6 +185,31 @@ class TestConstruction:
                             lambda rs, highest: real(rs, highest) - {(-1, -1)})
         with pytest.raises(InconsistencyError, match="^Freudenthal table: A2: multiplicity of"):
             weight_system(a2, (1, 1))
+
+
+def test_checks_run_under_optimization():
+    # The checks are raises, not asserts, so python -O keeps them.
+    script = "\n".join([
+        "from symchar import MultiplicityTable, character_at, from_label, pfd_decompose",
+        "a1 = from_label('A1')",
+        "for build in (lambda: MultiplicityTable((2,), {(2,): 1, (0,): 0, (-2,): 1}, a1),",
+        "              lambda: character_at(pfd_decompose(MultiplicityTable(",
+        "                  (1,), {(1,): 1, (-1,): 1}, a1)), -1)):",
+        "    try:",
+        "        build()",
+        "    except ValueError as error:",
+        "        print(error)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(weightsys.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout.splitlines()) == (0, [
+        "multiplicity table entry (0,) must be a positive integer, got 0",
+        "symmetric-power degree must be a non-negative integer, got -1",
+    ])
 
 
 def test_character_poly(sl2_adjoint):
