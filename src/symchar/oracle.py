@@ -43,8 +43,7 @@ class GradedTruncation:
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> LaurentPoly:
-        if not isinstance(n, int) or not 0 <= n <= self.degree_bound:
-            raise ValueError("degree %r outside 0..%d" % (n, self.degree_bound))
+        check_count(n, "degree", 0, self.degree_bound)
         return self.coefficients[n]
 
 

@@ -208,8 +208,7 @@ def sl2_coefficient(m: int, i: int) -> FactoredRational:
     (-1)^i q^((m-i)(m-i+1)) / prod_(j != i) (q^(2|i-j|) - 1).
     """
     check_count(m, "m")
-    if not isinstance(i, int) or not 0 <= i <= m:
-        raise ValueError("index i=%r out of range 0..%d" % (i, m))
+    check_count(i, "index", 0, m)
     # (q^(2a) - 1) = -(1 - q^(2a)); one sign flip per factor.
     sign = (-1) ** (i + m)
     numerator = LaurentPoly.monomial(((m - i) * (m - i + 1),), sign)
@@ -226,8 +225,7 @@ def fundamental_coefficient(rank: int, i: int) -> FactoredRational:
     vector of the k-th variable (zero for k = 0 and k = r + 1).
     """
     check_count(rank, "rank", 1)
-    if not isinstance(i, int) or not 0 <= i <= rank:
-        raise ValueError("index i=%r out of range 0..%d" % (i, rank))
+    check_count(i, "index", 0, rank)
 
     def unit(k: int) -> Weight:
         if k == 0 or k == rank + 1:

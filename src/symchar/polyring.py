@@ -3,8 +3,11 @@
 :class:`LaurentPoly` has :class:`fractions.Fraction` coefficients; exponent
 vectors are integer tuples of fixed length (the rank, i.e. the number of
 variables q1..qr).  It is the exchange type at the boundary: JSON and text
-output, evaluation and the oracles; its :meth:`~LaurentPoly.exact_div` is a
-front for :meth:`FactoredRational.as_laurent`.
+output, evaluation and the oracles.  Its ring operations and
+:meth:`~LaurentPoly.exact_div` are fronts for the integer core below: ``+``
+and ``-`` run :meth:`FactoredRational.sum`, ``*`` the integer product and
+exact_div :meth:`FactoredRational.as_laurent`, so the library has one sum,
+one product and one division.
 
 :class:`FactoredRational` keeps its denominator as a multiset of binomial
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
@@ -73,11 +76,14 @@ def _exact(value) -> Fraction:
     raise TypeError("exact coefficient expected, got %s" % type(value).__name__)
 
 
-def check_count(value, what: str, least: int = 0) -> None:
-    """ValueError unless value is an int of at least ``least`` (0 or 1)."""
-    if not isinstance(value, int) or value < least:
+def check_count(value, what: str, least: int = 0, most: int | None = None) -> None:
+    """ValueError unless value is an int, not a bool, in least..most (no upper bound if None)."""
+    if type(value) is int and value >= least and (most is None or value <= most):
+        return
+    if most is None:
         raise ValueError("%s must be a %s integer, got %r"
                          % (what, "positive" if least else "non-negative", value))
+    raise ValueError("%s %r outside %d..%d" % (what, value, least, most))
 
 
 def _exponent(exponent: Iterable[int], rank: int) -> Exponent:
@@ -185,14 +191,7 @@ class LaurentPoly:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for exponent, coeff in coerced.terms.items():
-            total = merged.get(exponent, Fraction(0)) + coeff
-            if total:
-                merged[exponent] = total
-            else:
-                merged.pop(exponent, None)
-        return LaurentPoly._raw(self.rank, merged)
+        return (FactoredRational(self) + coerced).numerator
 
     __radd__ = __add__
 
@@ -209,24 +208,10 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            scalar = _exact(other)
-            if not scalar:
-                return LaurentPoly.zero(self.rank)
-            return LaurentPoly._raw(self.rank, {e: c * scalar for e, c in self.terms.items()})
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        product: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in coerced.terms.items():
-                key = tuple(map(add, ea, eb))
-                total = product.get(key, 0) + ca * cb
-                if total:
-                    product[key] = total
-                else:
-                    del product[key]
-        return LaurentPoly._raw(self.rank, product)
+        return (FactoredRational(self) * coerced).numerator
 
     __rmul__ = __mul__
 
@@ -282,11 +267,10 @@ class LaurentPoly:
     def to_json(self) -> list[dict]:
         return [{"exp": list(e), "coef": str(self.terms[e])} for e in sorted(self.terms)]
 
-    def render(self, names: tuple[str, ...] | None = None) -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
-        if names is None:
-            names = ("q",) if self.rank == 1 else tuple("q%d" % (i + 1) for i in range(self.rank))
+        names = ("q",) if self.rank == 1 else tuple("q%d" % (i + 1) for i in range(self.rank))
         pieces = []
         for exponent in sorted(self.terms, key=_grlex, reverse=True):
             coeff = self.terms[exponent]
@@ -726,17 +710,15 @@ class FactoredRational:
     # -- evaluation and comparison ------------------------------------------
 
     def evaluate(self, point: Iterable) -> Fraction:
-        values = tuple(_exact(v) for v in point)
-        denom = Fraction(1)
+        """The value at point; the numerator first, so the point is checked before any factor."""
+        point = tuple(point)
+        value = self.numerator.evaluate(point)
         for alpha, power in self.factors.items():
-            base = Fraction(1)
-            for value, e in zip(values, alpha):
-                base *= value ** e
-            factor = 1 - base
+            factor = 1 - LaurentPoly.monomial(alpha).evaluate(point)
             if factor == 0:
                 raise PoleError("denominator factor vanishes at evaluation point")
-            denom *= factor ** power
-        return self.numerator.evaluate(values) / denom
+            value /= factor ** power
+        return value
 
     def __eq__(self, other) -> bool:
         coerced = self._coerce(other)

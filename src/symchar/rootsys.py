@@ -257,7 +257,7 @@ class RootSystem:
         reflections s_i(e) = e - e_i a_i met along a breadth-first walk
         from mu.  s_i M is M less a_i times the i-th row of M.
         """
-        mu = tuple(mu)
+        mu = checked_weight(self, mu)
         identity = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
         seen = {mu}
         frontier = [(mu, identity)]
@@ -282,7 +282,7 @@ class RootSystem:
 
     def dominant_representative(self, mu: Weight) -> Weight:
         """The unique dominant weight in the Weyl orbit of mu."""
-        current = tuple(mu)
+        current = checked_weight(self, mu)
         while True:
             for i, c in enumerate(current, start=1):
                 if c < 0:
@@ -294,6 +294,7 @@ class RootSystem:
     def inner(self, mu, nu) -> Fraction:
         """Weyl-invariant symmetric form on the weight space, exact."""
         gram, _, scale = self.integral_form
+        mu, nu = checked_weight(self, mu), checked_weight(self, nu)
         total = 0
         for i, a in enumerate(mu):
             if a:
@@ -304,12 +305,23 @@ class RootSystem:
     def root_coordinates(self, mu) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (exact rationals)."""
         adj, det = self._cartan_inverse
+        mu = checked_weight(self, mu)
         return tuple(Fraction(sum(a * m for a, m in zip(row, mu)), det) for row in adj)
 
     def height(self, mu) -> Fraction:
         """Sum of the simple-root coordinates of mu."""
         _, heights, scale = self.integral_form
-        return Fraction(sum(h * m for h, m in zip(heights, mu)), scale)
+        return Fraction(sum(h * m for h, m in zip(heights, checked_weight(self, mu))), scale)
+
+
+def checked_weight(rs: RootSystem, mu) -> Weight:
+    """mu as a tuple, or ValueError unless it has rs.rank int (not bool) coordinates."""
+    mu = tuple(mu)
+    if len(mu) != rs.rank:
+        raise ValueError("weight %s does not have the rank of %s" % (mu, rs.label))
+    if not all(type(c) is int for c in mu):
+        raise ValueError("non-integer weight %r" % (mu,))
+    return mu
 
 
 def _check_type(series: str, rank: int) -> tuple[str, int]:
@@ -317,7 +329,7 @@ def _check_type(series: str, rank: int) -> tuple[str, int]:
     if not isinstance(series, str) or series.upper() not in _SERIES:
         raise ValueError("unknown series %r; expected one of A..G" % (series,))
     series = series.upper()
-    if not isinstance(rank, int) or not _SERIES[series][0](rank):
+    if type(rank) is not int or not _SERIES[series][0](rank):
         raise ValueError(
             "invalid rank %r for series %s (A: r>=1, B: r>=2, C: r>=3, D: r>=4, "
             "E: 6..8, F: 4, G: 2)" % (rank, series)

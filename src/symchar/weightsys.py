@@ -19,7 +19,7 @@ from typing import Mapping
 
 from ._memo import recall
 from .polyring import InconsistencyError, LaurentPoly, check_count
-from .rootsys import RootSystem, Weight, is_dominant, weight_diff, weight_sum
+from .rootsys import RootSystem, Weight, checked_weight, is_dominant, weight_diff, weight_sum
 
 __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 
@@ -44,9 +44,9 @@ class MultiplicityTable:
         rs, entries = self.root_system, dict(self.entries)
         if not entries:
             raise ValueError("empty multiplicity table")
-        _checked_weight(rs, self.highest_weight)
+        checked_weight(rs, self.highest_weight)
         for mu, count in entries.items():
-            _checked_weight(rs, mu)
+            checked_weight(rs, mu)
             check_count(count, "multiplicity table entry %s" % (mu,), 1)
         for mu, i in product(entries, range(1, rs.rank + 1)):
             if entries.get(rs.reflect(i, mu)) != entries[mu]:
@@ -62,7 +62,7 @@ class MultiplicityTable:
         return sum(self.entries.values())
 
     def multiplicity(self, mu) -> int:
-        return self.entries.get(_checked_weight(self.root_system, mu), 0)
+        return self.entries.get(checked_weight(self.root_system, mu), 0)
 
     def support(self) -> list[Weight]:
         return sorted(self.entries)
@@ -73,16 +73,6 @@ class MultiplicityTable:
 
     def to_json(self) -> list[dict]:
         return [{"weight": list(mu), "mult": self.entries[mu]} for mu in self.support()]
-
-
-def _checked_weight(rs: RootSystem, mu) -> Weight:
-    """mu as a tuple, or ValueError unless it is an integer vector of rs's rank."""
-    mu = tuple(mu)
-    if len(mu) != rs.rank:
-        raise ValueError("weight %s does not have the rank of %s" % (mu, rs.label))
-    if not all(isinstance(c, int) for c in mu):
-        raise ValueError("multiplicity table: non-integer weight %r" % (mu,))
-    return mu
 
 
 def _support_closure(rs: RootSystem, highest: Weight) -> set[Weight]:
@@ -126,14 +116,10 @@ def weight_system(rs: RootSystem, highest) -> MultiplicityTable:
 
 def _checked_highest(rs: RootSystem, highest) -> Weight:
     """highest as a tuple of ints, or ValueError unless it is an integral dominant weight of rs."""
-    highest = tuple(highest)
-    if len(highest) != rs.rank:
-        raise ValueError("highest weight has %d coordinates, expected %d" % (len(highest), rs.rank))
-    if not all(isinstance(c, int) for c in highest):
-        raise ValueError("highest weight coordinates must be integers")
+    highest = checked_weight(rs, highest)
     if not is_dominant(highest):
         raise ValueError("highest weight %r is not dominant" % (highest,))
-    return tuple(map(int, highest))
+    return highest
 
 
 def _freudenthal(rs: RootSystem, highest: Weight) -> MultiplicityTable:

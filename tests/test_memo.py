@@ -3,7 +3,9 @@
 conftest.py empties the memos before each test, so every test here starts cold.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +76,7 @@ class TestChecksBeforeLookup:
     def test_float_coordinates(self, a2):
         weight_system(a2, (1, 0))
         for _ in range(2):
-            with pytest.raises(ValueError, match="integers"):
+            with pytest.raises(ValueError, match="non-integer weight"):
                 weight_system(a2, (1.0, 0))
 
     def test_non_dominant_weight(self, a2):
@@ -87,7 +89,7 @@ class TestChecksBeforeLookup:
     def test_wrong_length_weight(self, a2):
         weight_system(a2, (1, 0))
         for weight in ((1,), (1, 0, 0), (1, 0) * 2):
-            with pytest.raises(ValueError, match="coordinates"):
+            with pytest.raises(ValueError, match="does not have the rank of A2"):
                 weight_system(a2, weight)
 
     @pytest.mark.parametrize("degree", [2.0, -1, Fraction(2), "2", None])
@@ -124,7 +126,8 @@ class TestChecksBeforeLookup:
             entries[(0, 0)] = 0
         else:
             highest = (-1, 2)
-        with pytest.raises(ValueError, match="multiplicity table"):
+        message = "non-integer weight" if change == "float weight" else "multiplicity table"
+        with pytest.raises(ValueError, match=message):
             pfd_decompose(MultiplicityTable(highest_weight=highest, entries=entries,
                                             root_system=sl3_adjoint.root_system))
 
@@ -205,3 +208,37 @@ class TestBounded:
         first = [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)]
         assert len(charformula._CYCLOTOMICS) <= MEMO_SIZE
         assert [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)] == first
+
+
+def _module_memos():
+    """(module, name) of each module-level dict in src/symchar that is a recall() memo."""
+    found = set()
+    for path in sorted(Path(pfdcore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_dicts = {
+            target.id
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Dict)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and node.args
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "recall"
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in module_dicts):
+                found.add((path.stem, node.args[0].id))
+    return found
+
+
+def test_cold_memos_resets_every_memo():
+    # A memo that the fixture leaves out would serve one test another's results.
+    conftest = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    (fixture,) = (node for node in conftest.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "cold_memos")
+    reset = {
+        (call.args[0].id, call.args[1].value)
+        for call in ast.walk(fixture)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "setattr"
+    }
+    memos = _module_memos()
+    assert {"_ROOT_SYSTEMS", "_TABLES", "_POLE_DATA", "_CYCLOTOMICS"} <= {name for _, name in memos}
+    assert memos <= reset

@@ -4,15 +4,47 @@ from fractions import Fraction
 import pytest
 
 from symchar import (
-    adams_series, binomial_poly, character_at, check_partition_equivalence, cyclotomic,
-    fundamental_coefficient, hsym_character, orbit_split, pfd_decompose, polyring, sl2_coefficient,
-    truncated_molien,
+    MultiplicityTable, adams_series, binomial_poly, build_root_system, character_at,
+    check_partition_equivalence, cyclotomic, fundamental_coefficient, hsym_character, orbit_split,
+    pfd_decompose, polyring, sl2_coefficient, truncated_molien,
 )
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 
 
 def q(exponent, coeff=1):
     return LaurentPoly.monomial((exponent,), coeff)
+
+
+# LaurentPoly's +, - and * run on the integer core of FactoredRational, so
+# expected values of core operations come from these schoolbook loops on
+# Fraction coefficients instead.  A scalar operand stands for a constant.
+
+
+def _reference_add(a, b):
+    """a + b, term by term."""
+    b = b if isinstance(b, LaurentPoly) else LaurentPoly.constant(a.rank, b)
+    merged = dict(a.terms)
+    for exponent, coeff in b.terms.items():
+        merged[exponent] = merged.get(exponent, 0) + coeff
+    return LaurentPoly(a.rank, merged)  # the constructor drops zero coefficients
+
+
+def _reference_mul(a, b):
+    """a * b, every pair of terms."""
+    b = b if isinstance(b, LaurentPoly) else LaurentPoly.constant(a.rank, b)
+    product = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            product[key] = product.get(key, 0) + ca * cb
+    return LaurentPoly(a.rank, product)
+
+
+def _reference_pow(a, k):
+    result = LaurentPoly.one(a.rank)
+    for _ in range(k):
+        result = _reference_mul(result, a)
+    return result
 
 
 class TestLaurentPoly:
@@ -58,6 +90,52 @@ class TestLaurentPoly:
         assert (q(1) + 1) ** 0 == LaurentPoly.one(1)
 
 
+class TestOperatorsMatchTheReferenceLoops:
+    """+, - and * term for term against the schoolbook loops, on seeded random values."""
+
+    SCALARS = (0, 3, Fraction(-2, 5))
+
+    def test_polynomial_operands(self):
+        rng = random.Random(229)
+        zeros = 0
+        for case in range(80):
+            rank = 1 + case % 4
+            a = _fraction_poly(rng, rank)
+            # Every eighth b is -a, so that a + b cancels to zero, as a - a does.
+            b = -a if case % 8 == 0 else _fraction_poly(rng, rank)
+            minus_a, minus_b = _reference_mul(a, -1), _reference_mul(b, -1)
+            for got, expected in (
+                (a + b, _reference_add(a, b)),
+                (a - b, _reference_add(a, minus_b)),
+                (b - a, _reference_add(b, minus_a)),
+                (a - a, _reference_add(a, minus_a)),
+                (a * b, _reference_mul(a, b)),
+            ):
+                assert got.rank == rank
+                assert got.terms == expected.terms
+                zeros += got.is_zero
+        assert zeros >= 80 + 10
+
+    def test_scalar_operands(self):
+        rng = random.Random(233)
+        for case in range(40):
+            rank = 1 + case % 4
+            a = _fraction_poly(rng, rank)
+            for scalar in self.SCALARS:
+                minus_a = _reference_mul(a, -1)
+                for got, expected in (
+                    (a + scalar, _reference_add(a, scalar)),
+                    (scalar + a, _reference_add(a, scalar)),
+                    (a - scalar, _reference_add(a, -scalar)),
+                    (scalar - a, _reference_add(minus_a, scalar)),
+                    (a * scalar, _reference_mul(a, scalar)),
+                    (scalar * a, _reference_mul(a, scalar)),
+                ):
+                    assert got.rank == rank
+                    assert got.terms == expected.terms
+                assert (a * scalar).is_zero == (scalar == 0)
+
+
 class TestExactDivision:
     def test_simple_quotient(self):
         assert (q(4) - 1).exact_div(q(2) - 1) == q(2) + 1
@@ -90,14 +168,14 @@ class TestExactDivision:
             binomial = LaurentPoly(rank, {beta: c, tuple(b + a for b, a in zip(beta, alpha)): -c})
             k = rng.randint(1, 3)
             quotient = _random_poly(rng, rank, ensure_nonzero=True)
-            product = quotient * binomial**k
+            product = _reference_mul(quotient, _reference_pow(binomial, k))
             for _ in range(k):
                 product = product.exact_div(binomial)
             assert product == quotient
 
-            inexact = quotient * binomial + LaurentPoly.monomial(
+            inexact = _reference_add(_reference_mul(quotient, binomial), LaurentPoly.monomial(
                 tuple(rng.randint(-3, 3) for _ in range(rank))
-            )
+            ))
             with pytest.raises(ExactDivisionError):
                 inexact.exact_div(binomial)
 
@@ -188,6 +266,12 @@ class TestFactoredRational:
         with pytest.raises(PoleError):
             f.evaluate((Fraction(1),))
 
+    def test_evaluation_point_of_the_wrong_length(self):
+        # The numerator checks the point before any factor is evaluated.
+        f = FactoredRational(LaurentPoly.one(2), [((1, 0), 1)])
+        with pytest.raises(ValueError, match="wrong length"):
+            f.evaluate((1,))
+
     def test_zero_exponent_factor_rejected(self):
         with pytest.raises(ValueError):
             FactoredRational(LaurentPoly.one(2), [((0, 0), 1)])
@@ -209,14 +293,14 @@ class TestFactoredRational:
         assert plain == twisted
 
     def test_reduction_cancels_shared_factor(self):
-        f = FactoredRational((1 - q(2)) * (q(3) + 1), [((2,), 1), ((4,), 1)])
+        f = FactoredRational(_reference_mul(1 - q(2), q(3) + 1), [((2,), 1), ((4,), 1)])
         reduced = f.reduced()
         assert reduced.factors == {(4,): 1}
         assert reduced == f
 
     def test_as_laurent_round_trip(self):
         poly = q(4) + 2 * q(2) + 1
-        f = FactoredRational(poly * (1 - q(2)) ** 2, [((2,), 2)])
+        f = FactoredRational(_reference_mul(poly, _reference_pow(1 - q(2), 2)), [((2,), 2)])
         assert f.as_laurent() == poly
 
     def test_equality_and_evaluation_agree_random(self):
@@ -259,12 +343,12 @@ class TestOperatorContract:
         g = FactoredRational(q(1), [((2,), 1), ((3,), 2)])
         product = f * g
         assert product.factors == {(2,): 2, (3,): 2}
-        assert product.numerator == (1 - q(2)) * q(1)
+        assert product.numerator == LaurentPoly(1, {(1,): 1, (3,): -1})
         assert product.reduced().factors == {(2,): 1, (3,): 2}
         for unit in (3, Fraction(-1, 2), q(-4, 5)):
             scaled = f * unit
             assert scaled.factors == f.factors
-            assert scaled.numerator == f.numerator * unit
+            assert scaled.numerator == _reference_mul(f.numerator, unit)
             assert (unit * f).numerator == scaled.numerator
 
     def test_sum_takes_the_largest_power_without_reducing(self):
@@ -275,7 +359,7 @@ class TestOperatorContract:
         h = FactoredRational(LaurentPoly.one(1), [((2,), 1)])
         one = h - h * q(2)
         assert one.factors == {(2,): 1}
-        assert one.numerator == 1 - q(2)
+        assert one.numerator == LaurentPoly(1, {(0,): 1, (2,): -1})
         assert one == 1
         assert one.reduced().factors == {}
 
@@ -288,7 +372,8 @@ class TestOperatorContract:
             f = _random_fr(rng, rank)
             alpha, k = _nonzero_vector(rng, rank), rng.randint(1, 2)
             g = FactoredRational(
-                f.numerator * _binomial(alpha) ** k, [*f.factors.items(), (alpha, k)]
+                _reference_mul(f.numerator, _reference_pow(_binomial(alpha), k)),
+                [*f.factors.items(), (alpha, k)],
             )
             assert f == g and g == f
             bump = LaurentPoly.monomial(tuple(rng.randint(-2, 2) for _ in range(rank)))
@@ -333,7 +418,7 @@ def _divide_binomial(poly, alpha):
         poly.rank,
         {e: sum(poly.coefficient(step(e, -t)) for t in range(2 * span + 1)) for e in support},
     )
-    return quotient if quotient * _binomial(alpha) == poly else None
+    return quotient if _reference_mul(quotient, _binomial(alpha)) == poly else None
 
 
 def _reference_as_laurent(f):
@@ -395,16 +480,16 @@ def _random_factored_case(rng):
     factors = FactoredRational(LaurentPoly.one(rank), raw).factors  # lexicographically positive
     numerator = _mixed_denominator_poly(rng, rank)
     if rng.random() < 0.5:
-        numerator = numerator * _binomial(_nonzero_vector(rng, rank))
+        numerator = _reference_mul(numerator, _binomial(_nonzero_vector(rng, rank)))
     exact = True
     for alpha, power in factors.items():
         kept = rng.randint(0, power)
         exact = exact and kept == power
-        numerator = numerator * _binomial(alpha) ** kept
+        numerator = _reference_mul(numerator, _reference_pow(_binomial(alpha), kept))
     if rng.random() < 0.25:
-        numerator = numerator + LaurentPoly.monomial(
+        numerator = _reference_add(numerator, LaurentPoly.monomial(
             tuple(rng.randint(-2, 2) for _ in range(rank)), Fraction(1, 3)
-        )
+        ))
         exact = False
     return FactoredRational(numerator, factors), exact
 
@@ -515,9 +600,11 @@ class TestIntegerCore:
                 for _ in range(3)
             })
             if case % 4 == 3:
-                numerator = numerator * _binomial((0, 0, 1, -60))
+                numerator = _reference_mul(numerator, _binomial((0, 0, 1, -60)))
             for alpha, power in FactoredRational(LaurentPoly.one(4), factors).factors.items():
-                numerator = numerator * _binomial(alpha) ** rng.randint(0, power)
+                numerator = _reference_mul(
+                    numerator, _reference_pow(_binomial(alpha), rng.randint(0, power))
+                )
             outcomes.add(_agrees_with_references(FactoredRational(numerator, factors)))
         assert outcomes == {"whole", "partial", "none"}
 
@@ -531,10 +618,10 @@ class TestIntegerCore:
             # the chain sums reject), or a random part of them.
             numerator = _mixed_denominator_poly(rng, 2)
             if case % 3 == 1:
-                numerator = numerator * _binomial((1, 0))
+                numerator = _reference_mul(numerator, _binomial((1, 0)))
             for alpha, power in (((1, -5), 3), ((2, -4), 1), ((0, 1), 2)):
                 kept = (power, 0, rng.randint(0, power))[case % 3]
-                numerator = numerator * _binomial(alpha) ** kept
+                numerator = _reference_mul(numerator, _reference_pow(_binomial(alpha), kept))
             outcomes.add(_agrees_with_references(FactoredRational(numerator, factors)))
         assert outcomes == {"whole", "partial", "none"}
 
@@ -624,7 +711,7 @@ def _sum_case(rng, rank, count, overlapping):
 
 
 def _reference_sum(parts, rank):
-    """Cross-multiplication over the max-power denominator with plain LaurentPoly products."""
+    """Cross-multiplication over the max-power denominator with the reference loops."""
     common = {}
     for part in parts:
         for alpha, power in part.factors.items():
@@ -633,8 +720,10 @@ def _reference_sum(parts, rank):
     for part in parts:
         lifted = part.numerator
         for alpha, power in common.items():
-            lifted = lifted * _binomial(alpha) ** (power - part.factors.get(alpha, 0))
-        total = total + lifted
+            lifted = _reference_mul(
+                lifted, _reference_pow(_binomial(alpha), power - part.factors.get(alpha, 0))
+            )
+        total = _reference_add(total, lifted)
     return total, common if not total.is_zero else {}
 
 
@@ -677,7 +766,7 @@ class TestPairwiseSum:
         g = FactoredRational(q(3), [((5,), 1)])
         total = FactoredRational.sum([f, -f, g], 1)
         assert total.factors == {(2,): 2, (5,): 1}
-        assert total.numerator == q(3) * (1 - q(2)) ** 2
+        assert total.numerator == LaurentPoly(1, {(3,): 1, (5,): -2, (7,): 1})
         assert FactoredRational.sum([f, -f], 1).factors == {}
         assert FactoredRational.sum([], 2).is_zero
 
@@ -693,7 +782,7 @@ class TestPairwiseSum:
             flipped = FactoredRational(poly, [(tuple(-x for x in alpha), k)])
             assert flipped.factors == {alpha: k}
             unit = LaurentPoly.monomial(tuple(k * x for x in alpha), (-1) ** k)
-            assert flipped.numerator == poly * unit
+            assert flipped.numerator == _reference_mul(poly, unit)
             # Rebuilt from the integer terms, not handed back.
             assert (FactoredRational(poly) * 1).numerator == poly
             assert (-FactoredRational(poly)).numerator == -poly
@@ -703,7 +792,7 @@ class TestPairwiseSum:
 
 
 class TestIntegerProduct:
-    """The product of integer numerators against the Fraction LaurentPoly product."""
+    """The product of integer numerators against the reference product on Fractions."""
 
     def test_product_matches_laurent_product(self):
         rng = random.Random(227)
@@ -721,7 +810,7 @@ class TestIntegerProduct:
                 polys.append(LaurentPoly(rank, terms))
             f, g = (FactoredRational(p, [((1,) * rank, 1)]) for p in polys)
             product = f * g
-            assert product.numerator == polys[0] * polys[1]
+            assert product.numerator == _reference_mul(polys[0], polys[1])
             assert product.factors == ({(1,) * rank: 2} if not product.is_zero else {})
 
 
@@ -832,3 +921,24 @@ def test_count_arguments_are_checked(sl2_adjoint, name, value):
     kind = "positive" if least else "non-negative"
     with pytest.raises(ValueError, match=r" must be a %s integer, got %r$" % (kind, value)):
         call(sl2_adjoint, value)
+
+
+# A bool is an int in Python, but no count or coordinate: each of these
+# returned a value when True passed for 1.
+BOOL_ARGUMENTS = {
+    "character_at": lambda t: character_at(pfd_decompose(t), True),
+    "truncated_molien": lambda t: truncated_molien(t, True),
+    "LaurentPoly rank": lambda t: LaurentPoly(True, {(1,): 2}),
+    "cyclotomic": lambda t: cyclotomic(True),
+    "build_root_system": lambda t: build_root_system("A", True),
+    "GradedTruncation.coefficient": lambda t: truncated_molien(t, 2).coefficient(True),
+    "sl2_coefficient": lambda t: sl2_coefficient(2, True),
+    "table multiplicity": lambda t: MultiplicityTable((2,), {(2,): 1, (0,): True, (-2,): 1},
+                                                      t.root_system),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_ARGUMENTS)
+def test_bool_is_not_a_count(sl2_adjoint, name):
+    with pytest.raises(ValueError, match="True"):
+        BOOL_ARGUMENTS[name](sl2_adjoint)

@@ -270,3 +270,27 @@ def test_integer_inverse_matches_fraction_reference(series, rank):
         tuple(int(h * scale) for h in heights),
         scale,
     )
+
+
+# Every weight method but reflect checks its weights: rs.rank int coordinates.
+WEIGHT_METHODS = {
+    "orbit_walk": lambda rs, mu: list(rs.orbit_walk(mu)),
+    "orbit": lambda rs, mu: rs.orbit(mu),
+    "dominant_representative": lambda rs, mu: rs.dominant_representative(mu),
+    "inner, left": lambda rs, mu: rs.inner(mu, rs.rho),
+    "inner, right": lambda rs, mu: rs.inner(rs.rho, mu),
+    "height": lambda rs, mu: rs.height(mu),
+    "root_coordinates": lambda rs, mu: rs.root_coordinates(mu),
+}
+
+
+@pytest.mark.parametrize("mu,message", [
+    ((1,), r"^weight \(1,\) does not have the rank of A2$"),
+    ((1, 0, 5), r"^weight \(1, 0, 5\) does not have the rank of A2$"),
+    ((1.0, 0), r"^non-integer weight \(1\.0, 0\)$"),
+    ((True, 0), r"^non-integer weight \(True, 0\)$"),
+], ids=["short", "long", "float", "bool"])
+@pytest.mark.parametrize("name", WEIGHT_METHODS)
+def test_weight_methods_check_their_weights(a2, name, mu, message):
+    with pytest.raises(ValueError, match=message):
+        WEIGHT_METHODS[name](a2, mu)
