@@ -22,11 +22,10 @@ so every numerator has degree below deg(Phi_d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from ._memo import recall
+from ._memo import Frozen, recall
 from .pfdcore import ClosedCharacter, binomial_poly
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharacterPoly:
+class CharacterPoly(Frozen):
     """A symmetric-power character: a Laurent polynomial with positive integer coefficients."""
 
     rank: int
@@ -75,8 +73,7 @@ class CharacterPoly:
         return [{"weight": list(mu), "mult": int(self.terms.terms[mu])} for mu in self.support()]
 
 
-@dataclass(frozen=True)
-class OrbitSummand:
+class OrbitSummand(Frozen):
     """The part of one symmetric-power character carried by a single Weyl orbit."""
 
     dominant_weight: Weight
@@ -86,8 +83,7 @@ class OrbitSummand:
         return {"dominant_weight": list(self.dominant_weight), "value": self.value.to_json()}
 
 
-@dataclass(frozen=True)
-class CyclotomicPole:
+class CyclotomicPole(Frozen):
     """A proper fraction numerator / Phi_index(q)^power with deg(numerator) < deg(Phi)."""
 
     index: int
@@ -102,8 +98,7 @@ class CyclotomicPole:
         }
 
 
-@dataclass(frozen=True)
-class UnivariatePFD:
+class UnivariatePFD(Frozen):
     """Laurent part plus cyclotomic pole terms of a rank-1 rational function."""
 
     laurent_part: LaurentPoly

@@ -6,6 +6,7 @@ diagnostics to stderr.  Exit codes: 0 success, 1 user error, 2 internal
 inconsistency (an exactness or consistency check failed, a lookup missed,
 a `verify` check failed or `vpart` reported all_pass false; each means a
 bug).  A failing `verify` or `vpart` still prints its full report first.
+A handler imports the modules only it uses, so a subcommand loads only what it runs.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ import json
 import sys
 from functools import partial
 
-from .charformula import character_at, multiplicity_at, orbit_split
-from .oracle import adams_series, truncated_molien
 from .pfdcore import pfd_decompose
 from .polyring import InconsistencyError
 from .rootsys import build_root_system, from_label, parse_label
-from .vpart import check_partition_equivalence
 from .weightsys import weight_system
 
 __all__ = ["main"]
@@ -85,16 +83,19 @@ def _pfd(table, args):
 
 
 def _char(table, args):
+    from .charformula import character_at
     character = character_at(pfd_decompose(table), args.degree)
     return {"character": character.to_json()}, character.terms.render, None
 
 
 def _mult(table, args):
+    from .charformula import character_at, multiplicity_at
     value = multiplicity_at(character_at(pfd_decompose(table), args.degree), args.mu)
     return {"multiplicity": value}, lambda: str(value), None
 
 
 def _orbits(table, args):
+    from .charformula import orbit_split
     summands = orbit_split(pfd_decompose(table), table.root_system, args.degree)
     return {"summands": [summand.to_json() for summand in summands]}, lambda: "\n".join(
         "dominant %s:  %s" % (_coords(s.dominant_weight), s.value) for s in summands
@@ -102,6 +103,7 @@ def _orbits(table, args):
 
 
 def _vpart(table, args):
+    from .vpart import check_partition_equivalence
     report = check_partition_equivalence(table, args.max_degree)
     matrix, all_pass = report["matrix"], report["all_pass"]
     body = {
@@ -180,6 +182,9 @@ def _run(handler, options: tuple[str, ...], args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .charformula import character_at
+    from .oracle import adams_series, truncated_molien
+
     known = list(dict.fromkeys(label for label, _, _ in VERIFY_CASES))
     unknown = [label for label in args.case or () if label not in known]
     if unknown:

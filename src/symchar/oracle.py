@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift
 
+from ._memo import Frozen
 from .polyring import FactoredRational, InconsistencyError, LaurentPoly, check_count
 from .rootsys import Weight, weight_diff, weight_scale
 from .weightsys import MultiplicityTable
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradedTruncation:
+class GradedTruncation(Frozen):
     """Coefficients of z^0..z^degree_bound of a graded character series."""
 
     coefficients: tuple[LaurentPoly, ...]

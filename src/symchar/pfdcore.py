@@ -45,11 +45,10 @@ has computed from it, by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
-from ._memo import recall
+from ._memo import Frozen, recall
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
 )
@@ -66,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PFDTerm:
+class PFDTerm(Frozen):
     """One pole contribution: coefficient of (1 - q^weight z)^(-order)."""
 
     weight: Weight
@@ -78,14 +76,15 @@ class PFDTerm:
         return {"weight": list(self.weight), "order": self.order, "A": self.coeff.to_json()}
 
 
-@dataclass(frozen=True)
-class ClosedCharacter:
+class ClosedCharacter(Frozen):
     """The complete pole data of one module's graded symmetric-power character."""
 
     source: MultiplicityTable
     terms: tuple[PFDTerm, ...]
-    # Characters by degree, filled by charformula.character_at.
-    _characters: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # Characters by degree, filled by charformula.character_at; not a field.
+        object.__setattr__(self, "_characters", {})
 
     @property
     def rank(self) -> int:
@@ -144,8 +143,7 @@ def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
     if not is_dominant(table.highest_weight):
         raise ValueError("multiplicity table: highest weight %s is not dominant"
                          % (table.highest_weight,))
-    key = (table.root_system.label, table.highest_weight, tuple(sorted(table.entries.items())))
-    return recall(_POLE_DATA, key, lambda: _decompose(table))
+    return recall(_POLE_DATA, table._content, lambda: _decompose(table))
 
 
 def _decompose(table: MultiplicityTable) -> ClosedCharacter:

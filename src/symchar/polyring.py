@@ -87,12 +87,12 @@ def check_count(value, what: str, least: int = 0, most: int | None = None) -> No
 
 
 def _exponent(exponent: Iterable[int], rank: int) -> Exponent:
-    """exponent as a tuple, or ValueError unless it is a vector of rank ints."""
+    """exponent as a tuple, or ValueError unless it is a vector of rank ints (not bools)."""
     exponent = tuple(exponent)
     if len(exponent) != rank:
         raise ValueError("exponent vector of length %d in a rank-%d polynomial"
                          % (len(exponent), rank))
-    if not all(map(isinstance, exponent, repeat(int))):
+    if not all(type(c) is int for c in exponent):
         raise ValueError("non-integer exponent %r" % (exponent,))
     return exponent
 
@@ -437,12 +437,11 @@ def _normalized(
         alpha = tuple(alpha)
         if len(alpha) != rank:
             raise ValueError("denominator exponent of wrong length")
-        if not all(map(isinstance, alpha, repeat(int))):
+        if not all(type(c) is int for c in alpha):
             raise ValueError("non-integer denominator exponent %r" % (alpha,))
         if alpha == zero:
             raise ValueError("denominator factor with zero exponent vector")
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("factor multiplicity must be a non-negative integer")
+        check_count(power, "factor multiplicity")
         if power == 0:
             continue
         if alpha < zero:  # its first nonzero entry is negative

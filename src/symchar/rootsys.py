@@ -12,12 +12,11 @@ fundamental-weight coordinates equal to the j-th column of C.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 
-from ._memo import recall
+from ._memo import Frozen, recall
 from .polyring import InconsistencyError
 
 Weight = tuple[int, ...]
@@ -102,8 +101,7 @@ def _invert(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * previous
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Frozen):
     """The root system of one simple type, stored as its type (series, rank).
 
     Making one checks the type and runs the root closure; everything else

@@ -11,9 +11,9 @@ entry of b, so plain enumeration with per-row suffix bounds is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._memo import Frozen
 from .charformula import character_at, multiplicity_at
 from .pfdcore import pfd_decompose
 from .polyring import check_count
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionMatrix:
+class PartitionMatrix(Frozen):
     """Integer matrix whose columns are module weights plus a grading row.
 
     The all-ones last row forces ker(A) to meet the non-negative orthant

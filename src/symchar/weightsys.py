@@ -10,22 +10,20 @@ table checks its entries and that the simple reflections keep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from ._memo import recall
+from ._memo import Frozen, recall
 from .polyring import InconsistencyError, LaurentPoly, check_count
 from .rootsys import RootSystem, Weight, checked_weight, is_dominant, weight_diff, weight_sum
 
 __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(Frozen):
     """Finite map weight -> multiplicity for one module of a root system.
 
     Construction checks that there are entries, that every weight (the
@@ -53,6 +51,9 @@ class MultiplicityTable:
                 raise ValueError("%s: multiplicity of %s differs from its reflection %d"
                                  % (rs.label, mu, i))
         object.__setattr__(self, "entries", MappingProxyType(entries))
+        # The table's content, pfd_decompose's memo key; not a field.
+        object.__setattr__(self, "_content",
+                           (rs.label, self.highest_weight, tuple(sorted(entries.items()))))
 
     @property
     def rank(self) -> int:

@@ -14,7 +14,7 @@ from symchar.charformula import (
     orbit_split,
     univariate_pfd,
 )
-from symchar.pfdcore import ClosedCharacter, pfd_decompose
+from symchar.pfdcore import ClosedCharacter, PFDTerm, pfd_decompose
 from symchar.polyring import FactoredRational, InconsistencyError, LaurentPoly
 from symchar.rootsys import build_root_system
 from symchar.weightsys import dim_irrep, weight_system
@@ -80,14 +80,12 @@ class TestCharacterAt:
             character_at(pfd_decompose(sl2_adjoint), -1)
 
     def test_corrupted_pole_data_raises_internal_error(self, sl2_adjoint):
-        from dataclasses import replace
-
         from symchar.polyring import ExactDivisionError
 
         closed = pfd_decompose(sl2_adjoint)
         broken = ClosedCharacter(
             source=closed.source,
-            terms=(replace(closed.terms[0], coeff=closed.terms[0].coeff * 2),)
+            terms=(PFDTerm(closed.terms[0].weight, closed.terms[0].order, closed.terms[0].coeff * 2),)
             + closed.terms[1:],
         )
         with pytest.raises(ExactDivisionError):
@@ -96,14 +94,12 @@ class TestCharacterAt:
     @pytest.mark.parametrize("factor", [Fraction(1, 2), -1])
     def test_scaled_pole_data_raises_inconsistency(self, sl2_adjoint, factor):
         # The division is exact, but the coefficients are not positive integers.
-        from dataclasses import replace
-
         from symchar.polyring import InconsistencyError
 
         closed = pfd_decompose(sl2_adjoint)
         scaled = ClosedCharacter(
             source=closed.source,
-            terms=tuple(replace(term, coeff=term.coeff * factor) for term in closed.terms),
+            terms=tuple(PFDTerm(term.weight, term.order, term.coeff * factor) for term in closed.terms),
         )
         with pytest.raises(InconsistencyError):
             character_at(scaled, 2)
@@ -118,14 +114,12 @@ class TestCharacterAt:
             character_at(broken, 2)
 
     def test_halved_pole_data_is_reported_with_the_first_offending_weight(self, a2):
-        from dataclasses import replace
-
         from symchar.polyring import InconsistencyError
 
         closed = pfd_decompose(weight_system(a2, (1, 1)))
         halved = ClosedCharacter(
             source=closed.source,
-            terms=tuple(replace(term, coeff=term.coeff * Fraction(1, 2)) for term in closed.terms),
+            terms=tuple(PFDTerm(term.weight, term.order, term.coeff * Fraction(1, 2)) for term in closed.terms),
         )
         message = (r"^A2\(1, 1\), N=2: character coefficients must be positive integers, "
                    r"not 1/2 at \(-4, 2\)$")

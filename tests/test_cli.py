@@ -256,7 +256,7 @@ def test_lookup_errors_are_internal(capsys, monkeypatch, error):
 
 def test_failing_verify_check_is_internal(capsys, monkeypatch):
     # A pipeline/oracle mismatch is a bug, not a user error.
-    monkeypatch.setattr(cli, "adams_series", lambda char_v, n_max: GradedTruncation(
+    monkeypatch.setattr(symchar.oracle, "adams_series", lambda char_v, n_max: GradedTruncation(
         tuple(char_v * 0 + 7 for _ in range(n_max + 1))))
     code, out, err = run_cli(capsys, "verify", "--case", "A1", "--max-n", "2")
     assert code == 2
@@ -268,7 +268,7 @@ def test_failing_verify_check_is_internal(capsys, monkeypatch):
 
 def test_failing_vpart_report_is_internal(capsys, monkeypatch):
     real = symchar.check_partition_equivalence
-    monkeypatch.setattr(cli, "check_partition_equivalence",
+    monkeypatch.setattr(symchar.vpart, "check_partition_equivalence",
                         lambda table, n: {**real(table, n), "all_pass": False})
     code, out, err = run_cli(capsys, "vpart", "--algebra", "A1", "--lambda", "2", "--max-n", "2")
     assert code == 2
@@ -337,20 +337,54 @@ def test_package_exports_every_pipeline_module():
     assert sorted(symchar.__all__) == sorted(names + ["__version__"])
 
 
+def _run_module(flags, argv):
+    """python <flags> -m symchar <argv> in a fresh process that finds this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, *flags, "-m", "symchar", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--case", "A1", "--max-n", "4"),
     ("char", "--algebra", "A2", "--lambda", "1,1", "--N", "3"),
 ], ids=" ".join)
 def test_optimized_mode_gives_the_same_output(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
-    )
-    plain, optimized = [
-        subprocess.run([sys.executable, *flags, "-m", "symchar", *argv],
-                       capture_output=True, text=True, env=env)
-        for flags in ((), ("-O",))
-    ]
+    plain, optimized = [_run_module(flags, argv) for flags in ((), ("-O",))]
     assert plain.returncode == 0
     assert plain.stdout
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+A1_FUNDAMENTAL = ("--algebra", "A1", "--lambda", "1")
+# The package modules that each subcommand does not run, so must not load.
+_UNUSED = {
+    "weights": {"symchar.charformula", "symchar.oracle", "symchar.vpart"},
+    "pfd": {"symchar.charformula", "symchar.oracle", "symchar.vpart"},
+    "char": {"symchar.oracle", "symchar.vpart"},
+    "mult": {"symchar.oracle", "symchar.vpart"},
+    "orbits": {"symchar.oracle", "symchar.vpart"},
+    "vpart": {"symchar.oracle"},
+    "verify": {"symchar.vpart"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("weights", *A1_FUNDAMENTAL),
+    ("pfd", *A1_FUNDAMENTAL),
+    ("char", *A1_FUNDAMENTAL, "--N", "2"),
+    ("mult", *A1_FUNDAMENTAL, "--N", "2", "--mu", "0"),
+    ("orbits", *A1_FUNDAMENTAL, "--N", "2"),
+    ("vpart", *A1_FUNDAMENTAL, "--max-n", "1"),
+    ("verify", "--case", "A1", "--max-n", "1"),
+], ids=lambda argv: argv[0])
+def test_start_up_loads_only_what_the_subcommand_runs(argv):
+    done = _run_module(("-X", "importtime"), argv)
+    assert done.returncode == 0
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "symchar.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & _UNUSED[argv[0]]

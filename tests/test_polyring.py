@@ -285,6 +285,16 @@ class TestFactoredRational:
         with pytest.raises(ValueError, match="denominator exponent of wrong length"):
             FactoredRational(LaurentPoly.one(1), [((1, 2), 1)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: LaurentPoly(1, {(True,): 2}),
+        lambda: LaurentPoly.one(1).coefficient((False,)),
+        lambda: FactoredRational(LaurentPoly.one(1), [((True,), 1)]),
+        lambda: FactoredRational(LaurentPoly.one(1), [((1,), True)]),
+    ], ids=["exponent", "lookup", "factor exponent", "factor power"])
+    def test_bool_exponents_and_powers_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_mixed_normalizations_compare_equal(self):
         # q^6/((q^4-1)(q^2-1)) written via negative exponents: -q^-2... the
         # constructor absorbs units, equality is semantic either way.

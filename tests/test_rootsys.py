@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -79,7 +78,7 @@ def test_root_system_values_are_pinned():
 
 
 def test_root_system_is_its_type():
-    assert [f.name for f in dataclasses.fields(RootSystem)] == ["series", "rank"]
+    assert RootSystem._fields == ("series", "rank")
     assert RootSystem("G", 2) == build_root_system("G", 2)
     with pytest.raises(ValueError, match="^series must be upper case, not 'g'$"):
         RootSystem("g", 2)
