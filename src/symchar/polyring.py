@@ -7,7 +7,9 @@ output, evaluation and the oracles.  Its ring operations and
 :meth:`~LaurentPoly.exact_div` are fronts for the integer core below: ``+``
 and ``-`` run :meth:`FactoredRational.sum`, ``*`` the integer product and
 exact_div :meth:`FactoredRational.as_laurent`, so the library has one sum,
-one product and one division.
+one product and one division.  Every binary operator of both classes is one
+expression behind one coercing front, :func:`_coercing`; there a scalar
+becomes a constant, so ``*`` has one path, scalars included.
 
 :class:`FactoredRational` keeps its denominator as a multiset of binomial
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
@@ -101,6 +103,14 @@ def _grlex(exponent: Exponent):
     return (sum(exponent), exponent)
 
 
+def _coercing(operation):
+    """operation(self, other) as an operator, on other through self._coerce; else NotImplemented."""
+    def operator(self, other):
+        coerced = self._coerce(other)
+        return NotImplemented if coerced is None else operation(self, coerced)
+    return operator
+
+
 class LaurentPoly:
     """Element of Q[q1^+-1, ..., qr^+-1], stored as {exponent vector: coefficient}.
 
@@ -179,41 +189,16 @@ class LaurentPoly:
             return LaurentPoly.constant(self.rank, other)
         return None
 
-    def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.terms == coerced.terms
-
+    __eq__ = _coercing(lambda self, other: self.terms == other.terms)
     __hash__ = None  # semantic equality only
-
-    def __add__(self, other) -> "LaurentPoly":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return (FactoredRational(self) + coerced).numerator
-
-    __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw(self.rank, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other) -> "LaurentPoly":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentPoly":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return (FactoredRational(self) * coerced).numerator
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _coercing(lambda self, other: (FactoredRational(self) + other).numerator)
+    __sub__ = _coercing(lambda self, other: (FactoredRational(self) - other).numerator)
+    __rsub__ = _coercing(lambda self, other: (-self) + other)
+    __mul__ = __rmul__ = _coercing(lambda self, other: (FactoredRational(self) * other).numerator)
 
     def __pow__(self, power: int) -> "LaurentPoly":
         check_count(power, "exponent")
@@ -384,9 +369,9 @@ def _chain_div(
 def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
     """Product of two integer numerators, with packed exponents.
 
-    A one-term operand is a shift and a scaling.  Otherwise both operands
-    are packed with a reach that holds every product exponent, so the key
-    of a product term is one int addition.
+    A one-term operand is a shift (none for a constant) and a scaling.
+    Otherwise both operands are packed with a reach that holds every
+    product exponent, so the key of a product term is one int addition.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -394,6 +379,8 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
         return {}
     if len(b) == 1:
         ((shift, factor),) = b.items()
+        if not any(shift):
+            return {e: c * factor for e, c in a.items()}
         return {tuple(map(add, e, shift)): c * factor for e, c in a.items()}
     packing = _Packing(len(next(iter(a))), _reach(a) + _reach(b))
     packed_a = packing.pack(a).items()
@@ -616,46 +603,24 @@ class FactoredRational:
             raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
         return other
 
-    def __add__(self, other) -> "FactoredRational":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return FactoredRational.sum((self, coerced), self.rank)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _coercing(
+        lambda self, other: FactoredRational.sum((self, other), self.rank))
 
     def __neg__(self) -> "FactoredRational":
         return FactoredRational._raw(
             self.rank, {e: -c for e, c in self._terms.items()}, self._scale, dict(self.factors)
         )
 
-    def __sub__(self, other) -> "FactoredRational":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return FactoredRational.sum((self, -coerced), self.rank)
+    __sub__ = _coercing(lambda self, other: FactoredRational.sum((self, -other), self.rank))
+    __rsub__ = _coercing(lambda self, other: FactoredRational.sum((-self, other), self.rank))
 
-    def __rsub__(self, other) -> "FactoredRational":
-        return (-self) + other
-
-    def __mul__(self, other) -> "FactoredRational":
-        if isinstance(other, (int, Fraction)):
-            scalar = _exact(other)
-            terms = {e: c * scalar.numerator for e, c in self._terms.items()} if scalar else {}
-            return FactoredRational._raw(
-                self.rank, terms, self._scale * scalar.denominator, dict(self.factors)
-            )
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
+    @_coercing
+    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         merged = dict(self.factors)
-        for alpha, power in coerced.factors.items():
+        for alpha, power in other.factors.items():
             merged[alpha] = merged.get(alpha, 0) + power
         return FactoredRational._raw(
-            self.rank,
-            _product(self._terms, coerced._terms),
-            self._scale * coerced._scale,
-            merged,
+            self.rank, _product(self._terms, other._terms), self._scale * other._scale, merged
         )
 
     __rmul__ = __mul__
@@ -719,12 +684,7 @@ class FactoredRational:
             value /= factor ** power
         return value
 
-    def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return FactoredRational.sum((self, -coerced), self.rank).is_zero
-
+    __eq__ = _coercing(lambda self, other: FactoredRational.sum((self, -other), self.rank).is_zero)
     __hash__ = None
 
     # -- presentation ------------------------------------------------------

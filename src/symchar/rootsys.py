@@ -274,10 +274,6 @@ class RootSystem(Frozen):
                         )))
             frontier = nxt
 
-    def orbit(self, mu: Weight) -> list[Weight]:
-        """The full Weyl orbit of mu, sorted lexicographically."""
-        return sorted(weight for weight, _ in self.orbit_walk(mu))
-
     def dominant_representative(self, mu: Weight) -> Weight:
         """The unique dominant weight in the Weyl orbit of mu."""
         current = checked_weight(self, mu)

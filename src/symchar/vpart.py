@@ -72,7 +72,7 @@ def count_solutions(matrix: PartitionMatrix, target) -> int:
     target = tuple(target)
     if len(target) != matrix.rows:
         raise ValueError("target vector has length %d, expected %d" % (len(target), matrix.rows))
-    if not all(isinstance(entry, int) for entry in target):
+    if not all(type(entry) is int for entry in target):
         raise ValueError("target entries must be integers, got %r" % (target,))
     budget = target[-1]
     if budget < 0:

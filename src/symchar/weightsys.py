@@ -3,15 +3,17 @@
 Multiplicities come from the Freudenthal recursion, run on the root
 system's integral form (the Gram matrix as integers over one scale), so
 every multiplicity is one exact integer division; dimensions come from the
-Weyl dimension formula, in exact rationals, and the two are cross-checked
-on every construction.  Each table carries its root system; building a
-table checks its entries and that the simple reflections keep them.
+Weyl dimension formula on the same form, also one exact integer division,
+and the two are cross-checked on every construction.  Each table carries
+its root system; building a table checks its entries and that the simple
+reflections keep them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
@@ -175,12 +177,14 @@ def _freudenthal(rs: RootSystem, highest: Weight) -> MultiplicityTable:
 
 
 def dim_irrep(rs: RootSystem, highest) -> int:
-    """Dimension of the irreducible module, by the Weyl dimension formula."""
+    """Dimension of the module by Weyl's formula, on the integral form (its scale cancels)."""
     highest = _checked_highest(rs, highest)
-    shifted = weight_sum(highest, rs.rho)
-    value = Fraction(1)
-    for alpha in rs.positive_roots:
-        value *= rs.inner(shifted, alpha) / rs.inner(rs.rho, alpha)
-    if value.denominator != 1 or value < 1:
-        raise InconsistencyError("Weyl dimension formula gave %s for %s" % (value, highest))
-    return int(value)
+    shifted, gram = weight_sum(highest, rs.rho), rs.integral_form[0]
+    forms = [[sum(map(mul, row, alpha)) for row in gram] for alpha in rs.positive_roots]
+    top = prod(sum(map(mul, shifted, form)) for form in forms)
+    bottom = prod(sum(map(mul, rs.rho, form)) for form in forms)
+    value, rest = divmod(top, bottom)
+    if rest or value < 1:
+        raise InconsistencyError("Weyl dimension formula gave %s for %s"
+                                 % (Fraction(top, bottom), highest))
+    return value

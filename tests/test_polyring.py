@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from symchar import (
-    MultiplicityTable, adams_series, binomial_poly, build_root_system, character_at,
-    check_partition_equivalence, cyclotomic, fundamental_coefficient, hsym_character, orbit_split,
-    pfd_decompose, polyring, sl2_coefficient, truncated_molien,
+    MultiplicityTable, adams_series, binomial_poly, build_partition_matrix, build_root_system,
+    character_at, check_partition_equivalence, count_solutions, cyclotomic,
+    fundamental_coefficient, hsym_character, orbit_split, pfd_decompose, polyring,
+    sl2_coefficient, truncated_molien,
 )
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 
@@ -400,6 +401,73 @@ class TestOperatorContract:
         g = FactoredRational(1 - q(2), [((1,), 1), ((2,), 1), ((3,), 1)])
         with pytest.raises(ExactDivisionError, match=r"divisible by \(1 - q\^2\)$"):
             g.as_laurent()
+
+
+# Every binary operator of both classes; each also runs with the operand on the left.
+BINARY_OPERATORS = {
+    "==": lambda x, y: x == y,
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+}
+
+
+@pytest.mark.parametrize("reflected", [False, True], ids=["value first", "operand first"])
+@pytest.mark.parametrize("symbol", BINARY_OPERATORS)
+@pytest.mark.parametrize("cls", [LaurentPoly, FactoredRational])
+def test_operators_coerce_their_operand_or_refuse_it(cls, symbol, reflected):
+    def apply(value, operand):
+        op = BINARY_OPERATORS[symbol]
+        return op(operand, value) if reflected else op(value, operand)
+
+    def as_cls(poly):
+        return poly if cls is LaurentPoly else FactoredRational(poly)
+
+    poly = LaurentPoly(2, {(1, 0): Fraction(3, 2), (0, -1): -2, (0, 0): 1})
+    value = as_cls(poly)
+    # An operand neither class takes: TypeError, and == is False.
+    for foreign in ("q", 0.5, None):
+        if symbol == "==":
+            assert apply(value, foreign) is False
+        else:
+            with pytest.raises(TypeError):
+                apply(value, foreign)
+    # An int or Fraction stands for a constant, on either side.
+    for scalar in (0, 3, Fraction(-2, 5)):
+        got = apply(value, scalar)
+        if symbol == "==":
+            assert got is False
+            assert apply(as_cls(LaurentPoly.constant(2, scalar)), scalar) is True
+            continue
+        if symbol == "+":
+            expected = _reference_add(poly, scalar)
+        elif symbol == "-" and reflected:
+            expected = _reference_add(_reference_mul(poly, -1), scalar)
+        elif symbol == "-":
+            expected = _reference_add(poly, -scalar)
+        else:
+            expected = _reference_mul(poly, scalar)
+        assert type(got) is cls
+        if cls is FactoredRational:
+            assert got.factors == {}
+            got = got.numerator
+        assert got.terms == expected.terms
+    # Another rank, in either class, is an error.
+    for other_rank in (q(1), FactoredRational(q(1))):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            apply(value, other_rank)
+    # A LaurentPoly with a FactoredRational gives a FactoredRational.
+    other = LaurentPoly.monomial((1, 1), 2) - 1
+    rational = FactoredRational(other, [((1, 1), 1)])
+    partner = rational if cls is LaurentPoly else other
+    if symbol == "==":
+        assert apply(value, FactoredRational(poly) if cls is LaurentPoly else poly) is True
+        assert apply(value, partner) is False
+        return
+    got = apply(value, partner)
+    assert type(got) is FactoredRational
+    partner_rational = rational if cls is LaurentPoly else FactoredRational(other)
+    assert got == apply(FactoredRational(poly), partner_rational)
 
 
 def _binomial(alpha):
@@ -945,6 +1013,7 @@ BOOL_ARGUMENTS = {
     "sl2_coefficient": lambda t: sl2_coefficient(2, True),
     "table multiplicity": lambda t: MultiplicityTable((2,), {(2,): 1, (0,): True, (-2,): 1},
                                                       t.root_system),
+    "count_solutions target": lambda t: count_solutions(build_partition_matrix(t), (0, True)),
 }
 
 

@@ -82,7 +82,7 @@ def test_character_is_constant_on_weyl_orbits(module, n):
     for mu in character.terms.support():
         value = multiplicity_at(character, mu)
         assert value > 0
-        for nu in rs.orbit(mu):
+        for nu, _ in rs.orbit_walk(mu):
             assert multiplicity_at(character, nu) == value
 
 

@@ -7,7 +7,9 @@ each module below and prints, for each one,
 
 and then one last line, the sha256 of all the stdouts concatenated in list
 order.  Two source trees give the same ``pfd`` JSON on every module exactly
-when their last lines are equal:
+when their last lines are equal.  The tool compares its last line with
+``EXPECTED``, the hash of the recorded outputs, and exits 1, printing both
+hashes to stderr, when they differ:
 
     PYTHONPATH=src python tools/pfd_hashes.py
 
@@ -33,6 +35,9 @@ MODULES = [
     ("D4", "0,1,0,0"), ("F4", "0,0,0,1"),
 ]
 
+# The last line for the recorded pfd outputs of MODULES.
+EXPECTED = "3387233a94ff19f5b33d9016a661d226b8ded72319e01a91ad88158e1f236fe6"
+
 
 def main() -> int:
     total = hashlib.sha256()
@@ -44,6 +49,10 @@ def main() -> int:
         total.update(out.encode())
         print(hashlib.sha256(out.encode()).hexdigest(), algebra, weight, flush=True)
     print(total.hexdigest())
+    if total.hexdigest() != EXPECTED:
+        print("pfd outputs changed: sha256 %s, expected %s" % (total.hexdigest(), EXPECTED),
+              file=sys.stderr)
+        return 1
     return 0
 
 
