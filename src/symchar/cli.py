@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import partial
 
@@ -42,10 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    # A sign and ASCII digits only: int() alone would also take 1_0 and non-ASCII digits.
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
         raise ValueError("malformed weight %r (expected comma-separated integers)" % text)
+    coords = tuple(map(int, parts))
     if len(coords) != rank:
         raise ValueError("weight %r has %d coordinates, expected %d" % (text, len(coords), rank))
     return coords

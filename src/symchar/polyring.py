@@ -1,21 +1,22 @@
 """Exact multivariate Laurent-polynomial and factored-rational arithmetic over Q.
 
-:class:`LaurentPoly` has :class:`fractions.Fraction` coefficients; exponent
-vectors are integer tuples of fixed length (the rank, i.e. the number of
-variables q1..qr).  It is the exchange type at the boundary: JSON and text
-output, evaluation and the oracles.  Its ring operations and
-:meth:`~LaurentPoly.exact_div` are fronts for the integer core below: ``+``
-and ``-`` run :meth:`FactoredRational.sum`, ``*`` the integer product and
-exact_div :meth:`FactoredRational.as_laurent`, so the library has one sum,
-one product and one division.  Every binary operator of both classes is one
-expression behind one coercing front, :func:`_coercing`; there a scalar
-becomes a constant, so ``*`` has one path, scalars included.
+Both classes store a numerator as integer terms {exponent vector: int}, no
+zeros, over one positive scale (not always the least); exponent vectors are
+int tuples of the rank, the number of variables q1..qr.  :class:`LaurentPoly`
+is the exchange type for output, evaluation and the oracles; its ``terms``
+are :class:`fractions.Fraction` values, built on first read.  Its ring
+operations and :meth:`~LaurentPoly.exact_div` are fronts for the integer
+core below: ``+`` and ``-`` run :meth:`FactoredRational.sum`, ``*`` the
+integer product and exact_div :meth:`FactoredRational.as_laurent`, so the
+library has one sum, one product and one division.  Every binary operator
+of both classes is one expression behind one coercing front,
+:func:`_coercing`; there a scalar becomes a constant, so ``*`` has one path.
+Moving a numerator between the classes wraps its terms and scale as they are.
 
 :class:`FactoredRational` keeps its denominator as a multiset of binomial
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
 has this shape, so expanded denominators and multivariate GCDs are never
-needed.  Its numerator is stored as integer coefficients over one integer
-scale.  Products, sums and reductions pack each exponent vector into one
+needed.  Products, sums and reductions pack each exponent vector into one
 int (:class:`_Packing`, Kronecker substitution) once, work on int keys and
 unpack once.  Multiplying by (1 - q^alpha) is one shift-and-subtract pass
 p - p*q^alpha, and dividing by it is a running sum along each alpha-chain,
@@ -23,10 +24,9 @@ exact iff every chain's coefficient sum is 0; a trial division that fails
 is rejected on its chain sums before any quotient term is built.  That
 running sum, behind reduced() and as_laurent(), is the only division.  A
 sum of many parts is merged pairwise, each merge over the pair's own common
-denominator.  The Fraction numerator is built only when asked for.
-mapped() substitutes q^e -> q^(M.e) for an invertible integer matrix M,
-such as a Weyl group element, and normalizes the images of the factors
-with the same helper as the constructor.
+denominator.  mapped() substitutes q^e -> q^(M.e) for an invertible integer
+matrix M, such as a Weyl group element, and normalizes the images of the
+factors with the same helper as the constructor.
 
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
@@ -69,12 +69,10 @@ class PoleError(ZeroDivisionError):
     """A rational function was evaluated at a zero of a denominator factor."""
 
 
-def _exact(value) -> Fraction:
-    """Coerce to Fraction, rejecting inexact (float/complex) input."""
-    if isinstance(value, Fraction):
+def _exact(value) -> int | Fraction:
+    """value itself if it is an int or a Fraction; TypeError for inexact (float/complex) input."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError("exact coefficient expected, got %s" % type(value).__name__)
 
 
@@ -112,7 +110,7 @@ def _coercing(operation):
 
 
 class LaurentPoly:
-    """Element of Q[q1^+-1, ..., qr^+-1], stored as {exponent vector: coefficient}.
+    """Element of Q[q1^+-1, ..., qr^+-1]: integer terms {exponent vector: int} over one scale.
 
     >>> p = LaurentPoly.monomial((2,)) + 1
     >>> m = LaurentPoly.monomial((2,)) - 1
@@ -120,18 +118,24 @@ class LaurentPoly:
     q^4 - 1
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "_terms", "_scale", "_view")
 
     def __init__(self, rank: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         check_count(rank, "rank", 1)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         for exponent, value in (terms or {}).items():
             exponent = _exponent(exponent, rank)
-            coeff = _exact(value)
-            if coeff:
-                clean[exponent] = coeff
+            if _exact(value):
+                clean[exponent] = value
+        scale = lcm(*(c.denominator for c in clean.values()))
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in clean.items()}
+        self._set(rank, ints, scale)
+
+    def _set(self, rank: int, terms: dict[Exponent, int], scale: int) -> None:
         self.rank = rank
-        self.terms = MappingProxyType(clean)
+        self._terms = terms
+        self._scale = scale
+        self._view = None
 
     # -- constructors ------------------------------------------------------
 
@@ -153,30 +157,34 @@ class LaurentPoly:
         return cls(len(exponent), {exponent: coeff})
 
     @classmethod
-    def _raw(cls, rank: int, terms: dict[Exponent, Fraction]) -> "LaurentPoly":
-        """Wrap a dict of nonzero Fraction coefficients without copying or checking it."""
+    def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int) -> "LaurentPoly":
+        """Wrap nonzero integer terms over a positive scale without copying or checking them."""
         result = cls.__new__(cls)
-        result.rank = rank
-        result.terms = MappingProxyType(terms)
+        result._set(rank, terms, scale)
         return result
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as a read-only {exponent vector: Fraction} mapping, built once."""
+        if self._view is None:
+            scale = self._scale
+            self._view = MappingProxyType({e: Fraction(c, scale) for e, c in self._terms.items()})
+        return self._view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        return self.terms.get(_exponent(exponent, self.rank), Fraction(0))
+        return Fraction(self._terms.get(_exponent(exponent, self.rank), 0), self._scale)
 
     def coefficient_sum(self) -> Fraction:
-        """The sum of the coefficients, over the lcm of their denominators."""
-        values = self.terms.values()
-        scale = lcm(*(c.denominator for c in values))
-        return Fraction(sum(c.numerator * (scale // c.denominator) for c in values), scale)
+        return Fraction(sum(self._terms.values()), self._scale)
 
     def support(self) -> list[Exponent]:
-        return sorted(self.terms)
+        return sorted(self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -189,11 +197,13 @@ class LaurentPoly:
             return LaurentPoly.constant(self.rank, other)
         return None
 
-    __eq__ = _coercing(lambda self, other: self.terms == other.terms)
+    # Each side's terms times the other's scale, so equal values over two scales are equal.
+    __eq__ = _coercing(lambda self, other: self._terms.keys() == other._terms.keys() and all(
+        c * other._scale == other._terms[e] * self._scale for e, c in self._terms.items()))
     __hash__ = None  # semantic equality only
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.rank, {e: -c for e, c in self._terms.items()}, self._scale)
 
     __add__ = __radd__ = _coercing(lambda self, other: (FactoredRational(self) + other).numerator)
     __sub__ = _coercing(lambda self, other: (FactoredRational(self) - other).numerator)
@@ -213,16 +223,16 @@ class LaurentPoly:
         return result
 
     def evaluate(self, point: Iterable) -> Fraction:
-        values = tuple(_exact(v) for v in point)
+        values = tuple(Fraction(_exact(v)) for v in point)
         if len(values) != self.rank:
             raise ValueError("evaluation point has wrong length")
         total = Fraction(0)
-        for exponent, coeff in self.terms.items():
+        for exponent, coeff in self._terms.items():
             term = coeff
             for value, e in zip(values, exponent):
                 term *= value ** e
             total += term
-        return total
+        return total / self._scale
 
     def exact_div(self, divisor) -> "LaurentPoly":
         """Exact quotient self / divisor, for a divisor c*q^beta or c*q^beta*(1 - q^alpha).
@@ -237,11 +247,11 @@ class LaurentPoly:
             raise TypeError("cannot divide by %r" % (divisor,))
         if coerced.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        (beta, c), *rest = sorted(coerced.terms.items())
+        (beta, c), *rest = sorted(coerced._terms.items())
         if len(rest) > 1 or (rest and rest[0][1] != -c):
             raise ValueError("exact_div divides by c*q^beta or c*q^beta*(1 - q^alpha) only")
-        shifted = {tuple(map(sub, e, beta)): coeff / c for e, coeff in self.terms.items()}
-        quotient = LaurentPoly._raw(self.rank, shifted)
+        shifted = {tuple(map(sub, e, beta)): coeff for e, coeff in self._terms.items()}
+        quotient = LaurentPoly._raw(self.rank, shifted, self._scale) * Fraction(coerced._scale, c)
         if not rest:
             return quotient
         alpha = tuple(map(sub, rest[0][0], beta))
@@ -250,7 +260,14 @@ class LaurentPoly:
     # -- presentation ------------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        return [{"exp": list(e), "coef": str(self.terms[e])} for e in sorted(self.terms)]
+        """The terms as JSON; each coefficient prints as Fraction does, from the integer terms."""
+        json = []
+        for exponent in sorted(self._terms):
+            c = self._terms[exponent]
+            g = gcd(c, self._scale)
+            p, q = c // g, self._scale // g
+            json.append({"exp": list(exponent), "coef": str(p) if q == 1 else "%d/%d" % (p, q)})
+        return json
 
     def render(self) -> str:
         if not self.terms:
@@ -479,36 +496,28 @@ class FactoredRational:
     is absorbed into the numerator.
 
     The numerator is kept privately as integer terms over one positive
-    integer scale; :attr:`numerator`, the Fraction :class:`LaurentPoly`, is
-    built on first use, for output, evaluation and comparison with the
-    oracles.  Arithmetic never cancels: ``*`` multiplies the numerators and
-    merges the factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
-    :meth:`reduced` divides factors out; callers that want a tidy value call
-    it once.  Equality is semantic: the difference, summed over the common
-    denominator, must be zero, so mixed normalizations compare as expected.
+    integer scale, the format of :class:`LaurentPoly`; :attr:`numerator`
+    wraps them as one.  Arithmetic never cancels: ``*`` multiplies the
+    numerators and merges the factor multisets, ``+`` and ``-`` are
+    :meth:`sum`, and only :meth:`reduced` divides factors out; callers that
+    want a tidy value call it once.  Equality is semantic: the difference
+    must sum to zero, so mixed normalizations compare as expected.
     """
 
-    __slots__ = ("rank", "factors", "_terms", "_scale", "_numerator")
+    __slots__ = ("rank", "factors", "_terms", "_scale")
 
     def __init__(self, numerator: LaurentPoly, factors=()):
         if not isinstance(numerator, LaurentPoly):
             raise TypeError("numerator must be a LaurentPoly")
-        rank = numerator.rank
         items = factors.items() if isinstance(factors, Mapping) else factors
-        # Integer terms over one scale, the lcm of the coefficient denominators.
-        scale = lcm(*(c.denominator for c in numerator.terms.values()))
-        ints = {e: c.numerator * (scale // c.denominator) for e, c in numerator.terms.items()}
-        terms, merged = _normalized(ints, items, rank)
-        self._set(rank, terms, scale, merged)
-        if terms is ints:
-            self._numerator = numerator
+        terms, merged = _normalized(numerator._terms, items, numerator.rank)
+        self._set(numerator.rank, terms, numerator._scale, merged)
 
     def _set(self, rank: int, terms: dict[Exponent, int], scale: int, factors) -> None:
         self.rank = rank
         self._terms = terms
         self._scale = scale
         self.factors = MappingProxyType(factors if terms else {})
-        self._numerator = None
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int, factors) -> "FactoredRational":
@@ -564,12 +573,8 @@ class FactoredRational:
 
     @property
     def numerator(self) -> LaurentPoly:
-        """The numerator as a Fraction LaurentPoly, built once on first use."""
-        if self._numerator is None:
-            self._numerator = LaurentPoly._raw(
-                self.rank, {e: Fraction(c, self._scale) for e, c in self._terms.items()}
-            )
-        return self._numerator
+        """The integer terms and scale wrapped as a LaurentPoly."""
+        return LaurentPoly._raw(self.rank, self._terms, self._scale)
 
     @property
     def is_zero(self) -> bool:
@@ -690,15 +695,8 @@ class FactoredRational:
     # -- presentation ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The value as JSON; each coefficient prints as Fraction does, from the integer terms."""
-        num = []
-        for exponent in sorted(self._terms):
-            c = self._terms[exponent]
-            g = gcd(c, self._scale)
-            p, q = c // g, self._scale // g
-            num.append({"exp": list(exponent), "coef": str(p) if q == 1 else "%d/%d" % (p, q)})
         return {
-            "num": num,
+            "num": self.numerator.to_json(),
             "den": [
                 {"alpha": list(alpha), "power": self.factors[alpha]}
                 for alpha in sorted(self.factors)

@@ -218,6 +218,19 @@ class TestUserErrors:
         code, _, err = run_cli(capsys, "char", "--algebra", "A2", "--lambda", "1", "--N", "2")
         assert code == 1
         assert "coordinates" in err
+        # A coordinate is a sign and ASCII digits: no underscores, no other digits.
+        for argv in (
+            ("weights", "--algebra", "A1", "--lambda", "1_0"),
+            ("weights", "--algebra", "A1", "--lambda", "\u0661"),
+            ("mult", "--algebra", "A1", "--lambda", "2", "--N", "4", "--mu", "0_2"),
+            ("mult", "--algebra", "A1", "--lambda", "2", "--N", "4", "--mu", "\u0662"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            message = "malformed weight %r (expected comma-separated integers)" % argv[-1]
+            assert err == "error: %s\n" % message
+        # Surrounding spaces and a plus sign stay accepted.
+        assert run_cli(capsys, "weights", "--algebra", "A2", "--lambda", " +1 , 0 ")[0] == 0
 
     def test_unknown_verify_case(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--case", "A1", "--case", "X9")

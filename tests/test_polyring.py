@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -135,6 +136,37 @@ class TestOperatorsMatchTheReferenceLoops:
                     assert got.rank == rank
                     assert got.terms == expected.terms
                 assert (a * scalar).is_zero == (scalar == 0)
+
+    def test_numerators_over_a_scale_that_is_not_the_least(self):
+        # A product with a constant and a sum of parts keep the scale they
+        # reach, here twice and six times the least one, with integer terms
+        # to match; every query must read the same value as from the Fractions.
+        rng = random.Random(239)
+        for case in range(40):
+            rank = 1 + case % 4
+            a, b = _fraction_poly(rng, rank), _fraction_poly(rng, rank)
+            point = tuple(Fraction(rng.randint(2, 7), rng.randint(1, 3)) for _ in range(rank))
+            doubled = (FactoredRational(a) * 2 * Fraction(1, 2)).numerator
+            summed = FactoredRational.sum(
+                [FactoredRational(a) * Fraction(1, 6), FactoredRational(a) * Fraction(5, 6)], rank
+            ).numerator
+            for wide, times in ((doubled, 2), (summed, 6)):
+                assert wide._scale == times * a._scale
+                assert wide == a and a == wide and wide.terms == a.terms
+                # The same integer terms over another scale are another value.
+                assert wide != a * times
+                assert wide.to_json() == [{"exp": list(e), "coef": str(c)}
+                                          for e, c in sorted(a.terms.items())]
+                assert wide.coefficient_sum() == sum(a.terms.values())
+                assert wide.evaluate(point) == sum(
+                    c * prod(x ** k for x, k in zip(point, e)) for e, c in a.terms.items())
+                for got, expected in (
+                    (wide + b, _reference_add(a, b)),
+                    (b - wide, _reference_add(b, _reference_mul(a, -1))),
+                    (wide * b, _reference_mul(a, b)),
+                ):
+                    assert got.terms == expected.terms
+        assert LaurentPoly(1, {(0,): Fraction(2, 4)}).to_json() == [{"exp": [0], "coef": "1/2"}]
 
 
 class TestExactDivision:
@@ -864,6 +896,11 @@ class TestPairwiseSum:
             # Rebuilt from the integer terms, not handed back.
             assert (FactoredRational(poly) * 1).numerator == poly
             assert (-FactoredRational(poly)).numerator == -poly
+            # A numerator over three times the least scale goes round as well.
+            wide = (FactoredRational(poly) * 3 * Fraction(1, 3)).numerator
+            assert FactoredRational(wide, [(alpha, k)]).numerator.terms == poly.terms
+            assert FactoredRational(wide, [(alpha, k)]) == FactoredRational(poly, [(alpha, k)])
+            assert FactoredRational(wide).to_json() == FactoredRational(poly).to_json()
         zero = FactoredRational(LaurentPoly.zero(2), [((-1, 0), 1)])
         assert zero.numerator.is_zero and zero.factors == {}
         assert (zero * FactoredRational(LaurentPoly.one(2), [((1, 1), 1)])).is_zero

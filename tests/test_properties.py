@@ -30,7 +30,7 @@ from symchar.weightsys import dim_irrep, weight_system
 
 ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
 MAX_DIM = 10
-MAX_N = 4
+MAX_N = 6
 
 
 def _small_highest_weights(label):
