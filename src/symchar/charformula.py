@@ -1,14 +1,18 @@
 """Character assembly for concrete symmetric-power degrees.
 
 character_at turns the closed pole data into the actual character of the
-N-th symmetric power: the weighted sum of coefficients is accumulated as a
-single factored rational function over one common denominator, and the
-final (always exact) division by its binomial factors, one at a time,
-recovers the Laurent polynomial.  Each degree is assembled once per
-ClosedCharacter and kept on it (a bounded memo, see _memo), so the
-characters live exactly as long as their pole data; n is checked on every
-call.  multiplicity_at reads a weight multiplicity off that polynomial as
-a shifted constant term.
+N-th symmetric power, the sum of the C(N+k-1, N) q^(N nu) A(nu,k), by one of
+two routes that a rule picks before any work (_RULE, calibrated in the
+README).  The Kronecker route (polyring.kronecker_sum) computes the sum as
+one integer over the box N*[min_i, max_i] of the module's weights, each term
+divided by its own factors as a power series; the symbolic route sums the
+terms over one common denominator and divides its binomial factors out, one
+at a time.  It serves large boxes, and it also runs when a Kronecker check
+fails, so the errors are its own.  Both routes check that the coefficients
+sum to C(dim-1+N, N).  Each degree is assembled once per ClosedCharacter and
+kept on it (a bounded memo, see _memo), so the characters live exactly as
+long as their pole data; n is checked on every call.  multiplicity_at reads
+a weight multiplicity off that polynomial as a shifted constant term.
 
 orbit_split regroups the same sum by Weyl orbits of dominant weights (it
 is not memoized: its (module, N) requests rarely repeat), and
@@ -23,12 +27,13 @@ so every numerator has degree below deg(Phi_d).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from ._memo import Frozen, recall
 from .pfdcore import ClosedCharacter, binomial_poly
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
+    kronecker_sum, kronecker_window,
 )
 from .rootsys import RootSystem, Weight, weight_scale
 
@@ -123,13 +128,14 @@ class UnivariatePFD(Frozen):
         }
 
 
-def _contributions(cc: ClosedCharacter, n: int) -> list[tuple[Weight, FactoredRational]]:
-    """(nu, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term: the degree-n summands."""
-    return [
-        (t.weight,
-         t.coeff * LaurentPoly.monomial(weight_scale(n, t.weight), binomial_poly(t.order, n)))
-        for t in cc.terms
-    ]
+def _parts(cc: ClosedCharacter, n: int) -> list[tuple[FactoredRational, int, Weight]]:
+    """(A(nu,k), C(n+k-1, n), n nu) for each pole term: the parts of the degree-n character."""
+    return [(t.coeff, binomial_poly(t.order, n), weight_scale(n, t.weight)) for t in cc.terms]
+
+
+def _summands(parts) -> list[FactoredRational]:
+    """The summands C(n+k-1, n) q^(n nu) A(nu,k) of the parts, as values."""
+    return [f * LaurentPoly.monomial(beta, c) for f, c, beta in parts]
 
 
 def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
@@ -142,12 +148,40 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
     return recall(cc._characters, n, lambda: _assemble(cc, n))
 
 
+# The Kronecker route serves a degree when K * SK <= _RULE * NT * Fk (kronecker_window).
+_RULE = 70_000
+
+
+def _route(cc: ClosedCharacter, n: int):
+    """(parts, C(dim-1+n, n), Kronecker window, whether the rule picks the Kronecker route)."""
+    parts, total = _parts(cc, n), comb(cc.source.dimension() - 1 + n, n)
+    columns = list(zip(*cc.source.support()))
+    kronecker, symbolic, window = kronecker_window(
+        parts, [n * min(c) for c in columns], [n * max(c) for c in columns], total)
+    return parts, total, window, kronecker <= _RULE * symbolic
+
+
 def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
-    """Sum the degree-n contributions over one common denominator and divide it out."""
+    """The degree-n character by the route the rule picks, its coefficient sum checked.
+
+    When the Kronecker route fails a check, the symbolic route's error is
+    raised as it is, and its success is an InconsistencyError.
+    """
     where = "%s%s, N=%d" % (cc.source.root_system.label, cc.source.highest_weight, n)
-    total = FactoredRational.sum([part for _, part in _contributions(cc, n)], cc.rank)
+    parts, total, window, kronecker = _route(cc, n)
+    terms = kronecker_sum(window) if kronecker else None
+    failed = kronecker and terms is None
     try:
-        return CharacterPoly(rank=cc.rank, terms=total.as_laurent())
+        if terms is None:
+            terms = FactoredRational.sum(_summands(parts), cc.rank).as_laurent()
+        character = CharacterPoly(rank=cc.rank, terms=terms)
+        if character.coefficient_sum() != total:
+            raise InconsistencyError("coefficients sum to %d, not C(dim-1+N, N) = %d"
+                                     % (character.coefficient_sum(), total))
+        if failed:
+            raise InconsistencyError(
+                "the Kronecker route failed a check that the symbolic route passes")
+        return character
     except (ExactDivisionError, InconsistencyError) as error:
         raise type(error)("%s: %s" % (where, error)) from error
 
@@ -170,8 +204,8 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
         raise ValueError("root system %s is not %s, the root system of the pole data"
                          % (rs.label, cc.source.root_system.label))
     grouped: dict[Weight, list[FactoredRational]] = {}
-    for weight, part in _contributions(cc, n):
-        grouped.setdefault(rs.dominant_representative(weight), []).append(part)
+    for term, part in zip(cc.terms, _summands(_parts(cc, n))):
+        grouped.setdefault(rs.dominant_representative(term.weight), []).append(part)
     return [
         OrbitSummand(nu, FactoredRational.sum(grouped[nu], cc.rank).reduced())
         for nu in sorted(grouped)

@@ -53,6 +53,13 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
+def _integer(text: str) -> int:
+    # ASCII digits after an optional '-': int() alone would also take 0_2, " 2" and other digits.
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _emit(payload, fmt: str, text_renderer, failure=None) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else text_renderer())
     if failure:
@@ -134,12 +141,12 @@ _OPTIONS = {
     "--algebra": dict(required=True, help="algebra label, e.g. A1, A2, B2"),
     "--lambda": dict(dest="highest", required=True, metavar="WEIGHT",
                      help="highest weight as comma-separated fundamental-weight coordinates"),
-    "--N": dict(dest="degree", type=int, required=True,
+    "--N": dict(dest="degree", type=_integer, required=True,
                 help="symmetric-power degree (non-negative)"),
     "--mu": dict(required=True, metavar="WEIGHT",
                  help="weight to extract, comma-separated coordinates"),
     "--format": dict(choices=("json", "text"), default="json"),
-    "--max-n": dict(dest="max_degree", type=int, default=3,
+    "--max-n": dict(dest="max_degree", type=_integer, default=3,
                     help="largest symmetric-power degree to check (default 3)"),
 }
 
@@ -156,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the three-way oracle equivalences")
     verify.add_argument("--case", action="append",
                         help="restrict to one algebra label (repeatable)")
-    verify.add_argument("--max-n", dest="max_degree", type=int,
+    verify.add_argument("--max-n", dest="max_degree", type=_integer,
                         help="cap the symmetric-power degree for every case")
     verify.add_argument("--format", **_OPTIONS["--format"])
     return parser

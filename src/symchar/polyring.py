@@ -28,16 +28,25 @@ denominator.  mapped() substitutes q^e -> q^(M.e) for an invertible integer
 matrix M, such as a Weyl group element, and normalizes the images of the
 factors with the same helper as the constructor.
 
+kronecker_window and kronecker_sum are the second sum, for parts whose sum is
+known to be a polynomial with nonnegative coefficients in a box.  They
+substitute values too: q^e becomes x^(strides.e) with x = 2^b, so the sum is
+one int modulo 2^K whose b-bit digits are its coefficients.  Each part is
+divided by its own factors as a power series and the digits are decoded
+once; no common denominator is built.  The result is checked at a seeded
+point modulo 2^61 - 1; a caller falls back on sum() and as_laurent().
+
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import gcd, lcm
-from operator import add, lshift, mul, sub
+from itertools import accumulate, compress, repeat
+from math import gcd, lcm, prod
+from operator import add, getitem, lshift, mul, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -50,6 +59,8 @@ __all__ = [
     "PoleError",
     "LaurentPoly",
     "FactoredRational",
+    "kronecker_window",
+    "kronecker_sum",
 ]
 
 
@@ -716,3 +727,112 @@ class FactoredRational:
 
     def __repr__(self) -> str:
         return "FactoredRational(%s)" % self
+
+
+
+
+
+# -- the Kronecker route: a polynomial sum as one power series in one int -------
+
+
+def kronecker_window(parts, lows: Exponent, highs: Exponent, total: int):
+    """(K * SK, NT * Fk, window): the two routes' costs and the window of a sum.
+
+    The sum of the c * q^beta * f over the (f, c, beta) in parts must be a
+    polynomial with nonnegative coefficients in the box lows..highs that sum
+    to total.  Coordinate 0 is the most significant slot digit, and radix
+    i >= 1 is widened past every |alpha_i|, so each (1 - q^alpha) maps to
+    (1 - x^L) with L > 0.  SK is the sum of the factor powers over the parts,
+    NT their numerator terms and Fk the total power of their common
+    denominator.
+    """
+    radix, common = [h - l + 1 for l, h in zip(lows, highs)], {}
+    for f, _, _ in parts:
+        for alpha, power in f.factors.items():
+            radix[1:] = map(max, radix[1:], (abs(a) + 1 for a in alpha[1:]))
+            common[alpha] = max(common.get(alpha, 0), power)
+    strides = [*accumulate(radix[:0:-1], mul, initial=1)][::-1]
+    scale, origin = lcm(*(f._scale for f, _, _ in parts)), sum(map(mul, lows, strides))
+    laid, big, low = [], scale * total, 0
+    for f, c, beta in parts:
+        lift, shift, slots = c * (scale // f._scale), sum(map(mul, beta, strides)) - origin, {}
+        for e, v in f._terms.items():
+            key = sum(map(mul, e, strides)) + shift
+            slots[key] = slots.get(key, 0) + lift * v
+        if slots:
+            big, low = max(big, *map(abs, slots.values())), min(low, *slots)
+            laid.append((slots, f.factors))
+    # A slot holds scale * total and every scaled coefficient, with a bit to
+    # spare, in whole bytes; the window runs 64 bits past the box.
+    bits, width = (big.bit_length() + 8) // 8 * 8, radix[0] * strides[0]
+    size = bits * (width - low + -(-64 // bits))
+    return (size * sum(sum(f.factors.values()) for f, _, _ in parts),
+            sum(len(f._terms) for f, _, _ in parts) * sum(common.values()),
+            (parts, lows, highs, strides, width, -low, bits, size, scale, total, laid))
+
+
+def kronecker_sum(window) -> LaurentPoly | None:
+    """The sum of the parts of a kronecker_window, or None when a check fails.
+
+    Each numerator is laid out in two byte buffers, positive and negative
+    coefficients apart, and divided by each (1 - x^L) as the product of the
+    (1 + x^(L 2^i)) modulo 2^K.
+    """
+    parts, lows, highs, strides, width, depth, bits, size, scale, total, laid = window
+    nb, top, value = bits // 8, size // bits - depth, 0
+    for slots, factors in laid:
+        # The part's series, from its lowest slot to the top of the window.
+        low, high = min(slots), min(max(slots) + 1, top)
+        length = max(high - low, 0) * nb
+        buffers = bytearray(length), bytearray(length)
+        for key, v in slots.items():
+            if key < high:
+                start = (key - low) * nb
+                buffers[v < 0][start:start + nb] = abs(v).to_bytes(nb, "little")
+        x = int.from_bytes(buffers[0], "little") - int.from_bytes(buffers[1], "little")
+        span = bits * max(top - low, 0)
+        for alpha, power in factors.items():
+            step = bits * sum(map(mul, alpha, strides))
+            for shift in [step << i for i in range((span // step).bit_length())] * power:
+                x = (x + (x << shift)) & ((1 << span) - 1)
+        value += x << bits * (low + depth)
+    # The checks: nothing below the box or in the spare bits above it, and
+    # the digits sum to scale * total ...
+    value &= (1 << size) - 1
+    if value & ((1 << bits * depth) - 1) or value >> bits * (depth + width):
+        return None
+    raw, word = (value >> bits * depth).to_bytes(width * nb, "little"), 1 << (nb - 1).bit_length()
+    if word <= 8 and sys.byteorder == "little":  # widen the digits to machine words, read at once
+        wide = bytearray(width * word)
+        for j in range(nb):
+            wide[j::word] = raw[j::nb]
+        digits = memoryview(wide).cast(" BH I   Q"[word])
+    else:
+        digits = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, width * nb, nb)]
+    filled = list(compress(range(width), digits))
+    columns = [[least + slot % bound // stride for slot in filled]
+               for least, bound, stride in zip(lows, [width, *strides], strides)]
+    terms = dict(zip(zip(*columns), filter(None, digits)))
+    if sum(terms.values()) != scale * total:
+        return None
+    # ... and the digits agree with the parts at a seeded point modulo the
+    # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.
+    prime = (1 << 61) - 1
+    reach = max(_reach([lows, highs]), *(max(_reach(f._terms), _reach(f.factors), _reach([beta]))
+                                         for f, _, beta in parts))
+    seeds = [(i + 1) * 0x9E3779B97F4A7C15 % prime for i in range(len(lows))]
+    powers = [dict(zip(range(-reach, reach + 1), accumulate(  # x^e for |e| <= reach
+        repeat(x, 2 * reach), lambda a, b: a * b % prime, initial=pow(x, -reach, prime))))
+        for x in seeds]
+
+    def at(poly: Mapping[Exponent, int]) -> int:
+        return sum(map(mul, [prod(map(getitem, powers, e)) for e in poly], poly.values()))
+
+    num, den = 0, 1
+    for f, c, beta in parts:
+        below = f._scale * prod(pow(1 - at({a: 1}), k, prime) for a, k in f.factors.items())
+        part = c * at({beta: 1}) * at(f._terms)
+        num, den = (num * below + part * den) % prime, den * below % prime
+    if not den or (at(terms) * den - scale * num) % prime:
+        return None
+    return LaurentPoly._raw(len(lows), terms, scale)

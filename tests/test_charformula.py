@@ -2,12 +2,16 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
+from symchar import charformula
 from symchar.charformula import (
     CharacterPoly,
+    _route,
+    _summands,
     character_at,
     cyclotomic,
     multiplicity_at,
@@ -15,8 +19,10 @@ from symchar.charformula import (
     univariate_pfd,
 )
 from symchar.pfdcore import ClosedCharacter, PFDTerm, pfd_decompose
-from symchar.polyring import FactoredRational, InconsistencyError, LaurentPoly
-from symchar.rootsys import build_root_system
+from symchar.polyring import (
+    ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, kronecker_sum,
+)
+from symchar.rootsys import build_root_system, from_label
 from symchar.weightsys import dim_irrep, weight_system
 
 
@@ -125,6 +131,86 @@ class TestCharacterAt:
                    r"not 1/2 at \(-4, 2\)$")
         with pytest.raises(InconsistencyError, match=message):
             character_at(halved, 2)
+
+
+def _closed(label, highest):
+    return pfd_decompose(weight_system(from_label(label), highest))
+
+
+def _both_routes(closed, n):
+    """(Kronecker, symbolic) characters of degree n, whichever route the rule picks."""
+    parts, _, window, _ = _route(closed, n)
+    return kronecker_sum(window), FactoredRational.sum(_summands(parts), closed.rank).as_laurent()
+
+
+# The requests of perfbench's char_ladder and query_stream workloads.
+CHAR_LADDER = [("A1", (6,), 20), ("A2", (1, 1), 12), ("G2", (1, 0), 6),
+               ("B3", (1, 0, 0), 8), ("A2", (2, 1), 4), ("A2", (2, 1), 10)]
+QUERY_STREAM = [(label, highest, n) for label, highest in (
+    ("A1", (2,)), ("A1", (3,)), ("A1", (4,)), ("A1", (5,)), ("A1", (6,)), ("A2", (1, 0)),
+    ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("G2", (1, 0))) for n in range(1, 7)]
+
+
+class TestKroneckerRoute:
+    @pytest.mark.parametrize("label,highest,n", CHAR_LADDER + [
+        ("A3", (1, 0, 1), 3), ("A3", (1, 0, 1), 6), ("B2", (2, 1), 4)])
+    def test_both_routes_agree_term_for_term(self, label, highest, n):
+        kronecker, symbolic = _both_routes(_closed(label, highest), n)
+        assert kronecker.terms == symbolic.terms
+        assert kronecker.to_json() == symbolic.to_json()
+
+    @pytest.mark.parametrize("label,highest,n", CHAR_LADDER + QUERY_STREAM + [
+        ("A3", (1, 0, 1), 3), ("A3", (1, 0, 1), 6)])
+    def test_rule_picks_the_kronecker_route(self, label, highest, n):
+        assert _route(_closed(label, highest), n)[3]
+
+    @pytest.mark.parametrize("label,highest,n", [("A3", (1, 0, 1), 40), ("A2", (2, 1), 30)])
+    def test_rule_picks_the_symbolic_route_for_large_boxes(self, label, highest, n):
+        # The decision alone: neither request is run.
+        assert not _route(_closed(label, highest), n)[3]
+
+    @pytest.mark.parametrize("label,highest,n", [
+        ("A2", (2, 1), 4), ("G2", (1, 0), 6), ("B3", (1, 0, 0), 8)])
+    def test_a_unit_change_in_any_numerator_coefficient_fails_a_check(self, label, highest, n):
+        # Terms beyond the window never reach the digits; the point check sees them.
+        closed = _closed(label, highest)
+        mutations = 0
+        for index, term in enumerate(closed.terms):
+            numerator = term.coeff.numerator.terms
+            for exponent, step in product(sorted(numerator), (1, -1)):
+                changed = LaurentPoly(closed.rank,
+                                      {**numerator, exponent: numerator[exponent] + step})
+                broken = ClosedCharacter(source=closed.source, terms=(
+                    *closed.terms[:index],
+                    PFDTerm(term.weight, term.order, FactoredRational(changed, term.coeff.factors)),
+                    *closed.terms[index + 1:]))
+                assert kronecker_sum(_route(broken, n)[2]) is None
+                mutations += 1
+        assert mutations == 2 * sum(len(t.coeff.numerator.terms) for t in closed.terms)
+        # Through character_at, the symbolic route then raises its own error.
+        with pytest.raises((ExactDivisionError, InconsistencyError)):
+            character_at(broken, n)
+
+    def test_a_kronecker_failure_the_symbolic_route_passes_is_an_internal_error(
+            self, sl3_adjoint, monkeypatch):
+        monkeypatch.setattr(charformula, "kronecker_sum", lambda window: None)
+        message = (r"^A2\(1, 1\), N=2: "
+                   r"the Kronecker route failed a check that the symbolic route passes$")
+        with pytest.raises(InconsistencyError, match=message):
+            character_at(pfd_decompose(sl3_adjoint), 2)
+
+    @pytest.mark.parametrize("rule", [0, charformula._RULE], ids=["symbolic", "rule"])
+    def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, monkeypatch, rule):
+        # Doubled pole data gives positive integer coefficients that sum to 2 C(dim-1+N, N).
+        monkeypatch.setattr(charformula, "_RULE", rule)
+        closed = pfd_decompose(sl2_adjoint)
+        doubled = ClosedCharacter(source=closed.source, terms=tuple(
+            PFDTerm(t.weight, t.order, t.coeff * 2) for t in closed.terms))
+        message = r"^A1\(2,\), N=2: coefficients sum to 12, not C\(dim-1\+N, N\) = 6$"
+        with pytest.raises(InconsistencyError, match=message):
+            character_at(doubled, 2)
+        # Twice the character passes the point check; the digit sum stops it.
+        assert kronecker_sum(_route(doubled, 2)[2]) is None
 
 
 class TestMultiplicityAt:

@@ -232,6 +232,28 @@ class TestUserErrors:
         # Surrounding spaces and a plus sign stay accepted.
         assert run_cli(capsys, "weights", "--algebra", "A2", "--lambda", " +1 , 0 ")[0] == 0
 
+    @pytest.mark.parametrize("text", ["0_2", " 2", "2 ", "+2", "٢", "2.0", "", "1e2"])
+    @pytest.mark.parametrize("argv", [
+        ("char", "--algebra", "A1", "--lambda", "1", "--N"),
+        ("mult", "--algebra", "A1", "--lambda", "1", "--mu", "0", "--N"),
+        ("vpart", "--algebra", "A1", "--lambda", "1", "--max-n"),
+        ("verify", "--case", "A1", "--max-n"),
+    ], ids=lambda argv: argv[0])
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv, text):
+        # argparse's own line for a value that is not an int, as for --N x.
+        option = argv[-1]
+        message = "error: argument %s: invalid int value: %r\n" % (option, text)
+        assert run_cli(capsys, *argv, text) == (1, "", message)
+
+    def test_integer_options_accept_digits_with_a_minus_sign(self, capsys):
+        assert run_cli(capsys, "char", "--algebra", "A1", "--lambda", "1", "--N", "02",
+                       "--format", "text") == (0, "q^2 + 1 + q^-2\n", "")
+        assert run_cli(capsys, "vpart", "--algebra", "A1", "--lambda", "1", "--max-n", "-0")[0] == 0
+        for argv in (("char", "--algebra", "A1", "--lambda", "1", "--N", "-3"),
+                     ("verify", "--max-n", "-1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "") and "non-negative" in err
+
     def test_unknown_verify_case(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--case", "A1", "--case", "X9")
         assert code == 1

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from symchar import cli
+from symchar.charformula import character_at
 from symchar.oracle import truncated_molien
 from symchar.pfdcore import (
     _dominant_terms,
@@ -347,6 +348,8 @@ def test_transport_heavy_pole_data_matches_molien(label, highest):
             for value, term in values
         )
         assert got == molien.coefficient(n).evaluate(point)
+    # N = 0 exactly, not only at the point: the pole terms sum to the constant 1.
+    assert character_at(closed, 0).terms == LaurentPoly.one(2)
 
 
 def test_pole_data_failure_names_the_pole(capsys, monkeypatch):

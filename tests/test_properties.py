@@ -6,7 +6,8 @@ constant on each Weyl orbit.  The pole data is Weyl equivariant:
 A(w.nu, k) = w.A(nu, k), on the same draws and on larger modules, and
 each dominant term A(mu, k) is fixed by the stabilizer of mu.  The
 rank-1 cyclotomic decomposition of random rational functions reassembles
-its input.
+its input.  On the same draws, the Kronecker and symbolic routes of
+character_at give the same character.
 """
 
 from fractions import Fraction
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchar.charformula import (
+    _route,
+    _summands,
     character_at,
     cyclotomic,
     multiplicity_at,
@@ -24,7 +27,7 @@ from symchar.charformula import (
 )
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
-from symchar.polyring import FactoredRational, LaurentPoly
+from symchar.polyring import FactoredRational, LaurentPoly, kronecker_sum
 from symchar.rootsys import from_label, is_dominant
 from symchar.weightsys import dim_irrep, weight_system
 
@@ -195,3 +198,16 @@ def test_univariate_pfd_reassembles_its_input(terms, factors):
     for pole in decomposition.pole_terms:
         assert pole.numerator and pole.numerator[-1] != Fraction(0)
         assert len(pole.numerator) < len(cyclotomic(pole.index))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(module=st.sampled_from(MODULES), n=st.integers(0, MAX_N))
+def test_both_character_routes_agree(module, n):
+    # The rule sends every draw to the Kronecker route; its character equals
+    # the symbolic route's term for term.
+    label, highest = module
+    closed = pfd_decompose(weight_system(from_label(label), highest))
+    parts, _, window, kronecker = _route(closed, n)
+    assert kronecker
+    symbolic = FactoredRational.sum(_summands(parts), closed.rank).as_laurent()
+    assert kronecker_sum(window).terms == symbolic.terms

@@ -27,11 +27,15 @@ import subprocess
 import sys
 import time
 
-# Molien at A3(1,0,1) N=40 holds about 0.7 GB of rows.
+# Molien at A3(1,0,1) N=40 holds about 0.7 GB of rows.  The last three rows
+# are the transport-heavy modules, whose pole terms mostly come from another
+# weight of the orbit: their common denominators are the largest.
 ROWS = [
     *(("A3", (1, 0, 1), n) for n in (6, 20, 32, 34, 40)),
     *(("A2", (2, 1), n) for n in (10, 18, 24, 30)),
     ("B2", (2, 1), 4),
+    ("A2", (3, 3), 4),
+    ("G2", (0, 2), 3),
 ]
 ROUTES = ("pole", "molien", "adams")
 
