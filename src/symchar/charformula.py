@@ -1,18 +1,17 @@
 """Character assembly for concrete symmetric-power degrees.
 
 character_at turns the closed pole data into the actual character of the
-N-th symmetric power, the sum of the C(N+k-1, N) q^(N nu) A(nu,k), by one of
-two routes that a rule picks before any work (_RULE, calibrated in the
-README).  The Kronecker route (polyring.kronecker_sum) computes the sum as
-one integer over the box N*[min_i, max_i] of the module's weights, each term
-divided by its own factors as a power series; the symbolic route sums the
-terms over one common denominator and divides its binomial factors out, one
-at a time.  It serves large boxes, and it also runs when a Kronecker check
-fails, so the errors are its own.  Both routes check that the coefficients
-sum to C(dim-1+N, N).  Each degree is assembled once per ClosedCharacter and
-kept on it (a bounded memo, see _memo), so the characters live exactly as
-long as their pole data; n is checked on every call.  multiplicity_at reads
-a weight multiplicity off that polynomial as a shifted constant term.
+N-th symmetric power, the sum of the C(N+k-1, N) q^(N nu) A(nu,k), for
+every N by one route: polyring.kronecker_sum computes the sum as one integer
+over the box N*[min_i, max_i] of the module's weights, each term divided by
+its own factors as a power series.  Only when a Kronecker check fails does
+the symbolic sum run (the terms over one common denominator, its binomial
+factors divided out one at a time), so the error raised is its own.  The
+coefficients must sum to C(dim-1+N, N).  Each degree is assembled once per
+ClosedCharacter and kept on it (a bounded memo, see _memo), so the
+characters live exactly as long as their pole data; n is checked on every
+call.  multiplicity_at reads a weight multiplicity off that polynomial as a
+shifted constant term.
 
 orbit_split regroups the same sum by Weyl orbits of dominant weights (it
 is not memoized: its (module, N) requests rarely repeat), and
@@ -33,7 +32,7 @@ from ._memo import Frozen, recall
 from .pfdcore import ClosedCharacter, binomial_poly
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
-    kronecker_sum, kronecker_window,
+    kronecker_sum,
 )
 from .rootsys import RootSystem, Weight, weight_scale
 
@@ -148,31 +147,20 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
     return recall(cc._characters, n, lambda: _assemble(cc, n))
 
 
-# The Kronecker route serves a degree when K * SK <= _RULE * NT * Fk (kronecker_window).
-_RULE = 70_000
-
-
-def _route(cc: ClosedCharacter, n: int):
-    """(parts, C(dim-1+n, n), Kronecker window, whether the rule picks the Kronecker route)."""
-    parts, total = _parts(cc, n), comb(cc.source.dimension() - 1 + n, n)
-    columns = list(zip(*cc.source.support()))
-    kronecker, symbolic, window = kronecker_window(
-        parts, [n * min(c) for c in columns], [n * max(c) for c in columns], total)
-    return parts, total, window, kronecker <= _RULE * symbolic
-
-
 def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
-    """The degree-n character by the route the rule picks, its coefficient sum checked.
+    """The degree-n character by the Kronecker route, its coefficient sum checked.
 
-    When the Kronecker route fails a check, the symbolic route's error is
-    raised as it is, and its success is an InconsistencyError.
+    When a Kronecker check fails, the symbolic sum's error is raised as it
+    is, and its success is an InconsistencyError.
     """
     where = "%s%s, N=%d" % (cc.source.root_system.label, cc.source.highest_weight, n)
-    parts, total, window, kronecker = _route(cc, n)
-    terms = kronecker_sum(window) if kronecker else None
-    failed = kronecker and terms is None
+    parts, total = _parts(cc, n), comb(cc.source.dimension() - 1 + n, n)
+    columns = list(zip(*cc.source.support()))
+    terms = kronecker_sum(parts, [n * min(c) for c in columns], [n * max(c) for c in columns],
+                          total)
+    failed = terms is None
     try:
-        if terms is None:
+        if failed:
             terms = FactoredRational.sum(_summands(parts), cc.rank).as_laurent()
         character = CharacterPoly(rank=cc.rank, terms=terms)
         if character.coefficient_sum() != total:

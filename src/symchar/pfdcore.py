@@ -90,10 +90,6 @@ class ClosedCharacter(Frozen):
     def rank(self) -> int:
         return self.source.rank
 
-    def coefficient_sum(self) -> FactoredRational:
-        """Sum of all coefficients; equals 1 exactly (the N = 0 specialization)."""
-        return FactoredRational.sum([term.coeff for term in self.terms], self.rank)
-
     def to_json(self) -> list[dict]:
         return [term.to_json() for term in self.terms]
 

@@ -28,13 +28,14 @@ denominator.  mapped() substitutes q^e -> q^(M.e) for an invertible integer
 matrix M, such as a Weyl group element, and normalizes the images of the
 factors with the same helper as the constructor.
 
-kronecker_window and kronecker_sum are the second sum, for parts whose sum is
-known to be a polynomial with nonnegative coefficients in a box.  They
-substitute values too: q^e becomes x^(strides.e) with x = 2^b, so the sum is
-one int modulo 2^K whose b-bit digits are its coefficients.  Each part is
-divided by its own factors as a power series and the digits are decoded
-once; no common denominator is built.  The result is checked at a seeded
-point modulo 2^61 - 1; a caller falls back on sum() and as_laurent().
+kronecker_sum is the second sum, for parts whose sum is known to be a
+polynomial with nonnegative coefficients in a box.  It substitutes values
+too: q^e becomes x^(strides.e) with x = 2^b, so the sum is one int modulo
+2^K whose b-bit digits are its coefficients.  Each part is divided by its
+own factors as a power series and the digits are decoded once; no common
+denominator is built.  The result is checked at a seeded point modulo
+2^61 - 1; when a check fails it is None, and a caller falls back on sum()
+and as_laurent() for their error.
 
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
@@ -59,7 +60,6 @@ __all__ = [
     "PoleError",
     "LaurentPoly",
     "FactoredRational",
-    "kronecker_window",
     "kronecker_sum",
 ]
 
@@ -735,22 +735,21 @@ class FactoredRational:
 # -- the Kronecker route: a polynomial sum as one power series in one int -------
 
 
-def kronecker_window(parts, lows: Exponent, highs: Exponent, total: int):
-    """(K * SK, NT * Fk, window): the two routes' costs and the window of a sum.
+def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> LaurentPoly | None:
+    """The sum of the c * q^beta * f over the (f, c, beta) in parts, or None when a check fails.
 
-    The sum of the c * q^beta * f over the (f, c, beta) in parts must be a
-    polynomial with nonnegative coefficients in the box lows..highs that sum
-    to total.  Coordinate 0 is the most significant slot digit, and radix
-    i >= 1 is widened past every |alpha_i|, so each (1 - q^alpha) maps to
-    (1 - x^L) with L > 0.  SK is the sum of the factor powers over the parts,
-    NT their numerator terms and Fk the total power of their common
-    denominator.
+    The sum must be a polynomial with nonnegative coefficients in the box
+    lows..highs that sum to total.  Coordinate 0 is the most significant
+    slot digit, and radix i >= 1 is widened past every |alpha_i|, so each
+    (1 - q^alpha) maps to (1 - x^L) with L > 0.  Each numerator is laid out
+    in two byte buffers, positive and negative coefficients apart, and
+    divided by each (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo
+    2^K.
     """
-    radix, common = [h - l + 1 for l, h in zip(lows, highs)], {}
+    radix = [h - l + 1 for l, h in zip(lows, highs)]
     for f, _, _ in parts:
-        for alpha, power in f.factors.items():
+        for alpha in f.factors:
             radix[1:] = map(max, radix[1:], (abs(a) + 1 for a in alpha[1:]))
-            common[alpha] = max(common.get(alpha, 0), power)
     strides = [*accumulate(radix[:0:-1], mul, initial=1)][::-1]
     scale, origin = lcm(*(f._scale for f, _, _ in parts)), sum(map(mul, lows, strides))
     laid, big, low = [], scale * total, 0
@@ -764,22 +763,9 @@ def kronecker_window(parts, lows: Exponent, highs: Exponent, total: int):
             laid.append((slots, f.factors))
     # A slot holds scale * total and every scaled coefficient, with a bit to
     # spare, in whole bytes; the window runs 64 bits past the box.
-    bits, width = (big.bit_length() + 8) // 8 * 8, radix[0] * strides[0]
-    size = bits * (width - low + -(-64 // bits))
-    return (size * sum(sum(f.factors.values()) for f, _, _ in parts),
-            sum(len(f._terms) for f, _, _ in parts) * sum(common.values()),
-            (parts, lows, highs, strides, width, -low, bits, size, scale, total, laid))
-
-
-def kronecker_sum(window) -> LaurentPoly | None:
-    """The sum of the parts of a kronecker_window, or None when a check fails.
-
-    Each numerator is laid out in two byte buffers, positive and negative
-    coefficients apart, and divided by each (1 - x^L) as the product of the
-    (1 + x^(L 2^i)) modulo 2^K.
-    """
-    parts, lows, highs, strides, width, depth, bits, size, scale, total, laid = window
-    nb, top, value = bits // 8, size // bits - depth, 0
+    bits, width, depth = (big.bit_length() + 8) // 8 * 8, radix[0] * strides[0], -low
+    nb, top, value = bits // 8, width + -(-64 // bits), 0
+    size = bits * (depth + top)
     for slots, factors in laid:
         # The part's series, from its lowest slot to the top of the window.
         low, high = min(slots), min(max(slots) + 1, top)

@@ -10,7 +10,7 @@ import pytest
 from symchar import charformula
 from symchar.charformula import (
     CharacterPoly,
-    _route,
+    _parts,
     _summands,
     character_at,
     cyclotomic,
@@ -18,6 +18,7 @@ from symchar.charformula import (
     orbit_split,
     univariate_pfd,
 )
+from symchar.oracle import truncated_molien
 from symchar.pfdcore import ClosedCharacter, PFDTerm, pfd_decompose
 from symchar.polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, kronecker_sum,
@@ -137,10 +138,17 @@ def _closed(label, highest):
     return pfd_decompose(weight_system(from_label(label), highest))
 
 
+def _kronecker_args(closed, n):
+    """(parts, lows, highs, total): what character_at hands kronecker_sum for degree n."""
+    columns = list(zip(*closed.source.support()))
+    return (_parts(closed, n), [n * min(c) for c in columns], [n * max(c) for c in columns],
+            comb(closed.source.dimension() - 1 + n, n))
+
+
 def _both_routes(closed, n):
-    """(Kronecker, symbolic) characters of degree n, whichever route the rule picks."""
-    parts, _, window, _ = _route(closed, n)
-    return kronecker_sum(window), FactoredRational.sum(_summands(parts), closed.rank).as_laurent()
+    """(Kronecker, symbolic) characters of degree n."""
+    return (kronecker_sum(*_kronecker_args(closed, n)),
+            FactoredRational.sum(_summands(_parts(closed, n)), closed.rank).as_laurent())
 
 
 # The requests of perfbench's char_ladder and query_stream workloads.
@@ -151,6 +159,10 @@ QUERY_STREAM = [(label, highest, n) for label, highest in (
     ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("G2", (1, 0))) for n in range(1, 7)]
 
 
+def _no_symbolic_sum(parts, rank):
+    raise AssertionError("character_at ran the symbolic sum")
+
+
 class TestKroneckerRoute:
     @pytest.mark.parametrize("label,highest,n", CHAR_LADDER + [
         ("A3", (1, 0, 1), 3), ("A3", (1, 0, 1), 6), ("B2", (2, 1), 4)])
@@ -159,15 +171,20 @@ class TestKroneckerRoute:
         assert kronecker.terms == symbolic.terms
         assert kronecker.to_json() == symbolic.to_json()
 
+    # The one rule of character_at: the Kronecker route serves every degree,
+    # and the symbolic sum runs only after a failed check.  The last five rows
+    # are large boxes and F4, E6 and C3 modules, on which the symbolic sum
+    # takes from tenths of a second to many minutes.
     @pytest.mark.parametrize("label,highest,n", CHAR_LADDER + QUERY_STREAM + [
-        ("A3", (1, 0, 1), 3), ("A3", (1, 0, 1), 6)])
-    def test_rule_picks_the_kronecker_route(self, label, highest, n):
-        assert _route(_closed(label, highest), n)[3]
-
-    @pytest.mark.parametrize("label,highest,n", [("A3", (1, 0, 1), 40), ("A2", (2, 1), 30)])
-    def test_rule_picks_the_symbolic_route_for_large_boxes(self, label, highest, n):
-        # The decision alone: neither request is run.
-        assert not _route(_closed(label, highest), n)[3]
+        ("A3", (1, 0, 1), 3), ("A3", (1, 0, 1), 6), ("A2", (2, 1), 30), ("A2", (1, 1), 40),
+        ("F4", (0, 0, 0, 1), 4), ("E6", (1, 0, 0, 0, 0, 0), 3), ("C3", (0, 1, 0), 8)])
+    def test_rule_picks_the_kronecker_route(self, label, highest, n, monkeypatch):
+        table = weight_system(from_label(label), highest)
+        closed, expected = pfd_decompose(table), truncated_molien(table, n).coefficient(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(FactoredRational, "sum", _no_symbolic_sum)
+            character = character_at(closed, n)
+        assert character.terms == expected
 
     @pytest.mark.parametrize("label,highest,n", [
         ("A2", (2, 1), 4), ("G2", (1, 0), 6), ("B3", (1, 0, 0), 8)])
@@ -184,7 +201,7 @@ class TestKroneckerRoute:
                     *closed.terms[:index],
                     PFDTerm(term.weight, term.order, FactoredRational(changed, term.coeff.factors)),
                     *closed.terms[index + 1:]))
-                assert kronecker_sum(_route(broken, n)[2]) is None
+                assert kronecker_sum(*_kronecker_args(broken, n)) is None
                 mutations += 1
         assert mutations == 2 * sum(len(t.coeff.numerator.terms) for t in closed.terms)
         # Through character_at, the symbolic route then raises its own error.
@@ -193,16 +210,17 @@ class TestKroneckerRoute:
 
     def test_a_kronecker_failure_the_symbolic_route_passes_is_an_internal_error(
             self, sl3_adjoint, monkeypatch):
-        monkeypatch.setattr(charformula, "kronecker_sum", lambda window: None)
+        monkeypatch.setattr(charformula, "kronecker_sum", lambda *window: None)
         message = (r"^A2\(1, 1\), N=2: "
                    r"the Kronecker route failed a check that the symbolic route passes$")
         with pytest.raises(InconsistencyError, match=message):
             character_at(pfd_decompose(sl3_adjoint), 2)
 
-    @pytest.mark.parametrize("rule", [0, charformula._RULE], ids=["symbolic", "rule"])
-    def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, monkeypatch, rule):
+    @pytest.mark.parametrize("forced", [True, False], ids=["symbolic", "rule"])
+    def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, monkeypatch, forced):
         # Doubled pole data gives positive integer coefficients that sum to 2 C(dim-1+N, N).
-        monkeypatch.setattr(charformula, "_RULE", rule)
+        if forced:  # straight to the symbolic route
+            monkeypatch.setattr(charformula, "kronecker_sum", lambda *window: None)
         closed = pfd_decompose(sl2_adjoint)
         doubled = ClosedCharacter(source=closed.source, terms=tuple(
             PFDTerm(t.weight, t.order, t.coeff * 2) for t in closed.terms))
@@ -210,7 +228,7 @@ class TestKroneckerRoute:
         with pytest.raises(InconsistencyError, match=message):
             character_at(doubled, 2)
         # Twice the character passes the point check; the digit sum stops it.
-        assert kronecker_sum(_route(doubled, 2)[2]) is None
+        assert kronecker_sum(*_kronecker_args(doubled, 2)) is None
 
 
 class TestMultiplicityAt:

@@ -906,6 +906,23 @@ class TestPairwiseSum:
         assert (zero * FactoredRational(LaurentPoly.one(2), [((1, 1), 1)])).is_zero
 
 
+class TestKroneckerSum:
+    def test_digits_wider_than_a_machine_word(self):
+        # Scaled coefficients past 2^64 are decoded byte by byte, not as machine words.
+        big = 3 ** 45
+        parts = [
+            (FactoredRational(LaurentPoly(2, {(0, 0): big, (2, 0): -big}), [((1, 0), 1)]), 2, (0, 1)),
+            (FactoredRational(LaurentPoly(2, {(0, 0): Fraction(big, 7), (0, 3): Fraction(-big, 7)}),
+                              [((0, 1), 1)]), 7, (0, 0)),
+        ]
+        got = polyring.kronecker_sum(parts, (0, 0), (1, 2), 7 * big)
+        symbolic = FactoredRational.sum(
+            [f * LaurentPoly.monomial(beta, c) for f, c, beta in parts], 2).as_laurent()
+        assert got.terms == symbolic.terms == {
+            (0, 0): big, (0, 1): 3 * big, (0, 2): big, (1, 1): 2 * big}
+        assert 7 * max(got.terms.values()) > 2 ** 64
+
+
 class TestIntegerProduct:
     """The product of integer numerators against the reference product on Fractions."""
 

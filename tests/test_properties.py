@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchar.charformula import (
-    _route,
+    _parts,
     _summands,
     character_at,
     cyclotomic,
@@ -27,7 +27,7 @@ from symchar.charformula import (
 )
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
-from symchar.polyring import FactoredRational, LaurentPoly, kronecker_sum
+from symchar.polyring import FactoredRational, LaurentPoly
 from symchar.rootsys import from_label, is_dominant
 from symchar.weightsys import dim_irrep, weight_system
 
@@ -63,7 +63,7 @@ def test_pole_data_agrees_with_both_oracles(module, n):
     rs = from_label(label)
     table = weight_system(rs, highest)
     closed = pfd_decompose(table)
-    assert closed.coefficient_sum() == 1
+    assert character_at(closed, 0).terms == 1
 
     character = character_at(closed, n).terms
     assert character == truncated_molien(table, n).coefficient(n)
@@ -203,11 +203,10 @@ def test_univariate_pfd_reassembles_its_input(terms, factors):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(module=st.sampled_from(MODULES), n=st.integers(0, MAX_N))
 def test_both_character_routes_agree(module, n):
-    # The rule sends every draw to the Kronecker route; its character equals
-    # the symbolic route's term for term.
+    # character_at returns the Kronecker route's character (a Kronecker failure
+    # that the symbolic route passes is an error); it equals the symbolic
+    # route's term for term.
     label, highest = module
     closed = pfd_decompose(weight_system(from_label(label), highest))
-    parts, _, window, kronecker = _route(closed, n)
-    assert kronecker
-    symbolic = FactoredRational.sum(_summands(parts), closed.rank).as_laurent()
-    assert kronecker_sum(window).terms == symbolic.terms
+    symbolic = FactoredRational.sum(_summands(_parts(closed, n)), closed.rank).as_laurent()
+    assert character_at(closed, n).terms.terms == symbolic.terms

@@ -16,7 +16,7 @@ row whose routes disagree is marked MISMATCH.
     PYTHONPATH=src python tools/crossover.py [--limit SECONDS]
 
 The rows are the crossover table of ROADMAP item 1; with the default 30 s
-limit the sweep takes about three minutes.
+limit the sweep takes about five minutes.
 """
 
 from __future__ import annotations
@@ -27,15 +27,20 @@ import subprocess
 import sys
 import time
 
-# Molien at A3(1,0,1) N=40 holds about 0.7 GB of rows.  The last three rows
-# are the transport-heavy modules, whose pole terms mostly come from another
-# weight of the orbit: their common denominators are the largest.
+# Molien at A3(1,0,1) N=40 holds about 0.7 GB of rows.  B2(2,1), A2(3,3)
+# and G2(0,2) are the transport-heavy modules, whose pole terms mostly come
+# from another weight of the orbit: their common denominators are the
+# largest.  The last four rows are modules of the C, D, E and F series.
 ROWS = [
     *(("A3", (1, 0, 1), n) for n in (6, 20, 32, 34, 40)),
     *(("A2", (2, 1), n) for n in (10, 18, 24, 30)),
     ("B2", (2, 1), 4),
     ("A2", (3, 3), 4),
     ("G2", (0, 2), 3),
+    ("F4", (0, 0, 0, 1), 4),
+    ("E6", (1, 0, 0, 0, 0, 0), 3),
+    ("C3", (0, 1, 0), 8),
+    ("D4", (1, 0, 0, 0), 12),
 ]
 ROUTES = ("pole", "molien", "adams")
 
