@@ -3,9 +3,10 @@
 Each stage keeps one dict from its checked input to its result: root
 systems by (series, rank) in ``rootsys``, weight tables by (root system,
 highest weight) in ``weightsys``, pole data by table content in
-``pfdcore``, on each ``ClosedCharacter`` its characters by degree,
-filled by ``charformula.character_at``, and cyclotomic polynomials by
-index in ``charformula``.  Results are shared between callers and never
+``pfdcore``, on each ``ClosedCharacter`` its characters and its orbit
+summands by degree, filled by ``charformula.character_at`` and
+``charformula.orbit_split``, and cyclotomic polynomials by index in
+``charformula``.  Results are shared between callers and never
 copied, so the value classes derive from ``Frozen``.
 """
 

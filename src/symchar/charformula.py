@@ -13,8 +13,9 @@ characters live exactly as long as their pole data; n is checked on every
 call.  multiplicity_at reads a weight multiplicity off that polynomial as a
 shifted constant term.
 
-orbit_split regroups the same sum by Weyl orbits of dominant weights (it
-is not memoized: its (module, N) requests rarely repeat), and
+orbit_split regroups the same sum by Weyl orbits of dominant weights; its
+summands are kept on the ClosedCharacter by degree in the same way, n and
+rs checked on every call, and each call gets a new list of them.
 univariate_pfd decomposes a rank-1 summand into a Laurent-polynomial part
 plus proper fractions over powers of cyclotomic polynomials, all on rank-1
 LaurentPoly values.  The reduction is Hermite-style: for each Phi_d^k the
@@ -32,7 +33,7 @@ from ._memo import Frozen, recall
 from .pfdcore import ClosedCharacter, binomial_poly
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
-    kronecker_sum,
+    check_exponent, kronecker_sum,
 )
 from .rootsys import RootSystem, Weight, weight_scale
 
@@ -58,23 +59,26 @@ class CharacterPoly(Frozen):
     def __post_init__(self):
         if self.rank != self.terms.rank:
             raise ValueError("rank-%d character with rank-%d terms" % (self.rank, self.terms.rank))
-        terms = self.terms.terms
-        bad = [mu for mu, coeff in terms.items() if coeff.denominator != 1 or coeff <= 0]
+        # Checked on the integer terms over their scale; the Fraction view only
+        # formats the message.
+        terms, scale = self.terms._terms, self.terms._scale
+        bad = [mu for mu, c in terms.items() if c % scale or c <= 0]
         if bad:
             raise InconsistencyError("character coefficients must be positive integers, "
-                                     "not %s at %s" % (terms[min(bad)], min(bad)))
+                                     "not %s at %s" % (self.terms.terms[min(bad)], min(bad)))
 
     def multiplicity(self, mu) -> int:
-        return int(self.terms.coefficient(tuple(mu)))
+        return self.terms._terms.get(check_exponent(mu, self.terms.rank), 0) // self.terms._scale
 
     def coefficient_sum(self) -> int:
-        return int(self.terms.coefficient_sum())
+        return sum(self.terms._terms.values()) // self.terms._scale
 
     def support(self) -> list[Weight]:
         return self.terms.support()
 
     def to_json(self) -> list[dict]:
-        return [{"weight": list(mu), "mult": int(self.terms.terms[mu])} for mu in self.support()]
+        terms, scale = self.terms._terms, self.terms._scale
+        return [{"weight": list(mu), "mult": terms[mu] // scale} for mu in sorted(terms)]
 
 
 class OrbitSummand(Frozen):
@@ -185,19 +189,26 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
     The summands add up to the full character of the n-th symmetric power;
     each one collects q^(n w.nu) times the pole coefficients of the orbit
     weights w.nu.  rs must be the root system of the module's table,
-    cc.source.root_system; otherwise ValueError.
+    cc.source.root_system; otherwise ValueError.  n and rs are checked on
+    every call; the summands are computed once per degree and kept on cc,
+    and each call returns a new list of the shared, read-only summands.
     """
     check_count(n, "symmetric-power degree")
     if rs != cc.source.root_system:
         raise ValueError("root system %s is not %s, the root system of the pole data"
                          % (rs.label, cc.source.root_system.label))
+    return list(recall(cc._orbits, n, lambda: _split(cc, rs, n)))
+
+
+def _split(cc: ClosedCharacter, rs: RootSystem, n: int) -> tuple[OrbitSummand, ...]:
+    """The degree-n orbit summands, each orbit's parts summed and reduced once."""
     grouped: dict[Weight, list[FactoredRational]] = {}
     for term, part in zip(cc.terms, _summands(_parts(cc, n))):
         grouped.setdefault(rs.dominant_representative(term.weight), []).append(part)
-    return [
+    return tuple(
         OrbitSummand(nu, FactoredRational.sum(grouped[nu], cc.rank).reduced())
         for nu in sorted(grouped)
-    ]
+    )
 
 
 # -- univariate machinery ----------------------------------------------------

@@ -39,8 +39,9 @@ pfd_decompose checks only that the highest weight is dominant, then
 computes the pole data once per table content (root-system label, highest
 weight, sorted entries) and hands the same ClosedCharacter to every later
 caller; the oldest goes when the memo is full (see _memo).  Each
-ClosedCharacter also keeps the characters that charformula.character_at
-has computed from it, by degree.
+ClosedCharacter also keeps, by degree, the characters that
+charformula.character_at and the orbit summands that charformula.orbit_split
+have computed from it.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ class ClosedCharacter(Frozen):
     terms: tuple[PFDTerm, ...]
 
     def __post_init__(self):
-        # Characters by degree, filled by charformula.character_at; not a field.
+        # Characters and orbit summands by degree, filled by
+        # charformula.character_at and orbit_split; not fields.
         object.__setattr__(self, "_characters", {})
+        object.__setattr__(self, "_orbits", {})
 
     @property
     def rank(self) -> int:

@@ -97,7 +97,7 @@ def check_count(value, what: str, least: int = 0, most: int | None = None) -> No
     raise ValueError("%s %r outside %d..%d" % (what, value, least, most))
 
 
-def _exponent(exponent: Iterable[int], rank: int) -> Exponent:
+def check_exponent(exponent: Iterable[int], rank: int) -> Exponent:
     """exponent as a tuple, or ValueError unless it is a vector of rank ints (not bools)."""
     exponent = tuple(exponent)
     if len(exponent) != rank:
@@ -135,7 +135,7 @@ class LaurentPoly:
         check_count(rank, "rank", 1)
         clean: dict[Exponent, int | Fraction] = {}
         for exponent, value in (terms or {}).items():
-            exponent = _exponent(exponent, rank)
+            exponent = check_exponent(exponent, rank)
             if _exact(value):
                 clean[exponent] = value
         scale = lcm(*(c.denominator for c in clean.values()))
@@ -189,7 +189,7 @@ class LaurentPoly:
         return not self._terms
 
     def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(_exponent(exponent, self.rank), 0), self._scale)
+        return Fraction(self._terms.get(check_exponent(exponent, self.rank), 0), self._scale)
 
     def coefficient_sum(self) -> Fraction:
         return Fraction(sum(self._terms.values()), self._scale)

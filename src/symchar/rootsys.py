@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from ._memo import Frozen, recall
 from .polyring import InconsistencyError
@@ -29,7 +29,6 @@ __all__ = [
     "parse_label",
     "is_dominant",
     "positive_root_count",
-    "weyl_group_order",
     "weight_sum",
     "weight_diff",
     "weight_scale",
@@ -53,27 +52,21 @@ def is_dominant(mu: Weight) -> bool:
 
 
 # Per series, as functions of the rank: (is the rank valid, number of
-# positive roots, Weyl group order).
+# positive roots).
 _SERIES = {
-    "A": (lambda r: r >= 1, lambda r: r * (r + 1) // 2, lambda r: factorial(r + 1)),
-    "B": (lambda r: r >= 2, lambda r: r * r, lambda r: 2**r * factorial(r)),
-    "C": (lambda r: r >= 3, lambda r: r * r, lambda r: 2**r * factorial(r)),
-    "D": (lambda r: r >= 4, lambda r: r * (r - 1), lambda r: 2 ** (r - 1) * factorial(r)),
-    "E": (lambda r: r in (6, 7, 8), {6: 36, 7: 63, 8: 120}.get,
-          {6: 51840, 7: 2903040, 8: 696729600}.get),
-    "F": (lambda r: r == 4, lambda r: 24, lambda r: 1152),
-    "G": (lambda r: r == 2, lambda r: 6, lambda r: 12),
+    "A": (lambda r: r >= 1, lambda r: r * (r + 1) // 2),
+    "B": (lambda r: r >= 2, lambda r: r * r),
+    "C": (lambda r: r >= 3, lambda r: r * r),
+    "D": (lambda r: r >= 4, lambda r: r * (r - 1)),
+    "E": (lambda r: r in (6, 7, 8), {6: 36, 7: 63, 8: 120}.get),
+    "F": (lambda r: r == 4, lambda r: 24),
+    "G": (lambda r: r == 2, lambda r: 6),
 }
 
 
 def positive_root_count(series: str, rank: int) -> int:
     series, rank = _check_type(series, rank)
     return _SERIES[series][1](rank)
-
-
-def weyl_group_order(series: str, rank: int) -> int:
-    series, rank = _check_type(series, rank)
-    return _SERIES[series][2](rank)
 
 
 def _invert(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:

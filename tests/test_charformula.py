@@ -255,15 +255,35 @@ class TestMultiplicityAt:
 
 
 class TestCharacterPoly:
-    @pytest.mark.parametrize("terms,message", [
-        ({(0,): Fraction(1, 2), (4,): -1}, r"1/2 at \(0,\)"),
-        ({(0,): 1, (4,): -1}, r"-1 at \(4,\)"),
-    ], ids=["half", "negative"])
-    def test_coefficients_are_checked_when_made(self, terms, message):
+    # The integer terms over their scale are checked, whatever the scale.
+    @pytest.mark.parametrize("terms,scale,message", [
+        ({(0,): 1, (4,): -2}, 2, r"1/2 at \(0,\)"),
+        ({(0,): 1, (4,): -1}, 1, r"-1 at \(4,\)"),
+        ({(0,): 3, (2,): 2}, 2, r"3/2 at \(0,\)"),
+        ({(0,): 2, (2,): 12}, 2, None),
+    ], ids=["half", "negative", "three-halves-over-scale-2", "integers-over-scale-2"])
+    def test_coefficients_are_checked_when_made(self, terms, scale, message):
+        terms = LaurentPoly._raw(1, terms, scale)
+        if message is None:
+            CharacterPoly(rank=1, terms=terms)
+            return
         with pytest.raises(InconsistencyError,
                            match=r"^character coefficients must be positive integers, not "
                            + message + "$"):
-            CharacterPoly(rank=1, terms=LaurentPoly(1, terms))
+            CharacterPoly(rank=1, terms=terms)
+
+    def test_integers_over_a_scale_above_one_are_read_as_ints(self):
+        # 2 * 1/2 makes 1 and keeps the scale 2 of the half it came from.
+        terms = LaurentPoly(1, {(0,): Fraction(1, 2), (2,): 3}) * 2
+        assert terms._scale == 2
+        character = CharacterPoly(rank=1, terms=terms)
+        assert character.multiplicity((0,)) == 1 and character.multiplicity([2]) == 6
+        assert character.multiplicity((5,)) == 0
+        assert character.coefficient_sum() == 7
+        assert character.to_json() == [{"weight": [0], "mult": 1}, {"weight": [2], "mult": 6}]
+        for mu, message in (((0, 0), "length 2 in a rank-1"), ((True,), "non-integer")):
+            with pytest.raises(ValueError, match=message):
+                character.multiplicity(mu)
 
     def test_rank_must_be_the_rank_of_the_terms(self):
         with pytest.raises(ValueError, match=r"^rank-3 character with rank-1 terms$"):

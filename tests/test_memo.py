@@ -44,6 +44,14 @@ class TestShared:
         assert pfd_decompose(_dict_table(table)) is closed
         character = character_at(closed, 3)
         assert character_at(closed, 3) is character
+        summands = orbit_split(closed, rs, 3)
+        again = orbit_split(closed, rs, 3)
+        assert len(again) == 2 and all(a is b for a, b in zip(again, summands))
+        # Each call gets its own list, so a caller that changes it cannot
+        # change what the next caller gets.
+        assert again is not summands
+        summands.clear()
+        assert orbit_split(closed, rs, 3) == again
 
     def test_pole_data_is_keyed_on_content(self, a2):
         table = weight_system(a2, (1, 0))
@@ -68,6 +76,11 @@ class TestShared:
         assert copy == closed
         assert character_at(copy, 2) == character_at(closed, 2)
         assert character_at(copy, 2) is not character_at(closed, 2)
+        rs = closed.source.root_system
+        assert orbit_split(copy, rs, 2) == orbit_split(closed, rs, 2)
+        assert orbit_split(copy, rs, 2)[0] is not orbit_split(closed, rs, 2)[0]
+        assert copy._orbits.keys() == closed._orbits.keys() == {2}
+        assert copy._orbits is not closed._orbits
 
 
 class TestChecksBeforeLookup:
@@ -95,10 +108,22 @@ class TestChecksBeforeLookup:
     @pytest.mark.parametrize("degree", [2.0, -1, Fraction(2), "2", None])
     def test_bad_degree(self, sl2_adjoint, degree):
         closed = pfd_decompose(sl2_adjoint)
+        rs = sl2_adjoint.root_system
         character_at(closed, 2)
+        orbit_split(closed, rs, 2)
         for _ in range(2):
             with pytest.raises(ValueError, match="non-negative integer"):
                 character_at(closed, degree)
+            with pytest.raises(ValueError, match="non-negative integer"):
+                orbit_split(closed, rs, degree)
+
+    def test_orbits_on_another_root_system(self, a2, b2):
+        # B2 has the rank of A2 and moves the same weights; the degree is cached.
+        closed = pfd_decompose(weight_system(a2, (1, 0)))
+        orbit_split(closed, a2, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^root system B2 is not A2"):
+                orbit_split(closed, b2, 2)
 
     @pytest.mark.parametrize("label", ["A2x", " A 2", "A0", "Z2", "B1", ""])
     def test_malformed_label(self, label):
@@ -197,12 +222,16 @@ class TestBounded:
 
     def test_characters_per_degree_hold_at_most_the_bound(self, a1):
         closed = pfd_decompose(weight_system(a1, (1,)))
-        first = character_at(closed, 0)
+        first, orbits = character_at(closed, 0), orbit_split(closed, a1, 0)
         for n in range(MEMO_SIZE + 6):
             assert character_at(closed, n).coefficient_sum() == n + 1
+            assert [s.dominant_weight for s in orbit_split(closed, a1, n)] == [(1,)]
         assert len(closed._characters) <= MEMO_SIZE
+        assert len(closed._orbits) <= MEMO_SIZE
         again = character_at(closed, 0)
         assert again is not first and again == first
+        again = orbit_split(closed, a1, 0)
+        assert again[0] is not orbits[0] and again == orbits
 
     def test_cyclotomic_memo_holds_at_most_the_bound(self):
         first = [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)]
