@@ -4,14 +4,13 @@ character_at turns the closed pole data into the actual character of the
 N-th symmetric power, the sum of the C(N+k-1, N) q^(N nu) A(nu,k), for
 every N by one route: polyring.kronecker_sum computes the sum as one integer
 over the box N*[min_i, max_i] of the module's weights, each term divided by
-its own factors as a power series.  Only when a Kronecker check fails does
-the symbolic sum run (the terms over one common denominator, its binomial
-factors divided out one at a time), so the error raised is its own.  The
-coefficients must sum to C(dim-1+N, N).  Each degree is assembled once per
-ClosedCharacter and kept on it (a bounded memo, see _memo), so the
-characters live exactly as long as their pole data; n is checked on every
-call.  multiplicity_at reads a weight multiplicity off that polynomial as a
-shifted constant term.
+its own factors as a power series, and raises ExactDivisionError when one
+of its checks fails.  The coefficients must be positive integers that sum
+to C(dim-1+N, N); every error names the module and N.  Each degree is
+assembled once per ClosedCharacter and kept on it (a bounded memo, see
+_memo), so the characters live exactly as long as their pole data; n is
+checked on every call.  multiplicity_at reads a weight multiplicity off
+that polynomial as a shifted constant term.
 
 orbit_split regroups the same sum by Weyl orbits of dominant weights; its
 summands are kept on the ClosedCharacter by degree in the same way, n and
@@ -152,27 +151,16 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
 
 
 def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
-    """The degree-n character by the Kronecker route, its coefficient sum checked.
-
-    When a Kronecker check fails, the symbolic sum's error is raised as it
-    is, and its success is an InconsistencyError.
-    """
+    """The degree-n character by the Kronecker route, its coefficient sum checked."""
     where = "%s%s, N=%d" % (cc.source.root_system.label, cc.source.highest_weight, n)
     parts, total = _parts(cc, n), comb(cc.source.dimension() - 1 + n, n)
     columns = list(zip(*cc.source.support()))
-    terms = kronecker_sum(parts, [n * min(c) for c in columns], [n * max(c) for c in columns],
-                          total)
-    failed = terms is None
     try:
-        if failed:
-            terms = FactoredRational.sum(_summands(parts), cc.rank).as_laurent()
-        character = CharacterPoly(rank=cc.rank, terms=terms)
+        character = CharacterPoly(rank=cc.rank, terms=kronecker_sum(
+            parts, [n * min(c) for c in columns], [n * max(c) for c in columns], total))
         if character.coefficient_sum() != total:
             raise InconsistencyError("coefficients sum to %d, not C(dim-1+N, N) = %d"
                                      % (character.coefficient_sum(), total))
-        if failed:
-            raise InconsistencyError(
-                "the Kronecker route failed a check that the symbolic route passes")
         return character
     except (ExactDivisionError, InconsistencyError) as error:
         raise type(error)("%s: %s" % (where, error)) from error

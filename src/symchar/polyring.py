@@ -33,9 +33,8 @@ polynomial with nonnegative coefficients in a box.  It substitutes values
 too: q^e becomes x^(strides.e) with x = 2^b, so the sum is one int modulo
 2^K whose b-bit digits are its coefficients.  Each part is divided by its
 own factors as a power series and the digits are decoded once; no common
-denominator is built.  The result is checked at a seeded point modulo
-2^61 - 1; when a check fails it is None, and a caller falls back on sum()
-and as_laurent() for their error.
+denominator is built.  A term outside the box, or a mismatch with the parts
+at a seeded point modulo 2^61 - 1, raises ExactDivisionError.
 
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
@@ -729,22 +728,20 @@ class FactoredRational:
         return "FactoredRational(%s)" % self
 
 
-
-
-
 # -- the Kronecker route: a polynomial sum as one power series in one int -------
 
 
-def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> LaurentPoly | None:
-    """The sum of the c * q^beta * f over the (f, c, beta) in parts, or None when a check fails.
+def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> LaurentPoly:
+    """The sum of the c * q^beta * f over the (f, c, beta) in parts.
 
-    The sum must be a polynomial with nonnegative coefficients in the box
-    lows..highs that sum to total.  Coordinate 0 is the most significant
-    slot digit, and radix i >= 1 is widened past every |alpha_i|, so each
-    (1 - q^alpha) maps to (1 - x^L) with L > 0.  Each numerator is laid out
-    in two byte buffers, positive and negative coefficients apart, and
-    divided by each (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo
-    2^K.
+    The sum must be a polynomial in the box lows..highs with coefficients
+    of one sign; a slot holds scale * total, and the caller checks the
+    coefficient sum.  Coordinate 0 is the most significant slot digit, and
+    radix i >= 1 is widened past every |alpha_i|, so each (1 - q^alpha)
+    maps to (1 - x^L) with L > 0.  Each numerator is laid out in two byte
+    buffers, positive and negative coefficients apart, and divided by each
+    (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo 2^K.
+    ExactDivisionError for a term outside the box or a failed point check.
     """
     radix = [h - l + 1 for l, h in zip(lows, highs)]
     for f, _, _ in parts:
@@ -782,11 +779,18 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
             for shift in [step << i for i in range((span // step).bit_length())] * power:
                 x = (x + (x << shift)) & ((1 << span) - 1)
         value += x << bits * (low + depth)
-    # The checks: nothing below the box or in the spare bits above it, and
-    # the digits sum to scale * total ...
-    value &= (1 << size) - 1
-    if value & ((1 << bits * depth) - 1) or value >> bits * (depth + width):
-        return None
+    # The checks: a sum whose top 64 spare bits are all ones is read as the
+    # negation of its digits; nothing may lie below the box or above it ...
+    ones = (1 << 64) - 1
+    sign = -1 if (value >> (size - 64) & ones) == ones else 1
+    value = sign * value & ((1 << size) - 1)
+    outside = value & ~(((1 << bits * width) - 1) << bits * depth)
+    if outside:
+        slot = ((outside & -outside).bit_length() - 1) // bits - depth
+        at_slot = (lows[0] + slot // strides[0], *(least + slot % bound // stride for
+                   least, bound, stride in zip(lows[1:], strides, strides[1:])))
+        raise ExactDivisionError("the sum has a term at %s, outside the box %s..%s"
+                                 % (at_slot, tuple(lows), tuple(highs)))
     raw, word = (value >> bits * depth).to_bytes(width * nb, "little"), 1 << (nb - 1).bit_length()
     if word <= 8 and sys.byteorder == "little":  # widen the digits to machine words, read at once
         wide = bytearray(width * word)
@@ -799,8 +803,8 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     columns = [[least + slot % bound // stride for slot in filled]
                for least, bound, stride in zip(lows, [width, *strides], strides)]
     terms = dict(zip(zip(*columns), filter(None, digits)))
-    if sum(terms.values()) != scale * total:
-        return None
+    if sign < 0:
+        terms = {e: -c for e, c in terms.items()}
     # ... and the digits agree with the parts at a seeded point modulo the
     # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.
     prime = (1 << 61) - 1
@@ -820,5 +824,6 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
         part = c * at({beta: 1}) * at(f._terms)
         num, den = (num * below + part * den) % prime, den * below % prime
     if not den or (at(terms) * den - scale * num) % prime:
-        return None
+        raise ExactDivisionError("point check failed: the polynomial read on the box %s..%s "
+                                 "is not the sum of the parts" % (tuple(lows), tuple(highs)))
     return LaurentPoly._raw(len(lows), terms, scale)

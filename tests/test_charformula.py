@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from symchar import charformula
 from symchar.charformula import (
     CharacterPoly,
     _parts,
@@ -116,7 +115,8 @@ class TestCharacterAt:
 
         closed = pfd_decompose(weight_system(a2, (1, 1)))
         broken = ClosedCharacter(source=closed.source, terms=closed.terms[:-1])
-        message = r"^A2\(1, 1\), N=2: numerator not divisible by \(1 - q1\^2\*q2\^-4\)$"
+        message = (r"^A2\(1, 1\), N=2: point check failed: the polynomial read on the box "
+                   r"\(-4, -4\)\.\.\(4, 4\) is not the sum of the parts$")
         with pytest.raises(ExactDivisionError, match=message):
             character_at(broken, 2)
 
@@ -172,9 +172,9 @@ class TestKroneckerRoute:
         assert kronecker.to_json() == symbolic.to_json()
 
     # The one rule of character_at: the Kronecker route serves every degree,
-    # and the symbolic sum runs only after a failed check.  The last five rows
-    # are large boxes and F4, E6 and C3 modules, on which the symbolic sum
-    # takes from tenths of a second to many minutes.
+    # and the symbolic sum never runs.  The last five rows are large boxes
+    # and F4, E6 and C3 modules, on which the symbolic sum takes from tenths
+    # of a second to many minutes.
     @pytest.mark.parametrize("label,highest,n", CHAR_LADDER + QUERY_STREAM + [
         ("A3", (1, 0, 1), 3), ("A3", (1, 0, 1), 6), ("A2", (2, 1), 30), ("A2", (1, 1), 40),
         ("F4", (0, 0, 0, 1), 4), ("E6", (1, 0, 0, 0, 0, 0), 3), ("C3", (0, 1, 0), 8)])
@@ -190,6 +190,7 @@ class TestKroneckerRoute:
         ("A2", (2, 1), 4), ("G2", (1, 0), 6), ("B3", (1, 0, 0), 8)])
     def test_a_unit_change_in_any_numerator_coefficient_fails_a_check(self, label, highest, n):
         # Terms beyond the window never reach the digits; the point check sees them.
+        # A fresh ClosedCharacter per mutation, so no memoized character is read.
         closed = _closed(label, highest)
         mutations = 0
         for index, term in enumerate(closed.terms):
@@ -201,34 +202,31 @@ class TestKroneckerRoute:
                     *closed.terms[:index],
                     PFDTerm(term.weight, term.order, FactoredRational(changed, term.coeff.factors)),
                     *closed.terms[index + 1:]))
-                assert kronecker_sum(*_kronecker_args(broken, n)) is None
+                with pytest.raises((ExactDivisionError, InconsistencyError)):
+                    character_at(broken, n)
                 mutations += 1
         assert mutations == 2 * sum(len(t.coeff.numerator.terms) for t in closed.terms)
-        # Through character_at, the symbolic route then raises its own error.
-        with pytest.raises((ExactDivisionError, InconsistencyError)):
-            character_at(broken, n)
 
-    def test_a_kronecker_failure_the_symbolic_route_passes_is_an_internal_error(
-            self, sl3_adjoint, monkeypatch):
-        monkeypatch.setattr(charformula, "kronecker_sum", lambda *window: None)
-        message = (r"^A2\(1, 1\), N=2: "
-                   r"the Kronecker route failed a check that the symbolic route passes$")
-        with pytest.raises(InconsistencyError, match=message):
-            character_at(pfd_decompose(sl3_adjoint), 2)
+    def test_a_doubled_pole_term_fails_fast_with_the_module(self):
+        # The Kronecker check fails at once; no slower sum runs after it.
+        closed = _closed("F4", (0, 0, 0, 1))
+        first = closed.terms[0]
+        broken = ClosedCharacter(source=closed.source, terms=(
+            PFDTerm(first.weight, first.order, first.coeff * 2), *closed.terms[1:]))
+        with pytest.raises(ExactDivisionError, match=r"^F4\(0, 0, 0, 1\), N=4: "):
+            character_at(broken, 4)
 
-    @pytest.mark.parametrize("forced", [True, False], ids=["symbolic", "rule"])
-    def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, monkeypatch, forced):
+    @pytest.mark.parametrize("route", ["rule"])
+    def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, route):
         # Doubled pole data gives positive integer coefficients that sum to 2 C(dim-1+N, N).
-        if forced:  # straight to the symbolic route
-            monkeypatch.setattr(charformula, "kronecker_sum", lambda *window: None)
         closed = pfd_decompose(sl2_adjoint)
         doubled = ClosedCharacter(source=closed.source, terms=tuple(
             PFDTerm(t.weight, t.order, t.coeff * 2) for t in closed.terms))
         message = r"^A1\(2,\), N=2: coefficients sum to 12, not C\(dim-1\+N, N\) = 6$"
         with pytest.raises(InconsistencyError, match=message):
             character_at(doubled, 2)
-        # Twice the character passes the point check; the digit sum stops it.
-        assert kronecker_sum(*_kronecker_args(doubled, 2)) is None
+        # Twice the character passes every check of the sum; the coefficient sum stops it.
+        assert kronecker_sum(*_kronecker_args(doubled, 2)) == character_at(closed, 2).terms * 2
 
 
 class TestMultiplicityAt:
