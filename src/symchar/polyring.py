@@ -17,7 +17,7 @@ Moving a numerator between the classes wraps its terms and scale as they are.
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
 has this shape, so expanded denominators and multivariate GCDs are never
 needed.  Products, sums and reductions pack each exponent vector into one
-int (:class:`_Packing`, Kronecker substitution) once, work on int keys and
+int (its key in a box -r..r, :class:`_Packing`) once, work on int keys and
 unpack once.  Multiplying by (1 - q^alpha) is one shift-and-subtract pass
 p - p*q^alpha, and dividing by it is a running sum along each alpha-chain,
 exact iff every chain's coefficient sum is 0; a trial division that fails
@@ -30,11 +30,11 @@ factors with the same helper as the constructor.
 
 kronecker_sum is the second sum, for parts whose sum is known to be a
 polynomial with nonnegative coefficients in a box.  It substitutes values
-too: q^e becomes x^(strides.e) with x = 2^b, so the sum is one int modulo
-2^K whose b-bit digits are its coefficients.  Each part is divided by its
-own factors as a power series and the digits are decoded once; no common
-denominator is built.  A term outside the box, or a mismatch with the parts
-at a seeded point modulo 2^61 - 1, raises ExactDivisionError.
+too: q^e becomes x^(slot of e), the box a :class:`_Packing` and x = 2^b, so
+the sum is one int modulo 2^K whose b-bit digits are its coefficients.
+Each part is divided by its own factors as a power series and the digits
+are decoded once; no common denominator is built.  A term outside the box,
+or a mismatch at a seeded point modulo 2^61 - 1, raises ExactDivisionError.
 
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
@@ -46,7 +46,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from math import gcd, lcm, prod
-from operator import add, getitem, lshift, mul, sub
+from operator import add, getitem, mul, neg, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -105,10 +105,6 @@ def check_exponent(exponent: Iterable[int], rank: int) -> Exponent:
     if not all(type(c) is int for c in exponent):
         raise ValueError("non-integer exponent %r" % (exponent,))
     return exponent
-
-
-def _grlex(exponent: Exponent):
-    return (sum(exponent), exponent)
 
 
 def _coercing(operation):
@@ -284,7 +280,7 @@ class LaurentPoly:
             return "0"
         names = ("q",) if self.rank == 1 else tuple("q%d" % (i + 1) for i in range(self.rank))
         pieces = []
-        for exponent in sorted(self.terms, key=_grlex, reverse=True):
+        for exponent in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             coeff = self.terms[exponent]
             mono = "*".join(
                 name if power == 1 else "%s^%d" % (name, power)
@@ -320,56 +316,61 @@ def _reach(vectors: Collection[Exponent]) -> int:
 
 
 class _Packing:
-    """Exponent vectors packed into ints, one signed digit per coordinate.
+    """Exponent vectors packed into ints, in the mixed-radix box lows..lows + radix - 1.
 
-    Coordinate i is digit i in radix 2^bits, with digits in [-half, half)
-    and half a power of two above ``reach``.  Packing is linear, so adding
-    keys adds exponent vectors (Kronecker substitution), and it is
-    injective on vectors whose coordinates all lie within the reach.
+    Coordinate 0 is the most significant digit.  The key of e is strides.e,
+    its slot key - origin; slot plus key is the slot of the sum (Kronecker
+    substitution), and slots are unique on the box.
     """
 
-    def __init__(self, rank: int, reach: int):
-        bits = reach.bit_length() + 1
-        self.half, self.mask = 1 << (bits - 1), (1 << bits) - 1
-        self.shifts = [bits * i for i in range(rank)]
-        self.offset = sum(self.half << s for s in self.shifts)
+    def __init__(self, lows: Exponent, radix: list[int]):
+        self.lows, self.strides = lows, [*accumulate(radix[:0:-1], mul, initial=1)][::-1]
+        self.origin = sum(map(mul, lows, self.strides))
 
     def key(self, e: Exponent) -> int:
-        return sum(map(lshift, e, self.shifts))
+        return sum(map(mul, e, self.strides))
 
     def pack(self, terms: Mapping[Exponent, int]) -> dict[int, int]:
-        return {self.key(e): c for e, c in terms.items()}
+        origin = self.origin
+        return {self.key(e) - origin: c for e, c in terms.items()}
+
+    def column(self, slots: Iterable[int], i: int) -> list[int]:
+        """Coordinate i at each slot; coordinate 0 is also read past the box."""
+        low, stride = self.lows[i], self.strides[i]
+        if not i:
+            return [low + slot // stride for slot in slots]
+        bound = self.strides[i - 1]
+        return [low + slot % bound // stride for slot in slots]
+
+    def exponents(self, slots: Collection[int]) -> Iterable[Exponent]:
+        return zip(*(self.column(slots, i) for i in range(len(self.lows))))
 
     def unpack(self, packed: dict[int, int]) -> dict[Exponent, int]:
         """The terms again, keyed by exponent vectors, in the same order."""
-        mask, half = self.mask, self.half
-        keys = [k + self.offset for k in packed]
-        columns = [[((k >> s) & mask) - half for k in keys] for s in self.shifts]
-        return dict(zip(zip(*columns), packed.values()))
+        return dict(zip(self.exponents(packed), packed.values()))
 
 
 def _chain_div(
     terms: dict[int, int], packing: _Packing, alpha: Exponent, power: int
 ) -> tuple[dict[int, int], int]:
-    """Divide packed integer terms by (1 - q^alpha) while exact, at most ``power`` times.
+    """Divide integer terms on slots by (1 - q^alpha) while exact, at most ``power`` times.
 
     alpha is lexicographically positive; returns (quotient, times divided).
     One division is the running sum Q(t) = P(t) + Q(t-1) up each alpha-chain,
-    exact iff every chain's coefficient sum is 0.  A key k lies on the chain
-    with base k - t*A, A the key of alpha and t its digit i divided by
-    alpha[i], for the first nonzero coordinate i of alpha; the window must
-    hold those bases.  A failing first division is rejected on the total
+    exact iff every chain's coefficient sum is 0.  A slot k lies on the chain
+    with base k - t*A, A the key of alpha and t its coordinate i (read from
+    the box) over alpha[i], i the first nonzero coordinate of alpha; the box
+    holds those bases.  A failing first division is rejected on the total
     sum, then on the chain sums, before any quotient is built.  The chains
     are grouped once for all ``power`` divisions, as dense lists.
     """
     if sum(terms.values()):
         return terms, 0
     i = next(k for k, a in enumerate(alpha) if a)
-    step, shift, lift = alpha[i], packing.shifts[i], packing.key(alpha)
-    offset, mask, half = packing.offset, packing.mask, packing.half
+    step, lift = alpha[i], packing.key(alpha)
     chains: dict[int, dict[int, int]] = {}
-    for k, coeff in terms.items():
-        t = ((((k + offset) >> shift) & mask) - half) // step
+    for (k, coeff), digit in zip(terms.items(), packing.column(terms, i)):
+        t = digit // step
         chains.setdefault(k - t * lift, {})[t] = coeff
     for chain in chains.values():
         if sum(chain.values()):
@@ -397,8 +398,8 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
     """Product of two integer numerators, with packed exponents.
 
     A one-term operand is a shift (none for a constant) and a scaling.
-    Otherwise both operands are packed with a reach that holds every
-    product exponent, so the key of a product term is one int addition.
+    Otherwise a is packed in a box that holds every product exponent, so the
+    slot of a product term is a's slot plus b's key, one int addition.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -409,10 +410,11 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
         if not any(shift):
             return {e: c * factor for e, c in a.items()}
         return {tuple(map(add, e, shift)): c * factor for e, c in a.items()}
-    packing = _Packing(len(next(iter(a))), _reach(a) + _reach(b))
+    reach, rank = _reach(a) + _reach(b), len(next(iter(a)))
+    packing = _Packing((-reach,) * rank, [2 * reach + 1] * rank)
     packed_a = packing.pack(a).items()
     sums: dict[int, int] = {}
-    for kb, cb in packing.pack(b).items():
+    for kb, cb in zip(map(packing.key, b), b.values()):
         for ka, ca in packed_a:
             key = ka + kb
             sums[key] = sums.get(key, 0) + ca * cb
@@ -552,7 +554,7 @@ class FactoredRational:
         multiplied by their missing factors (1 - q^alpha)^k, as k integer
         shift-and-subtract passes.  A partial sum is lifted once for all the
         parts in it, so n parts with distinct factors take O(n log n)
-        passes instead of O(n^2).  Each part is packed once, with a reach
+        passes instead of O(n^2).  Each part is packed once, in a box
         that holds every lift, and the total is unpacked once.  Nothing
         cancels on the way: the result is over the largest power of each
         factor among all parts.  It is not reduced; callers that need a
@@ -568,7 +570,8 @@ class FactoredRational:
         if not parts:
             return cls.zero(rank)
         reach = max(_reach(part._terms) for part in parts)
-        packing = _Packing(rank, reach + sum(k * max(map(abs, a)) for a, k in common.items()))
+        reach += sum(k * max(map(abs, a)) for a, k in common.items())
+        packing = _Packing((-reach,) * rank, [2 * reach + 1] * rank)
         lifts = {alpha: packing.key(alpha) for alpha in common}
         pending = [(packing.pack(part._terms), part._scale, part.factors) for part in parts]
         while len(pending) > 1:
@@ -646,16 +649,17 @@ class FactoredRational:
         Greedy, in sorted factor order: each factor (1 - q^alpha) is divided
         out of the integer numerator (see :func:`_chain_div`) until a trial
         division fails; the scale stays as it is.  The numerator is packed
-        once with reach r^2 + r, r the largest |coordinate| of its terms and
-        factors, which holds every chain base; a quotient stays in its
-        dividend's bounding box, so one window serves every factor.  Returns
+        once in the box -R..R, R = r^2 + r with r the largest |coordinate| of
+        its terms and factors, which holds every chain base; a quotient stays
+        in its dividend's bounding box, so one box serves every factor.  Returns
         ``self`` when nothing cancels, and before packing when the
         coefficient sum is nonzero, since every binomial vanishes at q = 1.
         """
         if self.is_zero or not self.factors or sum(self._terms.values()):
             return self
         reach = max(_reach(self._terms), _reach(self.factors))
-        packing = _Packing(self.rank, reach * reach + reach)
+        reach += reach * reach
+        packing = _Packing((-reach,) * self.rank, [2 * reach + 1] * self.rank)
         terms = packing.pack(self._terms)
         remaining = dict(self.factors)
         for alpha in sorted(remaining):
@@ -736,22 +740,21 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
 
     The sum must be a polynomial in the box lows..highs with coefficients
     of one sign; a slot holds scale * total, and the caller checks the
-    coefficient sum.  Coordinate 0 is the most significant slot digit, and
-    radix i >= 1 is widened past every |alpha_i|, so each (1 - q^alpha)
-    maps to (1 - x^L) with L > 0.  Each numerator is laid out in two byte
-    buffers, positive and negative coefficients apart, and divided by each
-    (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo 2^K.
+    coefficient sum.  The box is a :class:`_Packing`, which decodes every
+    slot; radix i >= 1 is widened past every |alpha_i|, so each
+    (1 - q^alpha) maps to (1 - x^L) with L > 0.  Each numerator is laid out
+    in two byte buffers, positive and negative coefficients apart, and
+    divided by each (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo 2^K.
     ExactDivisionError for a term outside the box or a failed point check.
     """
     radix = [h - l + 1 for l, h in zip(lows, highs)]
     for f, _, _ in parts:
         for alpha in f.factors:
             radix[1:] = map(max, radix[1:], (abs(a) + 1 for a in alpha[1:]))
-    strides = [*accumulate(radix[:0:-1], mul, initial=1)][::-1]
-    scale, origin = lcm(*(f._scale for f, _, _ in parts)), sum(map(mul, lows, strides))
-    laid, big, low = [], scale * total, 0
+    box, scale = _Packing(lows, radix), lcm(*(f._scale for f, _, _ in parts))
+    strides, laid, big, low = box.strides, [], scale * total, 0
     for f, c, beta in parts:
-        lift, shift, slots = c * (scale // f._scale), sum(map(mul, beta, strides)) - origin, {}
+        lift, shift, slots = c * (scale // f._scale), box.key(beta) - box.origin, {}
         for e, v in f._terms.items():
             key = sum(map(mul, e, strides)) + shift
             slots[key] = slots.get(key, 0) + lift * v
@@ -787,10 +790,8 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     outside = value & ~(((1 << bits * width) - 1) << bits * depth)
     if outside:
         slot = ((outside & -outside).bit_length() - 1) // bits - depth
-        at_slot = (lows[0] + slot // strides[0], *(least + slot % bound // stride for
-                   least, bound, stride in zip(lows[1:], strides, strides[1:])))
         raise ExactDivisionError("the sum has a term at %s, outside the box %s..%s"
-                                 % (at_slot, tuple(lows), tuple(highs)))
+                                 % (next(box.exponents([slot])), tuple(lows), tuple(highs)))
     raw, word = (value >> bits * depth).to_bytes(width * nb, "little"), 1 << (nb - 1).bit_length()
     if word <= 8 and sys.byteorder == "little":  # widen the digits to machine words, read at once
         wide = bytearray(width * word)
@@ -799,12 +800,8 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
         digits = memoryview(wide).cast(" BH I   Q"[word])
     else:
         digits = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, width * nb, nb)]
-    filled = list(compress(range(width), digits))
-    columns = [[least + slot % bound // stride for slot in filled]
-               for least, bound, stride in zip(lows, [width, *strides], strides)]
-    terms = dict(zip(zip(*columns), filter(None, digits)))
-    if sign < 0:
-        terms = {e: -c for e, c in terms.items()}
+    values = filter(None, digits) if sign > 0 else map(neg, filter(None, digits))
+    terms = dict(zip(box.exponents(list(compress(range(width), digits))), values))
     # ... and the digits agree with the parts at a seeded point modulo the
     # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.
     prime = (1 << 61) - 1

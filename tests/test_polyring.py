@@ -749,7 +749,7 @@ class TestIntegerCore:
 
     def test_sum_whose_lifts_reach_the_edge_of_the_window(self):
         # q^(5*alpha) lifted by (1 - q^alpha)^3 ends at 8*alpha: the lifts
-        # reach exactly max|e| + 3*max|alpha| = 8, a power of two.
+        # reach exactly max|e| + 3*max|alpha| = 8, the edge of the box -8..8.
         for rank in (2, 3, 4):
             alpha = (1, -1, 1, -1)[:rank]
             e = tuple(5 * a for a in alpha)
@@ -921,6 +921,19 @@ class TestKroneckerSum:
         assert got.terms == symbolic.terms == {
             (0, 0): big, (0, 1): 3 * big, (0, 2): big, (1, 1): 2 * big}
         assert 7 * max(got.terms.values()) > 2 ** 64
+
+    @pytest.mark.parametrize("exponents, lows, highs, named", [
+        ([(-1, 0)], (0, 0), (1, 1), "(-1, 0)"),
+        # Slot -3 is below the box and its lower digit is 1: coordinate 0 is a floor.
+        ([(0, 0), (-2, 1)], (0, 0), (1, 1), "(-2, 1)"),
+        ([(3, 0, 1)], (0, 0, 0), (2, 1, 1), "(3, 0, 1)"),
+    ])
+    def test_a_term_outside_the_box_is_named_by_its_exponent(self, exponents, lows, highs, named):
+        parts = [(FactoredRational(LaurentPoly.monomial(e)), 1, (0,) * len(e)) for e in exponents]
+        message = "the sum has a term at %s, outside the box %s..%s" % (named, lows, highs)
+        with pytest.raises(ExactDivisionError) as caught:
+            polyring.kronecker_sum(parts, lows, highs, len(exponents))
+        assert str(caught.value) == message
 
 
 class TestIntegerProduct:

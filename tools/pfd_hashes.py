@@ -3,13 +3,15 @@
 Runs ``pfd --algebra X --lambda W`` in process through ``cli.main`` for
 each module below and prints, for each one,
 
-    <sha256 of stdout> <algebra> <highest weight>
+    <sha256 of stdout> <seconds> <algebra> <highest weight>
 
-and then one last line, the sha256 of all the stdouts concatenated in list
-order.  Two source trees give the same ``pfd`` JSON on every module exactly
-when their last lines are equal.  The tool compares its last line with
-``EXPECTED``, the hash of the recorded outputs, and exits 1, printing both
-hashes to stderr, when they differ:
+where <seconds> is the wall time of that in-process request (module
+tables, pole data and JSON output together), and then one last line, the
+sha256 of all the stdouts concatenated in list order.  Two source trees
+give the same ``pfd`` JSON on every module exactly when their last lines
+are equal.  The tool compares its last line with ``EXPECTED``, the hash of
+the recorded outputs, and exits 1, printing both hashes to stderr, when
+they differ:
 
     PYTHONPATH=src python tools/pfd_hashes.py
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import time
 
 from cli_digest import run
 
@@ -42,12 +45,15 @@ EXPECTED = "3387233a94ff19f5b33d9016a661d226b8ded72319e01a91ad88158e1f236fe6"
 def main() -> int:
     total = hashlib.sha256()
     for algebra, weight in MODULES:
+        start = time.perf_counter()
         code, out, err = run(("pfd", "--algebra", algebra, "--lambda", weight))
+        seconds = time.perf_counter() - start
         if code:
             print("exit %d on %s(%s): %s" % (code, algebra, weight, err.strip()), file=sys.stderr)
             return code
         total.update(out.encode())
-        print(hashlib.sha256(out.encode()).hexdigest(), algebra, weight, flush=True)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        print(digest, "%.3f" % seconds, algebra, weight, flush=True)
     print(total.hexdigest())
     if total.hexdigest() != EXPECTED:
         print("pfd outputs changed: sha256 %s, expected %s" % (total.hexdigest(), EXPECTED),
