@@ -738,13 +738,13 @@ class FactoredRational:
 def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> LaurentPoly:
     """The sum of the c * q^beta * f over the (f, c, beta) in parts.
 
-    The sum must be a polynomial in the box lows..highs with coefficients
-    of one sign; a slot holds scale * total, and the caller checks the
-    coefficient sum.  The box is a :class:`_Packing`, which decodes every
-    slot; radix i >= 1 is widened past every |alpha_i|, so each
-    (1 - q^alpha) maps to (1 - x^L) with L > 0.  Each numerator is laid out
-    in two byte buffers, positive and negative coefficients apart, and
-    divided by each (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo 2^K.
+    The sum must be a polynomial in the box lows..highs with coefficients of one
+    sign; a slot holds scale * total, and the caller checks the coefficient sum.  The
+    box is a :class:`_Packing`, which decodes every slot; radix i >= 1 is widened past
+    every |alpha_i|, so each (1 - q^alpha) maps to (1 - x^L) with L > 0.  Each
+    numerator is laid out in two byte buffers, positive and negative coefficients
+    apart, and divided by each (1 - x^L) as the product of the (1 + x^(L 2^i)) modulo
+    2^K; with one window mask per part, each pass is one shift, one add and one mask.
     ExactDivisionError for a term outside the box or a failed point check.
     """
     radix = [h - l + 1 for l, h in zip(lows, highs)]
@@ -769,18 +769,18 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     for slots, factors in laid:
         # The part's series, from its lowest slot to the top of the window.
         low, high = min(slots), min(max(slots) + 1, top)
-        length = max(high - low, 0) * nb
+        length, span = max(high - low, 0) * nb, bits * max(top - low, 0)
         buffers = bytearray(length), bytearray(length)
         for key, v in slots.items():
             if key < high:
                 start = (key - low) * nb
                 buffers[v < 0][start:start + nb] = abs(v).to_bytes(nb, "little")
         x = int.from_bytes(buffers[0], "little") - int.from_bytes(buffers[1], "little")
-        span = bits * max(top - low, 0)
+        mask = (1 << span) - 1
         for alpha, power in factors.items():
             step = bits * sum(map(mul, alpha, strides))
             for shift in [step << i for i in range((span // step).bit_length())] * power:
-                x = (x + (x << shift)) & ((1 << span) - 1)
+                x = (x + (x << shift)) & mask
         value += x << bits * (low + depth)
     # The checks: a sum whose top 64 spare bits are all ones is read as the
     # negation of its digits; nothing may lie below the box or above it ...
@@ -803,7 +803,8 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     values = filter(None, digits) if sign > 0 else map(neg, filter(None, digits))
     terms = dict(zip(box.exponents(list(compress(range(width), digits))), values))
     # ... and the digits agree with the parts at a seeded point modulo the
-    # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.
+    # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.  Each
+    # distinct factor (1 - q^alpha) is evaluated there once, for all the parts.
     prime = (1 << 61) - 1
     reach = max(_reach([lows, highs]), *(max(_reach(f._terms), _reach(f.factors), _reach([beta]))
                                          for f, _, beta in parts))
@@ -815,9 +816,10 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     def at(poly: Mapping[Exponent, int]) -> int:
         return sum(map(mul, [prod(map(getitem, powers, e)) for e in poly], poly.values()))
 
+    point = {a: 1 - at({a: 1}) for a in {a for f, _, _ in parts for a in f.factors}}
     num, den = 0, 1
     for f, c, beta in parts:
-        below = f._scale * prod(pow(1 - at({a: 1}), k, prime) for a, k in f.factors.items())
+        below = f._scale * prod(pow(point[a], k, prime) for a, k in f.factors.items())
         part = c * at({beta: 1}) * at(f._terms)
         num, den = (num * below + part * den) % prime, den * below % prime
     if not den or (at(terms) * den - scale * num) % prime:

@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchar import (
     MultiplicityTable, adams_series, binomial_poly, build_partition_matrix, build_root_system,
@@ -906,6 +909,45 @@ class TestPairwiseSum:
         assert (zero * FactoredRational(LaurentPoly.one(2), [((1, 1), 1)])).is_zero
 
 
+@st.composite
+def _kronecker_cases(draw):
+    """A target with positive coefficients in a small box, split into parts.
+
+    Part j is c_j * q^beta_j * (P_j * prod (1 - q^alpha)^k * q^-beta_j / c_j)
+    over prod (1 - q^alpha)^k, so the P_j add up to the target; a last pair
+    g/D and -g/D cancels, though both series run past the window.
+    """
+    rank = draw(st.integers(1, 3))
+    lows = tuple(draw(st.integers(-3, 1)) for _ in range(rank))
+    highs = tuple(low + draw(st.integers(0, 3)) for low in lows)
+    box = list(itertools.product(*(range(l, h + 1) for l, h in zip(lows, highs))))
+    target = draw(st.dictionaries(st.sampled_from(box), st.integers(1, 60), min_size=1))
+    vectors = st.tuples(*[st.integers(-2, 2)] * rank)
+    # alpha with its first nonzero coordinate positive; later ones may be negative.
+    alphas = vectors.filter(any).map(lambda a: a if next(filter(None, a)) > 0 else
+                                     tuple(-x for x in a))
+    factor_sets = st.dictionaries(alphas, st.integers(1, 2), min_size=1, max_size=3)
+
+    def part(p, c, beta, factors):
+        numerator = LaurentPoly(rank, {e: Fraction(v, c) for e, v in p.items()})
+        for alpha, k in factors.items():
+            numerator = numerator * (1 - LaurentPoly.monomial(alpha)) ** k
+        numerator = numerator * LaurentPoly.monomial(tuple(-b for b in beta))
+        return FactoredRational(numerator, factors), c, beta
+
+    pieces = {}
+    for e, v in target.items():
+        pieces.setdefault(draw(st.integers(0, 2)), {})[e] = v
+    parts = [part(p, draw(st.integers(1, 6)), draw(vectors), draw(factor_sets))
+             for p in pieces.values()]
+    nonzero = st.integers(-9, 9).filter(bool)
+    g = draw(st.dictionaries(st.sampled_from(box), nonzero, min_size=1))
+    (f, c, beta), den = part(g, draw(st.integers(1, 6)), draw(vectors), {}), draw(factor_sets)
+    parts += [(FactoredRational(f.numerator, den), c, beta),
+              (FactoredRational(-f.numerator, den), c, beta)]
+    return parts, lows, highs, target
+
+
 class TestKroneckerSum:
     def test_digits_wider_than_a_machine_word(self):
         # Scaled coefficients past 2^64 are decoded byte by byte, not as machine words.
@@ -934,6 +976,13 @@ class TestKroneckerSum:
         with pytest.raises(ExactDivisionError) as caught:
             polyring.kronecker_sum(parts, lows, highs, len(exponents))
         assert str(caught.value) == message
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=_kronecker_cases())
+    def test_the_sum_of_a_split_target_is_the_target(self, case):
+        parts, lows, highs, target = case
+        got = polyring.kronecker_sum(parts, lows, highs, sum(target.values()))
+        assert got.terms == target
 
 
 class TestIntegerProduct:

@@ -30,15 +30,16 @@ import time
 # Molien at A3(1,0,1) N=40 holds about 0.7 GB of rows.  B2(2,1), A2(3,3)
 # and G2(0,2) are the transport-heavy modules, whose pole terms mostly come
 # from another weight of the orbit: their common denominators are the
-# largest.  The last four rows are modules of the C, D, E and F series.
+# largest.  The other rows are modules of the C, D, E and F series; the F4
+# and E6 rows at N=8 and N=6 are the large windows of ROADMAP item 6.
 ROWS = [
     *(("A3", (1, 0, 1), n) for n in (6, 20, 32, 34, 40)),
     *(("A2", (2, 1), n) for n in (10, 18, 24, 30)),
     ("B2", (2, 1), 4),
     ("A2", (3, 3), 4),
     ("G2", (0, 2), 3),
-    ("F4", (0, 0, 0, 1), 4),
-    ("E6", (1, 0, 0, 0, 0, 0), 3),
+    *(("F4", (0, 0, 0, 1), n) for n in (4, 8)),
+    *(("E6", (1, 0, 0, 0, 0, 0), n) for n in (3, 6)),
     ("C3", (0, 1, 0), 8),
     ("D4", (1, 0, 0, 0), 12),
 ]
