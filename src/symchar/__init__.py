@@ -9,13 +9,14 @@ Newton-style recursion, symmetric-function identities and a quadrature
 check) validate every result.  All core arithmetic is exact over Q.
 
 The package exports every name in the ``__all__`` of each pipeline module;
-the command line (``symchar.cli``) stays out.  The seven modules load when the
+the command line (``symchar.cli``) stays out.  The eight modules load when the
 first such name is looked up, so the command line loads only what it runs.
 """
 
 __version__ = "0.1.0"
 
-_MODULES = ("charformula", "oracle", "pfdcore", "polyring", "rootsys", "vpart", "weightsys")
+_MODULES = ("charformula", "oracle", "pfdcore", "polyring", "rootsys", "univariate", "vpart",
+            "weightsys")
 
 
 def __getattr__(name):

@@ -6,7 +6,7 @@ highest weight) in ``weightsys``, pole data by table content in
 ``pfdcore``, on each ``ClosedCharacter`` its characters and its orbit
 summands by degree, filled by ``charformula.character_at`` and
 ``charformula.orbit_split``, and cyclotomic polynomials by index in
-``charformula``.  Results are shared between callers and never
+``univariate``.  Results are shared between callers and never
 copied, so the value classes derive from ``Frozen``.
 """
 

@@ -6,7 +6,14 @@ diagnostics to stderr.  Exit codes: 0 success, 1 user error, 2 internal
 inconsistency (an exactness or consistency check failed, a lookup missed,
 a `verify` check failed or `vpart` reported all_pass false; each means a
 bug).  A failing `verify` or `vpart` still prints its full report first.
-A handler imports the modules only it uses, so a subcommand loads only what it runs.
+
+A subcommand loads and compiles only what it runs.  This module loads
+rootsys and weightsys (with _memo and _checks), all that `weights` runs;
+the other handlers import pfdcore (with polyring), charformula, vpart and
+oracle when they run, each only what it uses, and none loads univariate.
+main builds the parser of the requested subcommand alone; no argument, -h
+or an unknown command gets the parser of all seven, so --help and the
+invalid-choice message list them all.
 """
 
 from __future__ import annotations
@@ -17,12 +24,20 @@ import re
 import sys
 from functools import partial
 
-from .pfdcore import pfd_decompose
-from .polyring import InconsistencyError
+from ._checks import InconsistencyError
 from .rootsys import build_root_system, from_label, parse_label
 from .weightsys import weight_system
 
 __all__ = ["main"]
+
+
+def __getattr__(name):
+    # PEP 562: symchar.cli.pfd_decompose stays the pipeline's function, looked
+    # up when asked for, so loading the command line does not load pfdcore.
+    if name != "pfd_decompose":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from .pfdcore import pfd_decompose
+    return pfd_decompose
 
 # Cases driven by the `verify` subcommand: (algebra, highest weight, max degree).
 VERIFY_CASES = (
@@ -84,6 +99,7 @@ def _weights(table, args):
 
 
 def _pfd(table, args):
+    from .pfdcore import pfd_decompose
     closed = pfd_decompose(table)
     return {"terms": closed.to_json()}, lambda: "\n".join(
         "weight %s  order %d:  %s" % (_coords(term.weight), term.order, term.coeff)
@@ -93,18 +109,21 @@ def _pfd(table, args):
 
 def _char(table, args):
     from .charformula import character_at
+    from .pfdcore import pfd_decompose
     character = character_at(pfd_decompose(table), args.degree)
     return {"character": character.to_json()}, character.terms.render, None
 
 
 def _mult(table, args):
     from .charformula import character_at, multiplicity_at
+    from .pfdcore import pfd_decompose
     value = multiplicity_at(character_at(pfd_decompose(table), args.degree), args.mu)
     return {"multiplicity": value}, lambda: str(value), None
 
 
 def _orbits(table, args):
     from .charformula import orbit_split
+    from .pfdcore import pfd_decompose
     summands = orbit_split(pfd_decompose(table), table.root_system, args.degree)
     return {"summands": [summand.to_json() for summand in summands]}, lambda: "\n".join(
         "dominant %s:  %s" % (_coords(s.dominant_weight), s.value) for s in summands
@@ -151,21 +170,25 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand named only alone."""
     parser = _Parser(prog="symchar",
                      description="Exact characters of symmetric powers of irreducible modules")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_text, _, options) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
         module = sub.add_parser(name, help=help_text)
         for flag, spec in _OPTIONS.items():
             if flag in ("--algebra", "--lambda", "--format", *options):
                 module.add_argument(flag, **spec)
-    verify = sub.add_parser("verify", help="run the three-way oracle equivalences")
-    verify.add_argument("--case", action="append",
-                        help="restrict to one algebra label (repeatable)")
-    verify.add_argument("--max-n", dest="max_degree", type=_integer,
-                        help="cap the symmetric-power degree for every case")
-    verify.add_argument("--format", **_OPTIONS["--format"])
+    if only in (None, "verify"):
+        verify = sub.add_parser("verify", help="run the three-way oracle equivalences")
+        verify.add_argument("--case", action="append",
+                            help="restrict to one algebra label (repeatable)")
+        verify.add_argument("--max-n", dest="max_degree", type=_integer,
+                            help="cap the symmetric-power degree for every case")
+        verify.add_argument("--format", **_OPTIONS["--format"])
     return parser
 
 
@@ -193,6 +216,7 @@ def _run(handler, options: tuple[str, ...], args) -> int:
 def _cmd_verify(args) -> int:
     from .charformula import character_at
     from .oracle import adams_series, truncated_molien
+    from .pfdcore import pfd_decompose
 
     known = list(dict.fromkeys(label for label, _, _ in VERIFY_CASES))
     unknown = [label for label in args.case or () if label not in known]
@@ -233,7 +257,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)

@@ -50,6 +50,8 @@ from operator import add, getitem, mul, neg, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
+from ._checks import ExactDivisionError, InconsistencyError, PoleError, check_count
+
 Exponent = tuple[int, ...]
 
 __all__ = [
@@ -63,37 +65,11 @@ __all__ = [
 ]
 
 
-class ExactDivisionError(ArithmeticError):
-    """A quotient that was expected to be a polynomial is not one."""
-
-
-class InconsistencyError(ArithmeticError):
-    """An internal invariant failed (integrality, a cross-check, a symmetry): a bug.
-
-    Raised explicitly rather than through ``assert``, so the checks also run
-    under ``python -O``.
-    """
-
-
-class PoleError(ZeroDivisionError):
-    """A rational function was evaluated at a zero of a denominator factor."""
-
-
 def _exact(value) -> int | Fraction:
     """value itself if it is an int or a Fraction; TypeError for inexact (float/complex) input."""
     if isinstance(value, (int, Fraction)):
         return value
     raise TypeError("exact coefficient expected, got %s" % type(value).__name__)
-
-
-def check_count(value, what: str, least: int = 0, most: int | None = None) -> None:
-    """ValueError unless value is an int, not a bool, in least..most (no upper bound if None)."""
-    if type(value) is int and value >= least and (most is None or value <= most):
-        return
-    if most is None:
-        raise ValueError("%s must be a %s integer, got %r"
-                         % (what, "positive" if least else "non-negative", value))
-    raise ValueError("%s %r outside %d..%d" % (what, value, least, most))
 
 
 def check_exponent(exponent: Iterable[int], rank: int) -> Exponent:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from ._checks import InconsistencyError
 from ._memo import Frozen, recall
-from .polyring import InconsistencyError
 
 Weight = tuple[int, ...]
 

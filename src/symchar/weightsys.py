@@ -16,11 +16,14 @@ from itertools import product
 from math import prod
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
+from ._checks import InconsistencyError, check_count
 from ._memo import Frozen, recall
-from .polyring import InconsistencyError, LaurentPoly, check_count
 from .rootsys import RootSystem, Weight, checked_weight, is_dominant, weight_diff, weight_sum
+
+if TYPE_CHECKING:  # polyring loads only when a table's character is asked for
+    from .polyring import LaurentPoly
 
 __all__ = ["MultiplicityTable", "weight_system", "dim_irrep"]
 
@@ -72,6 +75,7 @@ class MultiplicityTable(Frozen):
 
     def character_poly(self) -> LaurentPoly:
         """The character as a Laurent polynomial (sum of m(mu) q^mu)."""
+        from .polyring import LaurentPoly
         return LaurentPoly(self.rank, dict(self.entries))
 
     def to_json(self) -> list[dict]:

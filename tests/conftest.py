@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from symchar import build_root_system, charformula, pfdcore, rootsys, weight_system, weightsys
+from symchar import build_root_system, pfdcore, rootsys, univariate, weight_system, weightsys
 
 
 @pytest.fixture(autouse=True)
@@ -12,7 +12,7 @@ def cold_memos(monkeypatch):
     monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
     monkeypatch.setattr(weightsys, "_TABLES", {})
     monkeypatch.setattr(pfdcore, "_POLE_DATA", {})
-    monkeypatch.setattr(charformula, "_CYCLOTOMICS", {})
+    monkeypatch.setattr(univariate, "_CYCLOTOMICS", {})
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -12,12 +12,13 @@ from math import comb
 
 import pytest
 
-from symchar.charformula import character_at, multiplicity_at, orbit_split, univariate_pfd
+from symchar.charformula import character_at, multiplicity_at, orbit_split
 from symchar.cli import VERIFY_CASES
 from symchar.oracle import adams_symmetric, hsym_character, quadrature_check, truncated_molien
 from symchar.pfdcore import pfd_decompose, sl2_coefficient
 from symchar.polyring import FactoredRational, LaurentPoly
 from symchar.rootsys import build_root_system, from_label
+from symchar.univariate import univariate_pfd
 from symchar.vpart import build_partition_matrix, check_partition_equivalence
 from symchar.weightsys import dim_irrep, weight_system
 

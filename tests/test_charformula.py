@@ -12,10 +12,8 @@ from symchar.charformula import (
     _parts,
     _summands,
     character_at,
-    cyclotomic,
     multiplicity_at,
     orbit_split,
-    univariate_pfd,
 )
 from symchar.oracle import truncated_molien
 from symchar.pfdcore import ClosedCharacter, PFDTerm, pfd_decompose
@@ -23,6 +21,7 @@ from symchar.polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, kronecker_sum,
 )
 from symchar.rootsys import build_root_system, from_label
+from symchar.univariate import cyclotomic, univariate_pfd
 from symchar.weightsys import dim_irrep, weight_system
 
 

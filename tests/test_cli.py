@@ -396,7 +396,8 @@ def test_optimized_mode_gives_the_same_output(argv):
 A1_FUNDAMENTAL = ("--algebra", "A1", "--lambda", "1")
 # The package modules that each subcommand does not run, so must not load.
 _UNUSED = {
-    "weights": {"symchar.charformula", "symchar.oracle", "symchar.vpart"},
+    "weights": {"symchar.charformula", "symchar.oracle", "symchar.vpart", "symchar.polyring",
+                "symchar.pfdcore"},
     "pfd": {"symchar.charformula", "symchar.oracle", "symchar.vpart"},
     "char": {"symchar.oracle", "symchar.vpart"},
     "mult": {"symchar.oracle", "symchar.vpart"},
@@ -404,9 +405,8 @@ _UNUSED = {
     "vpart": {"symchar.oracle"},
     "verify": {"symchar.vpart"},
 }
-
-
-@pytest.mark.parametrize("argv", [
+# One valid request of each subcommand.
+_REQUESTS = [
     ("weights", *A1_FUNDAMENTAL),
     ("pfd", *A1_FUNDAMENTAL),
     ("char", *A1_FUNDAMENTAL, "--N", "2"),
@@ -414,7 +414,10 @@ _UNUSED = {
     ("orbits", *A1_FUNDAMENTAL, "--N", "2"),
     ("vpart", *A1_FUNDAMENTAL, "--max-n", "1"),
     ("verify", "--case", "A1", "--max-n", "1"),
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _REQUESTS, ids=lambda argv: argv[0])
 def test_start_up_loads_only_what_the_subcommand_runs(argv):
     done = _run_module(("-X", "importtime"), argv)
     assert done.returncode == 0
@@ -422,4 +425,17 @@ def test_start_up_loads_only_what_the_subcommand_runs(argv):
               for line in done.stderr.splitlines() if line.startswith("import time:")}
     assert "symchar.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
-    assert not loaded & _UNUSED[argv[0]]
+    assert not loaded & (_UNUSED[argv[0]] | {"symchar.univariate"})
+
+
+@pytest.mark.parametrize("argv", _REQUESTS, ids=lambda argv: argv[0])
+def test_one_subcommand_parser_parses_as_the_full_one(argv):
+    assert cli._build_parser(argv[0]).parse_args(argv) == cli._build_parser().parse_args(argv)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+    assert listed.split(",") == list(cli._HANDLERS)

@@ -13,12 +13,12 @@ from symchar import (
     ClosedCharacter,
     build_root_system,
     character_at,
-    charformula,
     cyclotomic,
     from_label,
     orbit_split,
     pfd_decompose,
     pfdcore,
+    univariate,
     weight_system,
     weightsys,
 )
@@ -235,7 +235,7 @@ class TestBounded:
 
     def test_cyclotomic_memo_holds_at_most_the_bound(self):
         first = [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)]
-        assert len(charformula._CYCLOTOMICS) <= MEMO_SIZE
+        assert len(univariate._CYCLOTOMICS) <= MEMO_SIZE
         assert [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)] == first
 
 

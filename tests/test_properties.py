@@ -20,15 +20,14 @@ from symchar.charformula import (
     _parts,
     _summands,
     character_at,
-    cyclotomic,
     multiplicity_at,
     orbit_split,
-    univariate_pfd,
 )
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
 from symchar.polyring import FactoredRational, LaurentPoly
 from symchar.rootsys import from_label, is_dominant
+from symchar.univariate import cyclotomic, univariate_pfd
 from symchar.weightsys import dim_irrep, weight_system
 
 ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")

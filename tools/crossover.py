@@ -1,7 +1,8 @@
 """Where the pole-data route overtakes the two brute-force oracles.
 
 For each (module, N) row below, times three routes from the label to the
-character of S^N V, each in a fresh interpreter, so no memo is shared:
+character of S^N V, each three times in a fresh interpreter, so no memo is
+shared, and reports the least of the three times:
 
     pole    weight_system -> pfd_decompose -> character_at
     molien  weight_system -> truncated_molien
@@ -9,14 +10,16 @@ character of S^N V, each in a fresh interpreter, so no memo is shared:
 
 and prints one markdown table row per module and N.  The last column
 compares the pole route with the faster oracle: within 10 % either way is
-"even".  A route that runs past the limit is recorded as a timeout, not
-dropped.  Every route that finishes prints a digest of its character, and a
-row whose routes disagree is marked MISMATCH.
+"even".  A route that runs past the limit once is recorded as a timeout,
+not dropped, and is not run again.  Every run that finishes prints a digest
+of its character, and a row whose runs disagree is marked MISMATCH.
 
     PYTHONPATH=src python tools/crossover.py [--limit SECONDS]
 
 The rows are the crossover table of ROADMAP item 1; with the default 30 s
-limit the sweep takes about five minutes.
+limit the sweep takes about six minutes (352 s on a shared 2-core Linux
+machine with Python 3.11.7), the Molien runs at A3(1,0,1) N=40 peaking
+near 0.7 GB.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ ROWS = [
     ("D4", (1, 0, 0, 0), 12),
 ]
 ROUTES = ("pole", "molien", "adams")
+# Fresh processes per route and row: the least time of a few keeps a row near
+# the crossover from flipping its verdict on the machine's noise.
+RUNS = 3
 
 
 def run_route(route: str, label: str, highest: tuple[int, ...], n: int) -> tuple[float, str]:
@@ -65,14 +71,18 @@ def run_route(route: str, label: str, highest: tuple[int, ...], n: int) -> tuple
 
 
 def timed(route: str, label: str, highest: tuple[int, ...], n: int, limit: float):
-    """(seconds, digest) of one route in a fresh interpreter, or None past the limit."""
+    """(least seconds, digests) of RUNS fresh interpreters, or None once one runs past the limit."""
     argv = [sys.executable, __file__, "--route", route, label, ",".join(map(str, highest)), str(n)]
-    try:
-        out = subprocess.run(argv, capture_output=True, text=True, timeout=limit, check=True)
-    except subprocess.TimeoutExpired:
-        return None
-    seconds, digest = out.stdout.split()
-    return float(seconds), digest
+    times, digests = [], set()
+    for _ in range(RUNS):
+        try:
+            out = subprocess.run(argv, capture_output=True, text=True, timeout=limit, check=True)
+        except subprocess.TimeoutExpired:
+            return None
+        seconds, digest = out.stdout.split()
+        times.append(float(seconds))
+        digests.add(digest)
+    return min(times), digests
 
 
 def verdict(pole, oracles) -> str:
@@ -104,7 +114,7 @@ def main() -> int:
     for label, highest, n in ROWS:
         results = [timed(route, label, highest, n, args.limit) for route in ROUTES]
         cells = ["timeout" if r is None else "%.3g" % r[0] for r in results]
-        digests = {r[1] for r in results if r is not None}
+        digests = set().union(*(r[1] for r in results if r is not None))
         outcome = verdict(results[0], results[1:]) if len(digests) <= 1 else "MISMATCH"
         module = "%s(%s)" % (label, ",".join(map(str, highest)))
         print("| %s | %d | %s | %s |" % (module, n, " | ".join(cells), outcome), flush=True)

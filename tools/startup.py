@@ -3,10 +3,13 @@
 Runs each of the seven subcommands on a fixed small input, and a bare
 ``python -c pass`` beside them, ``--runs`` times each, the commands taking
 turns, and prints one markdown row per command: the median wall time of the
-whole process, the same less the bare interpreter's median, and the
-package modules and heavy standard-library modules that the command loaded
-beyond the bare interpreter (read from one more run under
-``-X importtime``).
+whole process, the same less the bare interpreter's median, the total
+source lines of the package modules that the command loaded, and those
+modules and the heavy standard-library modules that it loaded beyond the
+bare interpreter (read from one more run under ``-X importtime``).  The
+line count does not depend on the machine's noise: with bytecode caching
+off (``PYTHONDONTWRITEBYTECODE=1``) it is the package source that each
+request compiles.
 
     PYTHONPATH=src python tools/startup.py [--runs N]
 
@@ -16,10 +19,12 @@ Point PYTHONPATH at another checkout's src to time that tree instead.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 A2_ADJOINT = ("--algebra", "A2", "--lambda", "1,1")
 COMMANDS = {
@@ -53,6 +58,13 @@ def loaded(args: tuple[str, ...]) -> list[str]:
             if line.startswith("import time:") and not line.endswith("| imported package")]
 
 
+def source_lines(modules: list[str]) -> int:
+    """Lines of the files of the symchar.* modules among modules, from the symchar found here."""
+    package = Path(importlib.util.find_spec("symchar").origin).parent
+    return sum(len((package / ("%s.py" % (name.partition(".")[2] or "__init__"))).read_text()
+                   .splitlines()) for name in modules if name.split(".")[0] == "symchar")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=15, help="runs per command (default 15)")
@@ -65,13 +77,16 @@ def main() -> int:
     medians = {name: 1000 * statistics.median(samples) for name, samples in times.items()}
     bare = set(loaded(COMMANDS["bare"]))
 
-    print("| command | median (ms) | over bare (ms) | loaded beyond the bare interpreter |")
-    print("| --- | --- | --- | --- |")
+    print("| command | median (ms) | over bare (ms) | symchar lines | "
+          "loaded beyond the bare interpreter |")
+    print("| --- | --- | --- | --- | --- |")
     for name, command in COMMANDS.items():
-        extra = [module for module in loaded(command) if module not in bare
+        modules = loaded(command)
+        extra = [module for module in modules if module not in bare
                  and (module.startswith("symchar") or module in HEAVY)]
-        print("| %s | %.1f | %.1f | %s |" % (name, medians[name], medians[name] - medians["bare"],
-                                           " ".join(extra) or "-"), flush=True)
+        print("| %s | %.1f | %.1f | %d | %s |" % (
+            name, medians[name], medians[name] - medians["bare"], source_lines(modules),
+            " ".join(extra) or "-"), flush=True)
     return 0
 
 
