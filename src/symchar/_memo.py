@@ -6,7 +6,9 @@ highest weight) in ``weightsys``, pole data by table content in
 ``pfdcore``, on each ``ClosedCharacter`` its characters and its orbit
 summands by degree, filled by ``charformula.character_at`` and
 ``charformula.orbit_split``, and cyclotomic polynomials by index in
-``univariate``.  Results are shared between callers and never
+``univariate``.  Beside them, not a memo, each ``ClosedCharacter`` keeps
+the lifted dominant terms of its orbits, one entry per orbit, filled once
+by ``orbit_split``.  Results are shared between callers and never
 copied, so the value classes derive from ``Frozen``.
 """
 

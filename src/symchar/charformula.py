@@ -12,14 +12,29 @@ _memo), so the characters live exactly as long as their pole data; n is
 checked on every call.  multiplicity_at reads a weight multiplicity off
 that polynomial as a shifted constant term.
 
-orbit_split regroups the same sum by Weyl orbits of dominant weights; its
-summands are kept on the ClosedCharacter by degree in the same way, n and
-rs checked on every call, and each call gets a new list of them.
+orbit_split regroups the same sum by Weyl orbits of dominant weights.  The
+pole data is Weyl equivariant, A(w.nu, k) = w.A(nu, k), so each orbit is
+built from its dominant terms alone.  Once per ClosedCharacter each of them
+is lifted to the orbit's common denominator, the largest power of each
+factor over the orbit's terms.  That the orbit has one term per weight and
+order, that each is the transport of its dominant term, and that every
+matrix of the walk maps the common denominator onto itself, is checked
+then, or InconsistencyError names the module, the dominant weight and the
+first offending weight; there is no fallback.  For degree n,
+FactoredRational.transported_sum maps each lifted numerator along each
+matrix of rs.orbit_walk(nu), q^(n w.nu) and C(n+k-1, n) folded in, and the
+orbit's sum is reduced once.  A numerator over a fixed denominator is
+unique, so this is the value and the form the per-part sum over that
+denominator gives.  A module whose weights form one orbit has its character
+as its one summand.  The summands are kept on the ClosedCharacter by degree
+like the characters, n and rs checked on every call, and each call gets a
+new list of them.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from ._memo import Frozen, recall
 from .pfdcore import ClosedCharacter, binomial_poly
@@ -84,11 +99,6 @@ def _parts(cc: ClosedCharacter, n: int) -> list[tuple[FactoredRational, int, Wei
     return [(t.coeff, binomial_poly(t.order, n), weight_scale(n, t.weight)) for t in cc.terms]
 
 
-def _summands(parts) -> list[FactoredRational]:
-    """The summands C(n+k-1, n) q^(n nu) A(nu,k) of the parts, as values."""
-    return [f * LaurentPoly.monomial(beta, c) for f, c, beta in parts]
-
-
 def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
     """Character of the n-th symmetric power, as an exact Laurent polynomial.
 
@@ -138,11 +148,85 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
 
 
 def _split(cc: ClosedCharacter, rs: RootSystem, n: int) -> tuple[OrbitSummand, ...]:
-    """The degree-n orbit summands, each orbit's parts summed and reduced once."""
-    grouped: dict[Weight, list[FactoredRational]] = {}
-    for term, part in zip(cc.terms, _summands(_parts(cc, n))):
-        grouped.setdefault(rs.dominant_representative(term.weight), []).append(part)
+    """The degree-n orbit summands: each orbit's transported parts summed and reduced once."""
+    if not cc._lifts:
+        cc._lifts.update(_lift(cc, rs))
+    if len(cc._lifts) == 1:
+        (nu,) = cc._lifts
+        return (OrbitSummand(nu, FactoredRational(character_at(cc, n).terms)),)
     return tuple(
-        OrbitSummand(nu, FactoredRational.sum(grouped[nu], cc.rank).reduced())
-        for nu in sorted(grouped)
+        OrbitSummand(nu, FactoredRational.transported_sum(
+            [(lifted, sign * binomial_poly(k, n), tuple(map(add, unit, weight_scale(n, weight))),
+              matrix) for weight, matrix, sign, unit in walk for k, lifted in terms],
+            cc.rank).reduced())
+        for nu, (walk, terms) in sorted(cc._lifts.items())
     )
+
+
+def _lift(cc: ClosedCharacter, rs: RootSystem) -> dict[Weight, tuple]:
+    """Per dominant weight nu, the orbit's walk and lifted dominant terms (see _lift_orbit).
+
+    A module with one orbit gets no walk and no lift.
+    """
+    orbits: dict[Weight, list] = {}
+    for term in cc.terms:
+        orbits.setdefault(rs.dominant_representative(term.weight), []).append(term)
+    if len(orbits) == 1:
+        return dict.fromkeys(orbits, ((), ()))
+    module = "%s%s" % (cc.source.root_system.label, cc.source.highest_weight)
+    return {nu: _lift_orbit("%s, orbit of %s" % (module, nu), rs, nu, terms)
+            for nu, terms in sorted(orbits.items())}
+
+
+def _lift_orbit(where: str, rs: RootSystem, nu: Weight, terms: list) -> tuple[list, list]:
+    """(walk, lifted) for the pole terms of the orbit of nu, checked first.
+
+    The walk holds (w.nu, w, sign, u) for each matrix w of rs.orbit_walk(nu),
+    sign * q^u being the unit by which w maps the common denominator, the
+    largest power of each factor over the terms, onto itself; lifted holds
+    (k, A(nu, k) over that denominator).  InconsistencyError, prefixed by
+    where, unless the terms are one per orbit weight and order of a dominant
+    term, each the transport of its dominant term, and every w fixes the
+    common denominator.
+    """
+    walk = list(rs.orbit_walk(nu))
+    matrices = dict(walk)
+    dominant = {term.order: term.coeff for term in terms if term.weight == nu}
+    pairs = [(term.weight, term.order) for term in terms]
+    expected = sorted((weight, order) for weight in matrices for order in dominant)
+    if sorted(pairs) != expected:
+        odd = set(pairs).symmetric_difference(expected) or [p for p in pairs if pairs.count(p) > 1]
+        raise InconsistencyError("%s: not one pole term per orbit weight and dominant order, "
+                                 "first at %s of order %d" % (where, *min(odd)))
+    common: dict[Weight, int] = {}
+    for term in terms:
+        if term.weight != nu:
+            image = dominant[term.order].mapped(matrices[term.weight])
+            if image.factors != term.coeff.factors or image.numerator != term.coeff.numerator:
+                raise InconsistencyError("%s: the pole term at %s of order %d is not the "
+                                         "transport of the dominant one"
+                                         % (where, term.weight, term.order))
+        for alpha, power in term.coeff.factors.items():
+            common[alpha] = max(common.get(alpha, 0), power)
+    units, one = [], FactoredRational(LaurentPoly.one(len(nu)), common)
+    for weight, matrix in walk:
+        unit = one.mapped(matrix)
+        if unit.factors != common:
+            raise InconsistencyError("%s: the matrix to %s does not map the common "
+                                     "denominator onto itself" % (where, weight))
+        ((shift, sign),) = unit.numerator.terms.items()
+        units.append((weight, matrix, int(sign), shift))
+    return units, [(k, _lifted(f, common)) for k, f in sorted(dominant.items())]
+
+
+def _lifted(f: FactoredRational, common) -> FactoredRational:
+    """f over the denominator common, which holds each factor of f at least as often.
+
+    FactoredRational.sum brings its parts over the largest power of each
+    factor among them, in one packing, so f + 1/common - 1/common is f over
+    common.
+    """
+    if f.factors == common:
+        return f
+    unit = FactoredRational(LaurentPoly.one(f.rank), common)
+    return FactoredRational.sum([f, unit, -unit], f.rank)

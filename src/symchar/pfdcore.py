@@ -41,7 +41,7 @@ weight, sorted entries) and hands the same ClosedCharacter to every later
 caller; the oldest goes when the memo is full (see _memo).  Each
 ClosedCharacter also keeps, by degree, the characters that
 charformula.character_at and the orbit summands that charformula.orbit_split
-have computed from it.
+have computed from it, and, once, orbit_split's lifted dominant terms.
 """
 
 from __future__ import annotations
@@ -85,9 +85,11 @@ class ClosedCharacter(Frozen):
 
     def __post_init__(self):
         # Characters and orbit summands by degree, filled by
-        # charformula.character_at and orbit_split; not fields.
+        # charformula.character_at and orbit_split, and the lifted dominant
+        # terms by orbit, filled once by orbit_split; not fields.
         object.__setattr__(self, "_characters", {})
         object.__setattr__(self, "_orbits", {})
+        object.__setattr__(self, "_lifts", {})
 
     @property
     def rank(self) -> int:

@@ -24,9 +24,9 @@ exact iff every chain's coefficient sum is 0; a trial division that fails
 is rejected on its chain sums before any quotient term is built.  That
 running sum, behind reduced() and as_laurent(), is the only division.  A
 sum of many parts is merged pairwise, each merge over the pair's own common
-denominator.  mapped() substitutes q^e -> q^(M.e) for an invertible integer
-matrix M, such as a Weyl group element, and normalizes the images of the
-factors with the same helper as the constructor.
+denominator.  mapped() substitutes q^e -> q^(M.e), M an invertible integer
+matrix such as a Weyl group element, in one pass; transported_sum() adds
+such images over one denominator that each M fixes, in one dict.
 
 kronecker_sum is the second sum, for parts whose sum is known to be a
 polynomial with nonnegative coefficients in a box.  It substitutes values
@@ -34,7 +34,8 @@ too: q^e becomes x^(slot of e), the box a :class:`_Packing` and x = 2^b, so
 the sum is one int modulo 2^K whose b-bit digits are its coefficients.
 Each part is divided by its own factors as a power series and the digits
 are decoded once; no common denominator is built.  A term outside the box,
-or a mismatch at a seeded point modulo 2^61 - 1, raises ExactDivisionError.
+or a mismatch at a seeded point modulo 2^61 - 1, raises ExactDivisionError;
+each FactoredRational keeps its residue there, numerator and denominator.
 
 Values are immutable: ``terms`` and ``factors`` are read-only mappings
 (:class:`types.MappingProxyType`), and operations return new objects.
@@ -194,14 +195,11 @@ class LaurentPoly:
 
     def __pow__(self, power: int) -> "LaurentPoly":
         check_count(power, "exponent")
-        base = self
-        result = LaurentPoly.one(self.rank)
+        base, result = self, LaurentPoly.one(self.rank)
         while power:
-            if power & 1:
-                result = result * base
+            result = result * base if power & 1 else result
             power >>= 1
-            if power:
-                base = base * base
+            base = base * base if power else base
         return result
 
     def evaluate(self, point: Iterable) -> Fraction:
@@ -252,29 +250,16 @@ class LaurentPoly:
         return json
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         names = ("q",) if self.rank == 1 else tuple("q%d" % (i + 1) for i in range(self.rank))
-        pieces = []
+        text = ""
         for exponent in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             coeff = self.terms[exponent]
-            mono = "*".join(
-                name if power == 1 else "%s^%d" % (name, power)
-                for name, power in zip(names, exponent)
-                if power
-            )
-            if not mono:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (abs(coeff), mono)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+            mono = "*".join(name if power == 1 else "%s^%d" % (name, power)
+                            for name, power in zip(names, exponent) if power)
+            size, sign = abs(coeff), "-" if coeff < 0 else "+"
+            body = str(size) if not mono else mono if size == 1 else "%s*%s" % (size, mono)
+            text += " %s %s" % (sign, body) if text else body if sign == "+" else "-" + body
+        return text or "0"
 
     def __str__(self) -> str:
         return self.render()
@@ -363,10 +348,7 @@ def _chain_div(
         done += 1
     quotient: dict[int, int] = {}
     for key, coeffs in dense:
-        for coeff in coeffs:
-            if coeff:
-                quotient[key] = coeff
-            key += lift
+        quotient.update(compress(zip(range(key, key + lift * len(coeffs), lift), coeffs), coeffs))
     return quotient, done
 
 
@@ -397,12 +379,12 @@ def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, i
     return packing.unpack({key: coeff for key, coeff in sums.items() if coeff})
 
 
-def _apply(matrix, vectors: list[Exponent]) -> list[Exponent]:
-    """matrix . v for each vector v, built a coordinate at a time over all vectors."""
+def _apply(matrix, vectors: list[Exponent], shift: Iterable[int]) -> list[Exponent]:
+    """matrix . v + shift for each vector v, built a coordinate at a time over all vectors."""
     coords = list(zip(*vectors))
     columns = []
-    for row in matrix:
-        column = None
+    for row, s in zip(matrix, shift):
+        column = [s] * len(vectors) if s else None
         for a, coord in zip(row, coords):
             if a:
                 part = coord if a == 1 else list(map(mul, repeat(a), coord))
@@ -411,39 +393,18 @@ def _apply(matrix, vectors: list[Exponent]) -> list[Exponent]:
     return list(zip(*columns))
 
 
-def _normalized(
-    terms: dict[Exponent, int], factors: Iterable, rank: int
-) -> tuple[dict[Exponent, int], dict[Exponent, int]]:
-    """(terms, factors) of the same value, each alpha lexicographically positive.
-
-    factors is an iterable of (alpha, power), checked here; powers of equal
-    alphas add up and zero powers are dropped.  Each flipped factor leaves
-    the unit 1/(1 - q^-b)^p == (-1)^p q^(p*b) / (1 - q^b)^p, and the product
-    of those units goes into the integer terms, which are returned as they
-    came when there is none.
-    """
+def _flipped(factors: Iterable, rank: int) -> tuple[dict[Exponent, int], list[int], int]:
+    """(factors, shift, sign): each alpha lexicographically positive, equal ones merged, and the
+    unit sign * q^shift of the flips, 1/(1 - q^-b)^p == (-1)^p q^(p*b) / (1 - q^b)^p."""
     merged: dict[Exponent, int] = {}
-    zero = (0,) * rank
-    shift, sign = [0] * rank, 1
+    zero, shift, sign = (0,) * rank, [0] * rank, 1
     for alpha, power in factors:
-        alpha = tuple(alpha)
-        if len(alpha) != rank:
-            raise ValueError("denominator exponent of wrong length")
-        if not all(type(c) is int for c in alpha):
-            raise ValueError("non-integer denominator exponent %r" % (alpha,))
-        if alpha == zero:
-            raise ValueError("denominator factor with zero exponent vector")
-        check_count(power, "factor multiplicity")
-        if power == 0:
-            continue
         if alpha < zero:  # its first nonzero entry is negative
             alpha = tuple(-x for x in alpha)
             shift = [s + power * x for s, x in zip(shift, alpha)]
             sign *= (-1) ** power
         merged[alpha] = merged.get(alpha, 0) + power
-    if sign < 0 or any(shift):
-        terms = _product(terms, {tuple(shift): sign})
-    return terms, merged
+    return merged, shift, sign
 
 
 _Part = tuple[dict[int, int], int, Mapping[Exponent, int]]  # (packed terms, scale, factors)
@@ -479,33 +440,46 @@ def _merge(a: _Part, b: _Part, lifts: Mapping[Exponent, int]) -> _Part:
 class FactoredRational:
     """A rational function numerator / prod_j (1 - q^alpha_j)^k_j.
 
-    Denominator factor keys are normalized so that the first nonzero entry
-    of alpha is positive; the unit relating (1 - q^-alpha) to (1 - q^alpha)
-    is absorbed into the numerator.
-
-    The numerator is kept privately as integer terms over one positive
-    integer scale, the format of :class:`LaurentPoly`; :attr:`numerator`
-    wraps them as one.  Arithmetic never cancels: ``*`` multiplies the
-    numerators and merges the factor multisets, ``+`` and ``-`` are
-    :meth:`sum`, and only :meth:`reduced` divides factors out; callers that
-    want a tidy value call it once.  Equality is semantic: the difference
-    must sum to zero, so mixed normalizations compare as expected.
+    Each alpha has a positive first nonzero entry, the unit that relates
+    (1 - q^-alpha) to (1 - q^alpha) absorbed into the numerator, which is
+    kept privately as integer terms over one positive integer scale, the
+    format of :class:`LaurentPoly`; :attr:`numerator` wraps them as one.
+    Arithmetic never cancels: ``*`` multiplies the numerators and merges the
+    factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
+    :meth:`reduced` divides factors out; callers that want a tidy value call
+    it once.  Equality is semantic: the difference must sum to zero, so
+    mixed normalizations compare as expected.
     """
 
-    __slots__ = ("rank", "factors", "_terms", "_scale")
+    __slots__ = ("rank", "factors", "_terms", "_scale", "_residue")
 
     def __init__(self, numerator: LaurentPoly, factors=()):
         if not isinstance(numerator, LaurentPoly):
             raise TypeError("numerator must be a LaurentPoly")
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        terms, merged = _normalized(numerator._terms, items, numerator.rank)
-        self._set(numerator.rank, terms, numerator._scale, merged)
+        rank, checked = numerator.rank, []
+        for alpha, power in factors.items() if isinstance(factors, Mapping) else factors:
+            alpha = tuple(alpha)
+            if len(alpha) != rank:
+                raise ValueError("denominator exponent of wrong length")
+            if not all(type(c) is int for c in alpha):
+                raise ValueError("non-integer denominator exponent %r" % (alpha,))
+            if not any(alpha):
+                raise ValueError("denominator factor with zero exponent vector")
+            check_count(power, "factor multiplicity")
+            if power:
+                checked.append((alpha, power))
+        # The unit of the flips goes into the terms, kept as they came when there is none.
+        merged, shift, sign = _flipped(checked, rank)
+        terms = _product(numerator._terms, {tuple(shift): sign}) if sign < 0 or any(shift) \
+            else numerator._terms
+        self._set(rank, terms, numerator._scale, merged)
 
     def _set(self, rank: int, terms: dict[Exponent, int], scale: int, factors) -> None:
         self.rank = rank
         self._terms = terms
         self._scale = scale
         self.factors = MappingProxyType(factors if terms else {})
+        self._residue = None
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int, factors) -> "FactoredRational":
@@ -533,8 +507,7 @@ class FactoredRational:
         passes instead of O(n^2).  Each part is packed once, in a box
         that holds every lift, and the total is unpacked once.  Nothing
         cancels on the way: the result is over the largest power of each
-        factor among all parts.  It is not reduced; callers that need a
-        tidy denominator call reduced().
+        factor among all parts.  It is not reduced.
         """
         parts = list(parts)
         common: dict[Exponent, int] = {}
@@ -652,19 +625,47 @@ class FactoredRational:
 
         matrix is a tuple of rank rows of integers and must be invertible,
         such as a Weyl group element on weight coordinates (see
-        RootSystem.orbit_walk).  Every exponent of the integer numerator and
-        every factor alpha is mapped; each mapped factor is then normalized
-        as in the constructor, its unit going into the numerator.
+        RootSystem.orbit_walk).  The factors are mapped and normalized as in
+        the constructor, then the numerator in one pass with their unit.
         """
         if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
             raise ValueError("a rank-%d value needs a %d x %d matrix" % ((self.rank,) * 3))
-        images = _apply(matrix, [*self._terms, *self.factors])
-        count = len(self._terms)
-        terms = dict(zip(images[:count], self._terms.values()))
-        if len(terms) != count:
-            raise ValueError("matrix is singular: two exponents have the same image")
-        terms, factors = _normalized(terms, zip(images[count:], self.factors.values()), self.rank)
+        factors, shift, sign = _flipped(zip(_apply(matrix, list(self.factors), repeat(0)),
+                                            self.factors.values()), self.rank)
+        values = self._terms.values()
+        terms = dict(zip(_apply(matrix, list(self._terms), shift),
+                         values if sign > 0 else map(neg, values)))
+        if len(terms) != len(self._terms) or not all(map(any, factors)):
+            raise ValueError("matrix is singular: two exponents share an image, or a factor's is 0")
         return FactoredRational._raw(self.rank, terms, self._scale, factors)
+
+    @classmethod
+    def transported_sum(cls, parts, rank: int) -> "FactoredRational":
+        """The sum of the c * q^beta * f's numerator at q^(M.e), over the (f, c, beta, M) in parts.
+
+        The f share one denominator, which is kept: each M maps it onto itself
+        times a unit +-q^u (1/denominator mapped by M), which the caller folds
+        into c and beta.  Each part is one matrix application, the images are
+        added in one dict over the lcm of the scales, and nothing is reduced.
+        """
+        parts = list(parts)
+        scale, total = lcm(*(f._scale for f, *_ in parts)), {}
+        for f, c, beta, matrix in parts:
+            c *= scale // f._scale
+            for e, v in zip(_apply(matrix, list(f._terms), beta), f._terms.values()):
+                total[e] = total.get(e, 0) + c * v
+        terms = {e: v for e, v in total.items() if v}
+        return cls._raw(rank, terms, scale, dict(parts[0][0].factors))
+
+    def _residue_pair(self) -> tuple[int, int]:
+        """(numerator, denominator) at the seeded point modulo the prime, computed once."""
+        if self._residue is None:
+            seeds, below = _seeds(self.rank), self._scale
+            for alpha, power in self.factors.items():
+                value = 1 - prod(map(pow, seeds, alpha, repeat(_PRIME)))
+                below = below * pow(value, power, _PRIME) % _PRIME
+            self._residue = _at_seeds(self._terms, (0,) * self.rank), below
+        return self._residue
 
     # -- evaluation and comparison ------------------------------------------
 
@@ -685,24 +686,14 @@ class FactoredRational:
     # -- presentation ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "num": self.numerator.to_json(),
-            "den": [
-                {"alpha": list(alpha), "power": self.factors[alpha]}
-                for alpha in sorted(self.factors)
-            ],
-        }
+        return {"num": self.numerator.to_json(), "den": [
+            {"alpha": list(alpha), "power": self.factors[alpha]} for alpha in sorted(self.factors)]}
 
     def __str__(self) -> str:
+        bits = ["(1 - %s)%s" % (LaurentPoly.monomial(alpha).render(), "^%d" % k if k > 1 else "")
+                for alpha, k in sorted(self.factors.items())]
         num = self.numerator.render()
-        if not self.factors:
-            return num
-        bits = []
-        for alpha in sorted(self.factors):
-            power = self.factors[alpha]
-            base = "(1 - %s)" % LaurentPoly.monomial(alpha).render()
-            bits.append(base if power == 1 else "%s^%d" % (base, power))
-        return "(%s) / %s" % (num, "".join(bits))
+        return "(%s) / %s" % (num, "".join(bits)) if bits else num
 
     def __repr__(self) -> str:
         return "FactoredRational(%s)" % self
@@ -724,9 +715,8 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     ExactDivisionError for a term outside the box or a failed point check.
     """
     radix = [h - l + 1 for l, h in zip(lows, highs)]
-    for f, _, _ in parts:
-        for alpha in f.factors:
-            radix[1:] = map(max, radix[1:], (abs(a) + 1 for a in alpha[1:]))
+    alphas = {alpha for f, _, _ in parts for alpha in f.factors}
+    radix[1:] = [max([r, *(abs(a[i]) + 1 for a in alphas)]) for i, r in enumerate(radix[1:], 1)]
     box, scale = _Packing(lows, radix), lcm(*(f._scale for f, _, _ in parts))
     strides, laid, big, low = box.strides, [], scale * total, 0
     for f, c, beta in parts:
@@ -779,26 +769,33 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
     values = filter(None, digits) if sign > 0 else map(neg, filter(None, digits))
     terms = dict(zip(box.exponents(list(compress(range(width), digits))), values))
     # ... and the digits agree with the parts at a seeded point modulo the
-    # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.  Each
-    # distinct factor (1 - q^alpha) is evaluated there once, for all the parts.
-    prime = (1 << 61) - 1
-    reach = max(_reach([lows, highs]), *(max(_reach(f._terms), _reach(f.factors), _reach([beta]))
-                                         for f, _, beta in parts))
-    seeds = [(i + 1) * 0x9E3779B97F4A7C15 % prime for i in range(len(lows))]
-    powers = [dict(zip(range(-reach, reach + 1), accumulate(  # x^e for |e| <= reach
-        repeat(x, 2 * reach), lambda a, b: a * b % prime, initial=pow(x, -reach, prime))))
-        for x in seeds]
-
-    def at(poly: Mapping[Exponent, int]) -> int:
-        return sum(map(mul, [prod(map(getitem, powers, e)) for e in poly], poly.values()))
-
-    point = {a: 1 - at({a: 1}) for a in {a for f, _, _ in parts for a in f.factors}}
-    num, den = 0, 1
+    # prime 2^61 - 1 (Schwartz-Zippel), where no factor may vanish.  Each part
+    # keeps its residue, so a later sum costs one modular product per part;
+    # both sides are taken times x^-lows, which keeps the powers nonnegative.
+    num, den, seeds = 0, 1, _seeds(len(lows))
     for f, c, beta in parts:
-        below = f._scale * prod(pow(point[a], k, prime) for a, k in f.factors.items())
-        part = c * at({beta: 1}) * at(f._terms)
-        num, den = (num * below + part * den) % prime, den * below % prime
-    if not den or (at(terms) * den - scale * num) % prime:
+        top, below = f._residue_pair()
+        top *= c * prod(map(pow, seeds, map(sub, beta, lows), repeat(_PRIME)))
+        num, den = (num * below + top * den) % _PRIME, den * below % _PRIME
+    if not den or (_at_seeds(terms, lows) * den - scale * num) % _PRIME:
         raise ExactDivisionError("point check failed: the polynomial read on the box %s..%s "
                                  "is not the sum of the parts" % (tuple(lows), tuple(highs)))
     return LaurentPoly._raw(len(lows), terms, scale)
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _seeds(rank: int) -> list[int]:
+    """The seeded point, x_i = (i + 1) * 0x9E3779B97F4A7C15 modulo the prime."""
+    return [(i + 1) * 0x9E3779B97F4A7C15 % _PRIME for i in range(rank)]
+
+
+def _at_seeds(terms: Mapping[Exponent, int], origin: Exponent) -> int:
+    """The sum of the c * x^(e - origin) modulo the prime; one power table per coordinate."""
+    tables = []
+    for x, o, column in zip(_seeds(len(origin)), origin, zip(*terms)):
+        low, high = min(column), max(column)
+        tables.append(dict(zip(range(low, high + 1), accumulate(
+            repeat(x, high - low), lambda a, b: a * b % _PRIME, initial=pow(x, low - o, _PRIME)))))
+    return sum(map(mul, [prod(map(getitem, tables, e)) for e in terms], terms.values())) % _PRIME

@@ -10,7 +10,6 @@ import pytest
 from symchar.charformula import (
     CharacterPoly,
     _parts,
-    _summands,
     character_at,
     multiplicity_at,
     orbit_split,
@@ -144,10 +143,15 @@ def _kronecker_args(closed, n):
             comb(closed.source.dimension() - 1 + n, n))
 
 
+def _summands(closed, n):
+    """The parts C(n+k-1, n) q^(n nu) A(nu,k) of the degree-n character, as values."""
+    return [f * LaurentPoly.monomial(beta, c) for f, c, beta in _parts(closed, n)]
+
+
 def _both_routes(closed, n):
     """(Kronecker, symbolic) characters of degree n."""
     return (kronecker_sum(*_kronecker_args(closed, n)),
-            FactoredRational.sum(_summands(_parts(closed, n)), closed.rank).as_laurent())
+            FactoredRational.sum(_summands(closed, n), closed.rank).as_laurent())
 
 
 # The requests of perfbench's char_ladder and query_stream workloads.
@@ -217,6 +221,30 @@ class TestKroneckerRoute:
         assert str(caught.value) == (
             "F4(0, 0, 0, 1), N=4: the sum has a term at (5, -4, -8, -8), "
             "outside the box (-4, -4, -8, -8)..(4, 4, 8, 8)")
+
+    @pytest.mark.parametrize("label,highest", [
+        ("A1", (4,)), ("A2", (1, 1)), ("B2", (1, 0)), ("G2", (1, 0)), ("A2", (2, 1))])
+    def test_kept_residues_serve_every_later_degree(self, label, highest):
+        # One pole data, N = 1..8 in turn: from N = 2 on, every part's residue is the kept one.
+        table = weight_system(from_label(label), highest)
+        closed = pfd_decompose(table)
+        molien = truncated_molien(table, 8)
+        for n in range(1, 9):
+            assert character_at(closed, n).terms == molien.coefficient(n)
+            assert all(term.coeff._residue is not None for term in closed.terms)
+
+    def test_a_doubled_pole_term_fails_the_point_check_on_kept_residues(self, a2):
+        # The repeated term is the same object, so its residue is the kept one too.
+        closed = pfd_decompose(weight_system(a2, (1, 1)))
+        character_at(closed, 2)
+        (top,) = (term for term in closed.terms if term.weight == (1, 1))
+        residue = top.coeff._residue
+        broken = ClosedCharacter(source=closed.source, terms=closed.terms + (top,))
+        message = (r"^A2\(1, 1\), N=3: point check failed: the polynomial read on the box "
+                   r"\(-6, -6\)\.\.\(6, 6\) is not the sum of the parts$")
+        with pytest.raises(ExactDivisionError, match=message):
+            character_at(broken, 3)
+        assert top.coeff._residue is residue
 
     @pytest.mark.parametrize("route", ["rule"])
     def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, route):
@@ -332,6 +360,80 @@ class TestOrbitSplit:
         closed = pfd_decompose(weight_system(build_root_system("A", 2), (1, 0)))
         with pytest.raises(ValueError, match="A1"):
             orbit_split(closed, a1, 2)
+
+    @pytest.mark.parametrize("label,highest", [
+        ("A1", (1,)), ("A2", (1, 0)), ("B2", (0, 1)), ("D4", (1, 0, 0, 0)), ("B4", (0, 0, 0, 1))])
+    def test_one_orbit_has_the_character_as_its_summand(self, label, highest):
+        rs = from_label(label)
+        closed = pfd_decompose(weight_system(rs, highest))
+        for n in range(5):
+            (summand,) = orbit_split(closed, rs, n)
+            assert summand.dominant_weight == highest
+            character = character_at(closed, n).terms
+            assert summand.value._terms is character._terms
+            assert summand.value.to_json() == FactoredRational(character).to_json()
+            assert not summand.value.factors
+        assert closed._lifts == {highest: ((), ())}
+
+    def _a1_adjoint_with(self, a1, weight, change):
+        """The A1(2) pole data with the term at weight replaced by change(term)."""
+        closed = pfd_decompose(weight_system(a1, (2,)))
+        return ClosedCharacter(source=closed.source, terms=tuple(
+            change(term) if term.weight == weight else term for term in closed.terms))
+
+    def test_a_term_that_is_not_the_transport_of_its_dominant_term_is_named(self, a1):
+        def changed(term):
+            numerator = term.coeff.numerator + LaurentPoly.monomial((2,))
+            return PFDTerm(term.weight, term.order, FactoredRational(numerator, term.coeff.factors))
+
+        broken = self._a1_adjoint_with(a1, (-2,), changed)
+        message = (r"^A1\(2,\), orbit of \(2,\): the pole term at \(-2,\) of order 1 is not "
+                   r"the transport of the dominant one$")
+        for n in (2, 0):
+            with pytest.raises(InconsistencyError, match=message):
+                orbit_split(broken, a1, n)
+        assert not broken._lifts and not broken._orbits
+
+    @pytest.mark.parametrize("change,weight", [("drop", (2,)), ("drop", (-2,)), ("repeat", (-2,))])
+    def test_an_orbit_without_one_term_per_weight_and_order_is_named(self, a1, change, weight):
+        closed = pfd_decompose(weight_system(a1, (2,)))
+        chosen = [term for term in closed.terms if term.weight == weight]
+        others = [term for term in closed.terms if term.weight != weight]
+        broken = ClosedCharacter(source=closed.source, terms=tuple(
+            others + 2 * chosen if change == "repeat" else others))
+        message = (r"^A1\(2,\), orbit of \(2,\): not one pole term per orbit weight and dominant "
+                   r"order, first at \(-2,\) of order 1$")
+        with pytest.raises(InconsistencyError, match=message):
+            orbit_split(broken, a1, 1)
+
+    def test_the_cli_exits_2_on_a_term_that_is_not_a_transport(self, a1, monkeypatch, capsys):
+        from symchar import cli, pfdcore
+
+        def changed(term):
+            return PFDTerm(term.weight, term.order, term.coeff * 2)
+
+        broken = self._a1_adjoint_with(a1, (-2,), changed)
+        monkeypatch.setattr(pfdcore, "pfd_decompose", lambda table: broken)
+        assert cli.main(["orbits", "--algebra", "A1", "--lambda", "2", "--N", "2"]) == 2
+        assert "orbit of (2,): the pole term at (-2,) of order 1" in capsys.readouterr().err
+
+    def test_a_common_denominator_that_the_walk_moves_is_named(self, a2):
+        # The term at (2, 0) over one more factor (1 - q2), which s2, its
+        # stabilizer, does not fix; every other term of the orbit is its transport.
+        closed = pfd_decompose(weight_system(a2, (2, 0)))
+        matrices = dict(a2.orbit_walk((2, 0)))
+        (top,) = (term for term in closed.terms if term.weight == (2, 0))
+        factors = dict(top.coeff.factors)
+        factors[(0, 1)] = factors.get((0, 1), 0) + 1
+        padded = FactoredRational(top.coeff.numerator * (1 - LaurentPoly.monomial((0, 1))), factors)
+        assert padded == top.coeff
+        broken = ClosedCharacter(source=closed.source, terms=tuple(
+            PFDTerm(t.weight, t.order, padded.mapped(matrices[t.weight])) if t.weight in matrices
+            else t for t in closed.terms))
+        message = (r"^A2\(2, 0\), orbit of \(2, 0\): the matrix to \(-2, 2\) does not map the "
+                   r"common denominator onto itself$")
+        with pytest.raises(InconsistencyError, match=message):
+            orbit_split(broken, a2, 2)
 
     def test_rejects_a_weyl_group_that_moves_the_weights(self, a2, b2):
         closed = pfd_decompose(weight_system(a2, (1, 0)))

@@ -233,6 +233,36 @@ class TestBounded:
         again = orbit_split(closed, a1, 0)
         assert again[0] is not orbits[0] and again == orbits
 
+    def test_orbits_per_degree_hold_at_most_the_bound_and_lifts_one_per_orbit(self, a2):
+        # A2(2,0) has two orbits, of (2, 0) and of (0, 1); the lift store is
+        # filled at the first degree and kept, one entry per orbit.
+        closed = pfd_decompose(weight_system(a2, (2, 0)))
+        first = orbit_split(closed, a2, 0)
+        lifts = dict(closed._lifts)
+        assert sorted(lifts) == [(0, 1), (2, 0)]
+        for n in range(MEMO_SIZE + 6):
+            assert [s.dominant_weight for s in orbit_split(closed, a2, n)] == [(0, 1), (2, 0)]
+            character_at(closed, n)
+            assert len(closed._orbits) <= MEMO_SIZE and len(closed._characters) <= MEMO_SIZE
+            assert closed._lifts.keys() == lifts.keys()
+            assert all(closed._lifts[nu] is lifts[nu] for nu in lifts)
+        assert 0 not in closed._orbits
+        again = orbit_split(closed, a2, 0)
+        assert again[0] is not first[0] and again == first
+        assert closed._lifts.keys() == lifts.keys()
+
+    def test_the_lift_store_holds_one_entry_per_orbit(self):
+        for label, highest, count in (("A1", (4,), 3), ("A2", (1, 1), 2), ("B2", (1, 1), 2),
+                                      ("G2", (1, 0), 2), ("A2", (1, 0), 1)):
+            rs = from_label(label)
+            closed = pfd_decompose(weight_system(rs, highest))
+            assert not closed._lifts
+            for n in (3, 1):
+                assert len(orbit_split(closed, rs, n)) == count
+                assert len(closed._lifts) == count
+                assert sorted(closed._lifts) == [t.weight for t in closed.terms
+                                                 if min(t.weight) >= 0 and t.order == 1]
+
     def test_cyclotomic_memo_holds_at_most_the_bound(self):
         first = [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)]
         assert len(univariate._CYCLOTOMICS) <= MEMO_SIZE

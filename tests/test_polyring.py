@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -1087,6 +1087,72 @@ class TestMapped:
             f.mapped(((1, 0),))
         with pytest.raises(ValueError, match="singular"):
             f.mapped(((1, 1), (1, 1)))
+        # One numerator term, and a factor that the matrix sends to 0.
+        g = FactoredRational(LaurentPoly.monomial((1, 0)), [((1, -1), 1)])
+        with pytest.raises(ValueError, match="singular"):
+            g.mapped(((1, 1), (1, 1)))
+
+
+class TestTransportedSum:
+    """FactoredRational.transported_sum against the sum of the values mapped one by one."""
+
+    def test_equals_the_sum_of_the_mapped_parts(self):
+        # Signed permutations map the denominator below onto itself, up to units.
+        rng = random.Random(97)
+        for case in range(30):
+            rank = 2 + case % 2
+            power = rng.randint(1, 2)
+            den = {tuple(int(r == c) for c in range(rank)): power for r in range(rank)}
+            values = [FactoredRational(_random_poly(rng, rank, ensure_nonzero=True), den)
+                      for _ in range(rng.randint(1, 3))]
+            parts, expected = [], []
+            for f in values:
+                for _ in range(rng.randint(1, 3)):
+                    order = rng.sample(range(rank), rank)
+                    matrix = tuple(tuple(rng.choice((1, -1)) * int(c == order[r]) for c in range(rank))
+                                   for r in range(rank))
+                    c, beta = rng.randint(-4, 4), tuple(rng.randint(-3, 3) for _ in range(rank))
+                    expected.append(f.mapped(matrix) * LaurentPoly.monomial(beta, c))
+                    ((u, sign),) = FactoredRational(LaurentPoly.one(rank), den).mapped(
+                        matrix).numerator.terms.items()
+                    parts.append((f, c * int(sign), tuple(map(sum, zip(beta, u))), matrix))
+            got = FactoredRational.transported_sum(parts, rank)
+            assert got == FactoredRational.sum(expected, rank)
+            assert got.factors == den or got.is_zero
+            assert got._scale == lcm(*(f._scale for f in values))
+
+
+class TestResidue:
+    """Each value keeps its numerator and denominator at kronecker_sum's seeded point."""
+
+    PRIME = (1 << 61) - 1
+
+    def fresh(self, f):
+        seeds = [(i + 1) * 0x9E3779B97F4A7C15 % self.PRIME for i in range(f.rank)]
+
+        def at(e):
+            return prod(pow(x, k, self.PRIME) for x, k in zip(seeds, e))
+
+        below = f._scale
+        for alpha, power in f.factors.items():
+            below = below * pow(1 - at(alpha), power, self.PRIME) % self.PRIME
+        return sum(c * at(e) for e, c in f._terms.items()) % self.PRIME, below
+
+    def test_the_kept_residue_is_a_fresh_evaluation(self):
+        rng = random.Random(89)
+        for case in range(60):
+            f = _random_fr(rng, 1 + case % 4)
+            assert f._residue is None
+            residue = f._residue_pair()
+            assert residue == self.fresh(f)
+            assert f._residue_pair() is residue
+
+    def test_derived_values_get_their_own_residue(self):
+        f = FactoredRational(q(3) - 2, [((2,), 1)])
+        f._residue_pair()
+        for g in (f * 2, -f, f + f, f.mapped(((-1,),))):
+            assert g._residue is None
+            assert g._residue_pair() == self.fresh(g)
 
 
 # Every count argument goes through polyring.check_count: (call on a table, least value).

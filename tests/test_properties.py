@@ -7,22 +7,20 @@ A(w.nu, k) = w.A(nu, k), on the same draws and on larger modules, and
 each dominant term A(mu, k) is fixed by the stabilizer of mu.  The
 rank-1 cyclotomic decomposition of random rational functions reassembles
 its input.  On the same draws, the Kronecker and symbolic routes of
-character_at give the same character.
+character_at give the same character, and the JSON of orbit_split is, byte
+for byte, that of each orbit's parts summed over their common denominator
+and reduced once, also on larger modules and on modules of one orbit.
 """
 
+import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar.charformula import (
-    _parts,
-    _summands,
-    character_at,
-    multiplicity_at,
-    orbit_split,
-)
+from symchar.charformula import character_at, multiplicity_at, orbit_split
 from symchar.oracle import adams_symmetric, truncated_molien
 from symchar.pfdcore import pfd_decompose
 from symchar.polyring import FactoredRational, LaurentPoly
@@ -73,6 +71,33 @@ def test_pole_data_agrees_with_both_oracles(module, n):
 
     summands = orbit_split(closed, rs, n)
     assert FactoredRational.sum([s.value for s in summands], rs.rank).as_laurent() == character
+
+
+def _reference_parts(closed, n):
+    """(dominant weight, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term, by plain products."""
+    rs = closed.source.root_system
+    return [(rs.dominant_representative(t.weight), t.coeff * LaurentPoly.monomial(
+        tuple(n * c for c in t.weight), comb(n + t.order - 1, n))) for t in closed.terms]
+
+
+def _assert_orbits_match_the_reference(label, highest, n):
+    """orbit_split's JSON equals, byte for byte, each orbit's parts summed and reduced."""
+    rs = from_label(label)
+    closed = pfd_decompose(weight_system(rs, highest))
+    grouped = {}
+    for nu, part in _reference_parts(closed, n):
+        grouped.setdefault(nu, []).append(part)
+    expected = [{"dominant_weight": list(nu),
+                 "value": FactoredRational.sum(grouped[nu], rs.rank).reduced().to_json()}
+                for nu in sorted(grouped)]
+    got = [summand.to_json() for summand in orbit_split(closed, rs, n)]
+    assert json.dumps(got) == json.dumps(expected)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(module=st.sampled_from(MODULES), n=st.integers(0, MAX_N))
+def test_orbit_split_matches_the_per_part_reference(module, n):
+    _assert_orbits_match_the_reference(*module, n)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -133,6 +158,27 @@ LARGER_MODULES = [("A2", (2, 2)), ("B2", (2, 1)), ("G2", (0, 1)), ("A3", (1, 0, 
                          ids=["%s(%s)" % (label, ",".join(map(str, h))) for label, h in LARGER_MODULES])
 def test_larger_pole_data_is_weyl_equivariant(label, highest):
     _assert_weyl_equivariant(pfd_decompose(weight_system(from_label(label), highest)))
+
+
+# D4(0,1,0,0) is left out: the common denominator of its orbit of roots has
+# degree 120, and the per-part sum over it alone runs past 110 s and 1.9 GB.
+LARGER_ORBIT_MODULES = [module for module in LARGER_MODULES if module != ("D4", (0, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("label,highest", LARGER_ORBIT_MODULES, ids=[
+    "%s(%s)" % (label, ",".join(map(str, h))) for label, h in LARGER_ORBIT_MODULES])
+def test_larger_orbit_split_matches_the_per_part_reference(label, highest):
+    _assert_orbits_match_the_reference(label, highest, 2)
+
+
+# Modules whose weights form one Weyl orbit: the character is the one summand.
+ONE_ORBIT = [(label, highest, n) for label, highest in (
+    ("A1", (1,)), ("A2", (1, 0)), ("B2", (0, 1)), ("D4", (1, 0, 0, 0))) for n in range(4)]
+
+
+@pytest.mark.parametrize("label,highest,n", ONE_ORBIT + [("B4", (0, 0, 0, 1), 2)])
+def test_one_orbit_split_matches_the_per_part_reference(label, highest, n):
+    _assert_orbits_match_the_reference(label, highest, n)
 
 
 def _assert_stabilizer_invariant(closed):
@@ -207,5 +253,6 @@ def test_both_character_routes_agree(module, n):
     # route's term for term.
     label, highest = module
     closed = pfd_decompose(weight_system(from_label(label), highest))
-    symbolic = FactoredRational.sum(_summands(_parts(closed, n)), closed.rank).as_laurent()
+    symbolic = FactoredRational.sum([part for _, part in _reference_parts(closed, n)],
+                                    closed.rank).as_laurent()
     assert character_at(closed, n).terms.terms == symbolic.terms
