@@ -16,28 +16,28 @@ orbit_split regroups the same sum by Weyl orbits of dominant weights.  The
 pole data is Weyl equivariant, A(w.nu, k) = w.A(nu, k), so each orbit is
 built from its dominant terms alone.  Once per ClosedCharacter each of them
 is lifted to the orbit's common denominator, the largest power of each
-factor over the orbit's terms.  That the orbit has one term per weight and
-order, that each is the transport of its dominant term, and that every
-matrix of the walk maps the common denominator onto itself, is checked
-then, or InconsistencyError names the module, the dominant weight and the
-first offending weight; there is no fallback.  For degree n,
-FactoredRational.transported_sum maps each lifted numerator along each
-matrix of rs.orbit_walk(nu), q^(n w.nu) and C(n+k-1, n) folded in, and the
-orbit's sum is reduced once.  A numerator over a fixed denominator is
-unique, so this is the value and the form the per-part sum over that
-denominator gives.  A module whose weights form one orbit has its character
-as its one summand.  The summands are kept on the ClosedCharacter by degree
-like the characters, n and rs checked on every call, and each call gets a
-new list of them.
+factor over the orbit's terms, and mapped along each matrix w of
+rs.orbit_walk(nu); the images are kept as pole terms over that one
+denominator.  That the orbit has one term per weight and order, that each
+is the transport of its dominant term, and that every w maps the common
+denominator onto itself, is checked then, or InconsistencyError names the
+module, the dominant weight and the first offending weight; there is no
+fallback.  For degree n both routes build their parts with _parts: each
+orbit's are added over its one denominator by
+FactoredRational.shifted_sum and reduced once.  A numerator over a fixed
+denominator is unique, so this is the value and the form the per-part sum
+over that denominator gives.  A module whose weights form one orbit has its
+character as its one summand.  The summands are kept on the ClosedCharacter
+by degree like the characters, n and rs checked on every call, and each
+call gets a new list of them.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import add
 
 from ._memo import Frozen, recall
-from .pfdcore import ClosedCharacter, binomial_poly
+from .pfdcore import ClosedCharacter, PFDTerm, binomial_poly
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
     check_exponent, kronecker_sum,
@@ -94,9 +94,9 @@ class OrbitSummand(Frozen):
         return {"dominant_weight": list(self.dominant_weight), "value": self.value.to_json()}
 
 
-def _parts(cc: ClosedCharacter, n: int) -> list[tuple[FactoredRational, int, Weight]]:
-    """(A(nu,k), C(n+k-1, n), n nu) for each pole term: the parts of the degree-n character."""
-    return [(t.coeff, binomial_poly(t.order, n), weight_scale(n, t.weight)) for t in cc.terms]
+def _parts(terms, n: int) -> list[tuple[FactoredRational, int, Weight]]:
+    """(A(nu,k), C(n+k-1, n), n nu) for each pole term: the parts of their degree-n sum."""
+    return [(t.coeff, binomial_poly(t.order, n), weight_scale(n, t.weight)) for t in terms]
 
 
 def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
@@ -112,7 +112,7 @@ def character_at(cc: ClosedCharacter, n: int) -> CharacterPoly:
 def _assemble(cc: ClosedCharacter, n: int) -> CharacterPoly:
     """The degree-n character by the Kronecker route, its coefficient sum checked."""
     where = "%s%s, N=%d" % (cc.source.root_system.label, cc.source.highest_weight, n)
-    parts, total = _parts(cc, n), comb(cc.source.dimension() - 1 + n, n)
+    parts, total = _parts(cc.terms, n), comb(cc.source.dimension() - 1 + n, n)
     columns = list(zip(*cc.source.support()))
     try:
         character = CharacterPoly(rank=cc.rank, terms=kronecker_sum(
@@ -148,46 +148,42 @@ def orbit_split(cc: ClosedCharacter, rs: RootSystem, n: int) -> list[OrbitSumman
 
 
 def _split(cc: ClosedCharacter, rs: RootSystem, n: int) -> tuple[OrbitSummand, ...]:
-    """The degree-n orbit summands: each orbit's transported parts summed and reduced once."""
+    """The degree-n orbit summands: each orbit's kept terms' parts summed and reduced once."""
     if not cc._lifts:
         cc._lifts.update(_lift(cc, rs))
     if len(cc._lifts) == 1:
         (nu,) = cc._lifts
         return (OrbitSummand(nu, FactoredRational(character_at(cc, n).terms)),)
-    return tuple(
-        OrbitSummand(nu, FactoredRational.transported_sum(
-            [(lifted, sign * binomial_poly(k, n), tuple(map(add, unit, weight_scale(n, weight))),
-              matrix) for weight, matrix, sign, unit in walk for k, lifted in terms],
-            cc.rank).reduced())
-        for nu, (walk, terms) in sorted(cc._lifts.items())
-    )
+    return tuple(OrbitSummand(nu, FactoredRational.shifted_sum(_parts(kept, n), cc.rank).reduced())
+                 for nu, kept in sorted(cc._lifts.items()))
 
 
 def _lift(cc: ClosedCharacter, rs: RootSystem) -> dict[Weight, tuple]:
-    """Per dominant weight nu, the orbit's walk and lifted dominant terms (see _lift_orbit).
+    """Per dominant weight nu, the orbit's kept pole terms (see _lift_orbit).
 
-    A module with one orbit gets no walk and no lift.
+    A module with one orbit keeps none.
     """
     orbits: dict[Weight, list] = {}
     for term in cc.terms:
         orbits.setdefault(rs.dominant_representative(term.weight), []).append(term)
     if len(orbits) == 1:
-        return dict.fromkeys(orbits, ((), ()))
+        return dict.fromkeys(orbits, ())
     module = "%s%s" % (cc.source.root_system.label, cc.source.highest_weight)
     return {nu: _lift_orbit("%s, orbit of %s" % (module, nu), rs, nu, terms)
             for nu, terms in sorted(orbits.items())}
 
 
-def _lift_orbit(where: str, rs: RootSystem, nu: Weight, terms: list) -> tuple[list, list]:
-    """(walk, lifted) for the pole terms of the orbit of nu, checked first.
+def _lift_orbit(where: str, rs: RootSystem, nu: Weight, terms: list) -> tuple[PFDTerm, ...]:
+    """The pole terms of the orbit of nu over its common denominator, checked first.
 
-    The walk holds (w.nu, w, sign, u) for each matrix w of rs.orbit_walk(nu),
-    sign * q^u being the unit by which w maps the common denominator, the
-    largest power of each factor over the terms, onto itself; lifted holds
-    (k, A(nu, k) over that denominator).  InconsistencyError, prefixed by
-    where, unless the terms are one per orbit weight and order of a dominant
-    term, each the transport of its dominant term, and every w fixes the
-    common denominator.
+    Each dominant term A(nu, k) is lifted once to the common denominator,
+    the largest power of each factor over the terms, and mapped once along
+    each matrix w of rs.orbit_walk(nu) to A(w.nu, k) over it, mapped()
+    folding in the unit by which w maps that denominator onto itself; the
+    images come in walk order, by order within each weight.
+    InconsistencyError, prefixed by where, unless the terms are one per
+    orbit weight and order of a dominant term, each the transport of its
+    dominant term, and every w fixes the common denominator.
     """
     walk = list(rs.orbit_walk(nu))
     matrices = dict(walk)
@@ -208,15 +204,15 @@ def _lift_orbit(where: str, rs: RootSystem, nu: Weight, terms: list) -> tuple[li
                                          % (where, term.weight, term.order))
         for alpha, power in term.coeff.factors.items():
             common[alpha] = max(common.get(alpha, 0), power)
-    units, one = [], FactoredRational(LaurentPoly.one(len(nu)), common)
+    lifted, kept = [(k, _lifted(f, common)) for k, f in sorted(dominant.items())], []
     for weight, matrix in walk:
-        unit = one.mapped(matrix)
-        if unit.factors != common:
-            raise InconsistencyError("%s: the matrix to %s does not map the common "
-                                     "denominator onto itself" % (where, weight))
-        ((shift, sign),) = unit.numerator.terms.items()
-        units.append((weight, matrix, int(sign), shift))
-    return units, [(k, _lifted(f, common)) for k, f in sorted(dominant.items())]
+        for k, f in lifted:
+            image = f.mapped(matrix)
+            if image.factors != common:
+                raise InconsistencyError("%s: the matrix to %s does not map the common "
+                                         "denominator onto itself" % (where, weight))
+            kept.append(PFDTerm(weight, k, image))
+    return tuple(kept)
 
 
 def _lifted(f: FactoredRational, common) -> FactoredRational:

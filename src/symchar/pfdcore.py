@@ -41,7 +41,7 @@ weight, sorted entries) and hands the same ClosedCharacter to every later
 caller; the oldest goes when the memo is full (see _memo).  Each
 ClosedCharacter also keeps, by degree, the characters that
 charformula.character_at and the orbit summands that charformula.orbit_split
-have computed from it, and, once, orbit_split's lifted dominant terms.
+have computed from it, and, once, each orbit's terms over one denominator.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ class ClosedCharacter(Frozen):
     terms: tuple[PFDTerm, ...]
 
     def __post_init__(self):
-        # Characters and orbit summands by degree, filled by
-        # charformula.character_at and orbit_split, and the lifted dominant
-        # terms by orbit, filled once by orbit_split; not fields.
+        # Characters and orbit summands by degree, filled by character_at and
+        # orbit_split, and orbit_split's kept terms of each orbit; not fields.
         object.__setattr__(self, "_characters", {})
         object.__setattr__(self, "_orbits", {})
         object.__setattr__(self, "_lifts", {})

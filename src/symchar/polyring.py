@@ -25,8 +25,8 @@ is rejected on its chain sums before any quotient term is built.  That
 running sum, behind reduced() and as_laurent(), is the only division.  A
 sum of many parts is merged pairwise, each merge over the pair's own common
 denominator.  mapped() substitutes q^e -> q^(M.e), M an invertible integer
-matrix such as a Weyl group element, in one pass; transported_sum() adds
-such images over one denominator that each M fixes, in one dict.
+matrix such as a Weyl group element, in one pass; shifted_sum() adds the
+c * q^beta * f of values over one shared denominator in one dict.
 
 kronecker_sum is the second sum, for parts whose sum is known to be a
 polynomial with nonnegative coefficients in a box.  It substitutes values
@@ -640,19 +640,15 @@ class FactoredRational:
         return FactoredRational._raw(self.rank, terms, self._scale, factors)
 
     @classmethod
-    def transported_sum(cls, parts, rank: int) -> "FactoredRational":
-        """The sum of the c * q^beta * f's numerator at q^(M.e), over the (f, c, beta, M) in parts.
-
-        The f share one denominator, which is kept: each M maps it onto itself
-        times a unit +-q^u (1/denominator mapped by M), which the caller folds
-        into c and beta.  Each part is one matrix application, the images are
-        added in one dict over the lcm of the scales, and nothing is reduced.
-        """
+    def shifted_sum(cls, parts, rank: int) -> "FactoredRational":
+        """The sum of the c * q^beta * f over kronecker_sum's parts (f, c, beta), the f over one
+        shared denominator, which is kept; one dict over the lcm of the scales, not reduced."""
         parts = list(parts)
-        scale, total = lcm(*(f._scale for f, *_ in parts)), {}
-        for f, c, beta, matrix in parts:
+        scale, total = lcm(*(f._scale for f, _, _ in parts)), {}
+        for f, c, beta in parts:
             c *= scale // f._scale
-            for e, v in zip(_apply(matrix, list(f._terms), beta), f._terms.values()):
+            shifted = zip(*([x + b for x in coord] for coord, b in zip(zip(*f._terms), beta)))
+            for e, v in zip(shifted, f._terms.values()):
                 total[e] = total.get(e, 0) + c * v
         terms = {e: v for e, v in total.items() if v}
         return cls._raw(rank, terms, scale, dict(parts[0][0].factors))

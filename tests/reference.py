@@ -1,0 +1,16 @@
+"""The parts of a symmetric-power character, built straight from the pole terms.
+
+A reference for the tests that is independent of ``charformula``'s own part
+builder: each part is a plain product of the pole coefficient and a monomial.
+"""
+
+from math import comb
+
+from symchar.polyring import LaurentPoly
+
+
+def reference_parts(closed, n):
+    """(dominant weight, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term, by plain products."""
+    rs = closed.source.root_system
+    return [(rs.dominant_representative(t.weight), t.coeff * LaurentPoly.monomial(
+        tuple(n * c for c in t.weight), comb(n + t.order - 1, n))) for t in closed.terms]

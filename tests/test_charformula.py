@@ -23,6 +23,8 @@ from symchar.rootsys import build_root_system, from_label
 from symchar.univariate import cyclotomic, univariate_pfd
 from symchar.weightsys import dim_irrep, weight_system
 
+from reference import reference_parts
+
 
 def q(exponent, coeff=1):
     return LaurentPoly.monomial((exponent,), coeff)
@@ -139,19 +141,14 @@ def _closed(label, highest):
 def _kronecker_args(closed, n):
     """(parts, lows, highs, total): what character_at hands kronecker_sum for degree n."""
     columns = list(zip(*closed.source.support()))
-    return (_parts(closed, n), [n * min(c) for c in columns], [n * max(c) for c in columns],
+    return (_parts(closed.terms, n), [n * min(c) for c in columns], [n * max(c) for c in columns],
             comb(closed.source.dimension() - 1 + n, n))
 
 
-def _summands(closed, n):
-    """The parts C(n+k-1, n) q^(n nu) A(nu,k) of the degree-n character, as values."""
-    return [f * LaurentPoly.monomial(beta, c) for f, c, beta in _parts(closed, n)]
-
-
 def _both_routes(closed, n):
-    """(Kronecker, symbolic) characters of degree n."""
-    return (kronecker_sum(*_kronecker_args(closed, n)),
-            FactoredRational.sum(_summands(closed, n), closed.rank).as_laurent())
+    """(Kronecker, symbolic) characters of degree n; the symbolic parts do not use _parts."""
+    return (kronecker_sum(*_kronecker_args(closed, n)), FactoredRational.sum(
+        [part for _, part in reference_parts(closed, n)], closed.rank).as_laurent())
 
 
 # The requests of perfbench's char_ladder and query_stream workloads.
@@ -373,7 +370,7 @@ class TestOrbitSplit:
             assert summand.value._terms is character._terms
             assert summand.value.to_json() == FactoredRational(character).to_json()
             assert not summand.value.factors
-        assert closed._lifts == {highest: ((), ())}
+        assert closed._lifts == {highest: ()}
 
     def _a1_adjoint_with(self, a1, weight, change):
         """The A1(2) pole data with the term at weight replaced by change(term)."""

@@ -262,6 +262,21 @@ class TestBounded:
                 assert len(closed._lifts) == count
                 assert sorted(closed._lifts) == [t.weight for t in closed.terms
                                                  if min(t.weight) >= 0 and t.order == 1]
+            if count == 1:
+                assert closed._lifts == {highest: ()}
+                continue
+            # Each orbit keeps one term per (orbit weight, order), equal to its
+            # pole term, all over the orbit's common denominator.
+            for nu, kept in closed._lifts.items():
+                orbit = {(t.weight, t.order): t.coeff for t in closed.terms
+                         if rs.dominant_representative(t.weight) == nu}
+                assert sorted((t.weight, t.order) for t in kept) == sorted(orbit)
+                common = {}
+                for coeff in orbit.values():
+                    for alpha, power in coeff.factors.items():
+                        common[alpha] = max(common.get(alpha, 0), power)
+                assert all(t.coeff.factors == common for t in kept)
+                assert all(t.coeff == orbit[t.weight, t.order] for t in kept)
 
     def test_cyclotomic_memo_holds_at_most_the_bound(self):
         first = [cyclotomic(d) for d in range(1, MEMO_SIZE + 20)]

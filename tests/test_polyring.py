@@ -1093,33 +1093,35 @@ class TestMapped:
             g.mapped(((1, 1), (1, 1)))
 
 
-class TestTransportedSum:
-    """FactoredRational.transported_sum against the sum of the values mapped one by one."""
+class TestShiftedSum:
+    """FactoredRational.shifted_sum against FactoredRational.sum of the c * q^beta * f."""
 
-    def test_equals_the_sum_of_the_mapped_parts(self):
-        # Signed permutations map the denominator below onto itself, up to units.
+    def test_equals_the_sum_of_the_shifted_parts(self):
         rng = random.Random(97)
-        for case in range(30):
-            rank = 2 + case % 2
-            power = rng.randint(1, 2)
-            den = {tuple(int(r == c) for c in range(rank)): power for r in range(rank)}
-            values = [FactoredRational(_random_poly(rng, rank, ensure_nonzero=True), den)
-                      for _ in range(rng.randint(1, 3))]
-            parts, expected = [], []
-            for f in values:
-                for _ in range(rng.randint(1, 3)):
-                    order = rng.sample(range(rank), rank)
-                    matrix = tuple(tuple(rng.choice((1, -1)) * int(c == order[r]) for c in range(rank))
-                                   for r in range(rank))
-                    c, beta = rng.randint(-4, 4), tuple(rng.randint(-3, 3) for _ in range(rank))
-                    expected.append(f.mapped(matrix) * LaurentPoly.monomial(beta, c))
-                    ((u, sign),) = FactoredRational(LaurentPoly.one(rank), den).mapped(
-                        matrix).numerator.terms.items()
-                    parts.append((f, c * int(sign), tuple(map(sum, zip(beta, u))), matrix))
-            got = FactoredRational.transported_sum(parts, rank)
-            assert got == FactoredRational.sum(expected, rank)
-            assert got.factors == den or got.is_zero
-            assert got._scale == lcm(*(f._scale for f in values))
+        mixed = 0
+        for case in range(40):
+            rank = 1 + case % 3
+            den = dict(_random_fr(rng, rank).factors) or {(1,) * rank: 1}
+            parts = [(FactoredRational(_random_poly(rng, rank, ensure_nonzero=True), den),
+                      rng.randint(-4, 4), tuple(rng.randint(-3, 3) for _ in range(rank)))
+                     for _ in range(rng.randint(1, 4))]
+            expected = FactoredRational.sum(
+                [f * LaurentPoly.monomial(beta, c) for f, c, beta in parts], rank)
+            got = FactoredRational.shifted_sum(parts, rank)
+            assert got == expected
+            assert got.to_json() == expected.to_json()
+            assert got.factors == (den if not got.is_zero else {})
+            assert got._scale == lcm(*(f._scale for f, _, _ in parts))
+            mixed += len({f._scale for f, _, _ in parts}) > 1
+        assert mixed
+
+    def test_a_cancelling_pair_over_different_scales_sums_to_zero(self):
+        f = FactoredRational(LaurentPoly(2, {(1, 0): Fraction(1, 3), (0, -1): 2}), {(1, 1): 2})
+        half = FactoredRational(f.numerator * Fraction(1, 2), f.factors)
+        assert (f._scale, half._scale) == (3, 6)
+        got = FactoredRational.shifted_sum([(f, 2, (1, -1)), (half, -4, (1, -1))], 2)
+        assert got.is_zero and not got.factors
+        assert got == FactoredRational.sum([f * 2, half * -4], 2)
 
 
 class TestResidue:

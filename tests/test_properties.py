@@ -14,7 +14,6 @@ and reduced once, also on larger modules and on modules of one orbit.
 
 import json
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,8 @@ from symchar.polyring import FactoredRational, LaurentPoly
 from symchar.rootsys import from_label, is_dominant
 from symchar.univariate import cyclotomic, univariate_pfd
 from symchar.weightsys import dim_irrep, weight_system
+
+from reference import reference_parts
 
 ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
 MAX_DIM = 10
@@ -73,19 +74,12 @@ def test_pole_data_agrees_with_both_oracles(module, n):
     assert FactoredRational.sum([s.value for s in summands], rs.rank).as_laurent() == character
 
 
-def _reference_parts(closed, n):
-    """(dominant weight, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term, by plain products."""
-    rs = closed.source.root_system
-    return [(rs.dominant_representative(t.weight), t.coeff * LaurentPoly.monomial(
-        tuple(n * c for c in t.weight), comb(n + t.order - 1, n))) for t in closed.terms]
-
-
 def _assert_orbits_match_the_reference(label, highest, n):
     """orbit_split's JSON equals, byte for byte, each orbit's parts summed and reduced."""
     rs = from_label(label)
     closed = pfd_decompose(weight_system(rs, highest))
     grouped = {}
-    for nu, part in _reference_parts(closed, n):
+    for nu, part in reference_parts(closed, n):
         grouped.setdefault(nu, []).append(part)
     expected = [{"dominant_weight": list(nu),
                  "value": FactoredRational.sum(grouped[nu], rs.rank).reduced().to_json()}
@@ -253,6 +247,6 @@ def test_both_character_routes_agree(module, n):
     # route's term for term.
     label, highest = module
     closed = pfd_decompose(weight_system(from_label(label), highest))
-    symbolic = FactoredRational.sum([part for _, part in _reference_parts(closed, n)],
+    symbolic = FactoredRational.sum([part for _, part in reference_parts(closed, n)],
                                     closed.rank).as_laurent()
     assert character_at(closed, n).terms.terms == symbolic.terms

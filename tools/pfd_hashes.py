@@ -15,7 +15,8 @@ they differ:
 
     PYTHONPATH=src python tools/pfd_hashes.py
 
-The list holds the transport-heavy modules that ``tests/test_cli_digest.py``
+``sweep`` is the loop; ``tools/orbit_hashes.py`` runs it too.  The list
+holds the transport-heavy modules that ``tests/test_cli_digest.py``
 leaves out.  C3(1,0,1) alone takes minutes, so the sweep is a tool and not
 a test.
 """
@@ -42,24 +43,36 @@ MODULES = [
 EXPECTED = "3387233a94ff19f5b33d9016a661d226b8ded72319e01a91ad88158e1f236fe6"
 
 
-def main() -> int:
+def sweep(command: str, requests, expected: str) -> int:
+    """Run ``command`` on each (args, fields) request in turn and check the running sha256.
+
+    Prints one line per request, the sha256 of its stdout, its seconds and
+    then fields, and last the sha256 of all the stdouts in order.  Returns
+    the exit code of the first failing request, printing its stderr, or 1,
+    printing both hashes to stderr, when the last line is not expected.
+    """
     total = hashlib.sha256()
-    for algebra, weight in MODULES:
+    for args, fields in requests:
         start = time.perf_counter()
-        code, out, err = run(("pfd", "--algebra", algebra, "--lambda", weight))
+        code, out, err = run((command, *args))
         seconds = time.perf_counter() - start
         if code:
-            print("exit %d on %s(%s): %s" % (code, algebra, weight, err.strip()), file=sys.stderr)
+            print("exit %d on %s %s: %s" % (code, command, " ".join(args), err.strip()),
+                  file=sys.stderr)
             return code
         total.update(out.encode())
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        print(digest, "%.3f" % seconds, algebra, weight, flush=True)
+        print(hashlib.sha256(out.encode()).hexdigest(), "%.3f" % seconds, *fields, flush=True)
     print(total.hexdigest())
-    if total.hexdigest() != EXPECTED:
-        print("pfd outputs changed: sha256 %s, expected %s" % (total.hexdigest(), EXPECTED),
+    if total.hexdigest() != expected:
+        print("%s outputs changed: sha256 %s, expected %s" % (command, total.hexdigest(), expected),
               file=sys.stderr)
         return 1
     return 0
+
+
+def main() -> int:
+    return sweep("pfd", [(("--algebra", algebra, "--lambda", weight), (algebra, weight))
+                         for algebra, weight in MODULES], EXPECTED)
 
 
 if __name__ == "__main__":
