@@ -7,9 +7,9 @@ highest weight) in ``weightsys``, pole data by table content in
 summands by degree, filled by ``charformula.character_at`` and
 ``charformula.orbit_split``, and cyclotomic polynomials by index in
 ``univariate``.  Beside them, not a memo, each ``ClosedCharacter`` keeps
-the pole terms of each orbit over its common denominator, one entry per
-orbit, filled once by ``orbit_split``.  Results are shared between callers
-and never copied, so the value classes derive from ``Frozen``.
+each orbit's pole terms lifted to its common denominator, one entry per
+orbit, filled once by ``orbit_split``.  Results are shared between
+callers and never copied, so the value classes derive from ``Frozen``.
 """
 
 from __future__ import annotations

@@ -12,17 +12,12 @@ _memo), so the characters live exactly as long as their pole data; n is
 checked on every call.  multiplicity_at reads a weight multiplicity off
 that polynomial as a shifted constant term.
 
-orbit_split regroups the same sum by Weyl orbits of dominant weights.  The
-pole data is Weyl equivariant, A(w.nu, k) = w.A(nu, k), so each orbit is
-built from its dominant terms alone.  Once per ClosedCharacter each of them
-is lifted to the orbit's common denominator, the largest power of each
-factor over the orbit's terms, and mapped along each matrix w of
-rs.orbit_walk(nu); the images are kept as pole terms over that one
-denominator.  That the orbit has one term per weight and order, that each
-is the transport of its dominant term, and that every w maps the common
-denominator onto itself, is checked then, or InconsistencyError names the
-module, the dominant weight and the first offending weight; there is no
-fallback.  For degree n both routes build their parts with _parts: each
+orbit_split regroups the same sum by Weyl orbits of dominant weights.  Once
+per ClosedCharacter the pole terms are grouped by the dominant weight of
+their orbit, and each is lifted to its orbit's common denominator, the
+largest power of each factor over the orbit's terms; the lifted terms are
+kept.  The grouping assumes no Weyl equivariance, so it holds for any pole
+data.  For degree n both routes build their parts with _parts: each
 orbit's are added over its one denominator by
 FactoredRational.shifted_sum and reduced once.  A numerator over a fixed
 denominator is unique, so this is the value and the form the per-part sum
@@ -158,61 +153,26 @@ def _split(cc: ClosedCharacter, rs: RootSystem, n: int) -> tuple[OrbitSummand, .
                  for nu, kept in sorted(cc._lifts.items()))
 
 
-def _lift(cc: ClosedCharacter, rs: RootSystem) -> dict[Weight, tuple]:
-    """Per dominant weight nu, the orbit's kept pole terms (see _lift_orbit).
+def _lift(cc: ClosedCharacter, rs: RootSystem) -> dict[Weight, tuple[PFDTerm, ...]]:
+    """Per dominant weight nu, the pole terms of its orbit over their common denominator.
 
-    A module with one orbit keeps none.
+    The common denominator holds the largest power of each factor over the
+    orbit's terms; each term keeps its weight and order, its coefficient
+    lifted to that denominator.  A module with one orbit keeps none.
     """
     orbits: dict[Weight, list] = {}
     for term in cc.terms:
         orbits.setdefault(rs.dominant_representative(term.weight), []).append(term)
     if len(orbits) == 1:
         return dict.fromkeys(orbits, ())
-    module = "%s%s" % (cc.source.root_system.label, cc.source.highest_weight)
-    return {nu: _lift_orbit("%s, orbit of %s" % (module, nu), rs, nu, terms)
-            for nu, terms in sorted(orbits.items())}
-
-
-def _lift_orbit(where: str, rs: RootSystem, nu: Weight, terms: list) -> tuple[PFDTerm, ...]:
-    """The pole terms of the orbit of nu over its common denominator, checked first.
-
-    Each dominant term A(nu, k) is lifted once to the common denominator,
-    the largest power of each factor over the terms, and mapped once along
-    each matrix w of rs.orbit_walk(nu) to A(w.nu, k) over it, mapped()
-    folding in the unit by which w maps that denominator onto itself; the
-    images come in walk order, by order within each weight.
-    InconsistencyError, prefixed by where, unless the terms are one per
-    orbit weight and order of a dominant term, each the transport of its
-    dominant term, and every w fixes the common denominator.
-    """
-    walk = list(rs.orbit_walk(nu))
-    matrices = dict(walk)
-    dominant = {term.order: term.coeff for term in terms if term.weight == nu}
-    pairs = [(term.weight, term.order) for term in terms]
-    expected = sorted((weight, order) for weight in matrices for order in dominant)
-    if sorted(pairs) != expected:
-        odd = set(pairs).symmetric_difference(expected) or [p for p in pairs if pairs.count(p) > 1]
-        raise InconsistencyError("%s: not one pole term per orbit weight and dominant order, "
-                                 "first at %s of order %d" % (where, *min(odd)))
-    common: dict[Weight, int] = {}
-    for term in terms:
-        if term.weight != nu:
-            image = dominant[term.order].mapped(matrices[term.weight])
-            if image.factors != term.coeff.factors or image.numerator != term.coeff.numerator:
-                raise InconsistencyError("%s: the pole term at %s of order %d is not the "
-                                         "transport of the dominant one"
-                                         % (where, term.weight, term.order))
-        for alpha, power in term.coeff.factors.items():
-            common[alpha] = max(common.get(alpha, 0), power)
-    lifted, kept = [(k, _lifted(f, common)) for k, f in sorted(dominant.items())], []
-    for weight, matrix in walk:
-        for k, f in lifted:
-            image = f.mapped(matrix)
-            if image.factors != common:
-                raise InconsistencyError("%s: the matrix to %s does not map the common "
-                                         "denominator onto itself" % (where, weight))
-            kept.append(PFDTerm(weight, k, image))
-    return tuple(kept)
+    lifts = {}
+    for nu, terms in orbits.items():
+        common: dict[Weight, int] = {}
+        for term in terms:
+            for alpha, power in term.coeff.factors.items():
+                common[alpha] = max(common.get(alpha, 0), power)
+        lifts[nu] = tuple(PFDTerm(t.weight, t.order, _lifted(t.coeff, common)) for t in terms)
+    return lifts
 
 
 def _lifted(f: FactoredRational, common) -> FactoredRational:

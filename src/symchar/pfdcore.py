@@ -85,7 +85,7 @@ class ClosedCharacter(Frozen):
 
     def __post_init__(self):
         # Characters and orbit summands by degree, filled by character_at and
-        # orbit_split, and orbit_split's kept terms of each orbit; not fields.
+        # orbit_split, and each orbit's terms lifted by orbit_split; not fields.
         object.__setattr__(self, "_characters", {})
         object.__setattr__(self, "_orbits", {})
         object.__setattr__(self, "_lifts", {})

@@ -16,9 +16,9 @@ both hashes to stderr, when they differ (the loop is ``pfd_hashes.sweep``):
 
     PYTHONPATH=src python tools/orbit_hashes.py
 
-The list mixes modules of several orbits, whose summands are their kept
-lifted terms summed and reduced once, with B4(0,0,0,1), whose weights
-form one orbit.
+The list mixes modules of several orbits, whose summands are their own
+pole terms, each lifted to the orbit's common denominator, summed and
+reduced once, with B4(0,0,0,1), whose weights form one orbit.
 """
 
 from __future__ import annotations
