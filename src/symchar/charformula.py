@@ -162,7 +162,7 @@ def _lift(cc: ClosedCharacter, rs: RootSystem) -> dict[Weight, tuple[PFDTerm, ..
     """
     orbits: dict[Weight, list] = {}
     for term in cc.terms:
-        orbits.setdefault(rs.dominant_representative(term.weight), []).append(term)
+        orbits.setdefault(rs.to_dominant(term.weight)[0], []).append(term)
     if len(orbits) == 1:
         return dict.fromkeys(orbits, ())
     lifts = {}

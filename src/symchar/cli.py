@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from functools import partial
+from itertools import islice
 
 from ._checks import InconsistencyError
 from .rootsys import build_root_system, from_label, parse_label
@@ -76,7 +77,11 @@ def _integer(text: str) -> int:
 
 
 def _emit(payload, fmt: str, text_renderer, failure=None) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else text_renderer())
+    if fmt == "json":  # in batches of chunks: the JSON text is never held whole
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        while batch := "".join(islice(chunks, 1 << 14)):
+            sys.stdout.write(batch)
+    print("" if fmt == "json" else text_renderer())
     if failure:
         raise InconsistencyError(failure)
 

@@ -27,7 +27,7 @@ product is invariant under the Weyl group acting on exponents (the table
 is Weyl invariant, which MultiplicityTable checks), and the decomposition
 in z is unique, so A(w.nu, k) = w.A(nu, k): every other term is the
 dominant term of its orbit with its numerator exponents and factors mapped
-by the integer matrix of w (RootSystem.orbit_walk, FactoredRational.mapped).
+by the integer matrix of w (RootSystem.to_dominant, FactoredRational.mapped).
 q^e -> q^(w.e) is a ring automorphism that permutes the binomials, so the
 mapped value is exact.  Its form equals the one the recursion would give at
 w.nu on every module checked, but reduced() is not canonical, so that is an
@@ -147,21 +147,13 @@ def pfd_decompose(table: MultiplicityTable) -> ClosedCharacter:
 
 
 def _decompose(table: MultiplicityTable) -> ClosedCharacter:
-    """The pole data of a checked table, its terms sorted by (weight, order).
-
-    The terms are computed at the dominant weights and transported to the
-    rest of each orbit.
-    """
+    """The pole data of a checked table, its terms sorted by (weight, order): each weight of the
+    sorted support takes its dominant weight's terms, mapped by RootSystem.to_dominant's matrix."""
     rs, support = table.root_system, table.support()
-    terms: list[PFDTerm] = []
-    for mu in filter(is_dominant, support):
-        orbit = list(rs.orbit_walk(mu))
-        for order, coeff in _dominant_terms(table, support, mu):
-            terms.extend(
-                PFDTerm(weight=weight, order=order, coeff=coeff.mapped(matrix))
-                for weight, matrix in orbit
-            )
-    terms.sort(key=lambda term: (term.weight, term.order))
+    dominant = {mu: _dominant_terms(table, support, mu)[::-1]
+                for mu in filter(is_dominant, support)}
+    terms = [PFDTerm(weight, order, coeff.mapped(matrix)) for weight in support
+             for nu, matrix in [rs.to_dominant(weight)] for order, coeff in dominant[nu]]
     return ClosedCharacter(source=table, terms=tuple(terms))
 
 

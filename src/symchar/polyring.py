@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, compress, repeat
 from math import gcd, lcm, prod
 from operator import add, getitem, mul, neg, sub
@@ -625,7 +626,7 @@ class FactoredRational:
 
         matrix is a tuple of rank rows of integers and must be invertible,
         such as a Weyl group element on weight coordinates (see
-        RootSystem.orbit_walk).  The factors are mapped and normalized as in
+        RootSystem.to_dominant).  The factors are mapped and normalized as in
         the constructor, then the numerator in one pass with their unit.
         """
         if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
@@ -658,7 +659,8 @@ class FactoredRational:
         if self._residue is None:
             seeds, below = _seeds(self.rank), self._scale
             for alpha, power in self.factors.items():
-                value = 1 - prod(map(pow, seeds, alpha, repeat(_PRIME)))
+                if not (value := (1 - prod(map(pow, seeds, alpha, repeat(_PRIME)))) % _PRIME):
+                    raise ExactDivisionError("(1 - q^%s) vanishes at the seeded point" % (alpha,))
                 below = below * pow(value, power, _PRIME) % _PRIME
             self._residue = _at_seeds(self._terms, (0,) * self.rank), below
         return self._residue
@@ -782,9 +784,16 @@ def kronecker_sum(parts, lows: Exponent, highs: Exponent, total: int) -> Laurent
 _PRIME = (1 << 61) - 1
 
 
-def _seeds(rank: int) -> list[int]:
-    """The seeded point, x_i = (i + 1) * 0x9E3779B97F4A7C15 modulo the prime."""
-    return [(i + 1) * 0x9E3779B97F4A7C15 % _PRIME for i in range(rank)]
+@cache
+def _seeds(rank: int) -> tuple[int, ...]:
+    """The seeded point: x_i is SplitMix64's output from state i, modulo the prime.  Unlike the
+    multiples x_i = (i + 1) c, with x_0 x_3 = x_1^2, they have no small multiplicative relation."""
+    seeds = []
+    for z in range(0x9E3779B97F4A7C15, 0x9E3779B97F4A7C15 + rank):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        seeds.append((z ^ z >> 31) % _PRIME)
+    return tuple(seeds)
 
 
 def _at_seeds(terms: Mapping[Exponent, int], origin: Exponent) -> int:

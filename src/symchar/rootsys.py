@@ -7,6 +7,9 @@ Weights are kept in fundamental-weight coordinates throughout: the tuple
 derived on demand through the inverse Cartan matrix.  The Cartan matrix
 convention is C[i][j] = 2(a_i, a_j)/(a_i, a_i), so the j-th simple root has
 fundamental-weight coordinates equal to the j-th column of C.
+
+The one Weyl-group primitive, RootSystem.to_dominant, gives a weight's dominant weight
+and a group element back to it, for pfdcore's transport and charformula's orbits.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from ._checks import InconsistencyError
 from ._memo import Frozen, recall
@@ -239,44 +243,22 @@ class RootSystem(Frozen):
         coeff = mu[i - 1]
         return tuple(m - coeff * a for m, a in zip(mu, alpha))
 
-    def orbit_walk(self, mu: Weight):
-        """Each weight of the Weyl orbit of mu once, with a group element that takes mu there.
+    def to_dominant(self, mu: Weight) -> tuple[Weight, tuple[tuple[int, ...], ...]]:
+        """(nu, matrix): the dominant weight nu of mu's Weyl orbit and a group element back to mu.
 
-        Yields (weight, matrix), mu with the identity first.  matrix is the
-        integer matrix, as a tuple of rows, of a Weyl group element w on
-        weight coordinates, with w(mu) == weight: the product of the simple
-        reflections s_i(e) = e - e_i a_i met along a breadth-first walk
-        from mu.  s_i M is M less a_i times the i-th row of M.
+        matrix is the integer matrix, as a tuple of rows, of a Weyl group element w
+        on weight coordinates with w(nu) == mu.  The descent applies s_i(e) = e - e_i a_i
+        at the first negative coordinate i until none is left; each s_i multiplies the
+        matrix M on the right, which takes M a_i from column i of M.
         """
-        mu = checked_weight(self, mu)
-        identity = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
-        seen = {mu}
-        frontier = [(mu, identity)]
-        while frontier:
-            nxt = []
-            for weight, matrix in frontier:
-                yield weight, matrix
-                for i in range(1, self.rank + 1):
-                    image = self.reflect(i, weight)
-                    if image not in seen:
-                        seen.add(image)
-                        alpha, row = self.simple_root(i), matrix[i - 1]
-                        nxt.append((image, tuple(
-                            tuple(x - a * y for x, y in zip(line, row))
-                            for line, a in zip(matrix, alpha)
-                        )))
-            frontier = nxt
-
-    def dominant_representative(self, mu: Weight) -> Weight:
-        """The unique dominant weight in the Weyl orbit of mu."""
-        current = checked_weight(self, mu)
-        while True:
-            for i, c in enumerate(current, start=1):
-                if c < 0:
-                    current = self.reflect(i, current)
-                    break
-            else:
-                return current
+        nu, simple_roots = list(checked_weight(self, mu)), list(zip(*self.cartan_matrix))
+        rows = [[int(r == c) for c in range(self.rank)] for r in range(self.rank)]
+        while (i := next((i for i, c in enumerate(nu) if c < 0), None)) is not None:
+            alpha, coeff = simple_roots[i], nu[i]
+            nu = [x - coeff * a for x, a in zip(nu, alpha)]
+            for row in rows:
+                row[i] -= sum(map(mul, row, alpha))
+        return tuple(nu), tuple(map(tuple, rows))
 
     def inner(self, mu, nu) -> Fraction:
         """Weyl-invariant symmetric form on the weight space, exact."""

@@ -12,7 +12,7 @@ from symchar.polyring import FactoredRational, LaurentPoly
 def reference_parts(closed, n):
     """(dominant weight, C(n+k-1, n) q^(n nu) A(nu,k)) for each pole term, by plain products."""
     rs = closed.source.root_system
-    return [(rs.dominant_representative(t.weight), t.coeff * LaurentPoly.monomial(
+    return [(rs.to_dominant(t.weight)[0], t.coeff * LaurentPoly.monomial(
         tuple(n * c for c in t.weight), comb(n + t.order - 1, n))) for t in closed.terms]
 
 

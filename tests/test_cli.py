@@ -12,7 +12,9 @@ import pytest
 import symchar
 from symchar import cli
 from symchar.cli import main
-from symchar.oracle import GradedTruncation
+from symchar.oracle import GradedTruncation, truncated_molien
+from symchar.rootsys import from_label
+from symchar.weightsys import weight_system
 
 PACKAGE_DIR = Path(symchar.__file__).parent
 
@@ -101,6 +103,49 @@ def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "pfd", "--algebra", "A2", "--lambda", "1,1")
     _, second, _ = run_cli(capsys, "pfd", "--algebra", "A2", "--lambda", "1,1")
     assert first == second
+
+
+# Modules with a pole-data factor (1 - q^alpha) that vanished at an earlier
+# seeded point of the Kronecker point check; each request exited 2 there.
+B5_SPIN, E7_MINUSCULE = ("B5", "0,0,0,0,1"), ("E7", "0,0,0,0,0,0,1")
+SEEDED_POINT_CHARS = [
+    (*B5_SPIN, 0), (*B5_SPIN, 1), (*B5_SPIN, 2), (*E7_MINUSCULE, 0), (*E7_MINUSCULE, 1),
+    ("D8", "0,0,0,0,0,0,0,1", 1), ("A8", "0,0,1,0,0,0,0,0", 1), ("B6", "0,0,0,0,0,1", 1),
+]
+
+
+def _molien(algebra, weight, n):
+    """The truncated-product oracle's degree-n character as {weight: multiplicity}."""
+    table = weight_system(from_label(algebra), tuple(int(c) for c in weight.split(",")))
+    return dict(truncated_molien(table, n).coefficient(n).terms)
+
+
+@pytest.mark.parametrize("algebra,weight,n", SEEDED_POINT_CHARS)
+def test_char_on_modules_with_a_relation_among_the_old_seeds(capsys, algebra, weight, n):
+    code, out, err = run_cli(capsys, "char", "--algebra", algebra, "--lambda", weight,
+                             "--N", str(n))
+    assert (code, err) == (0, "")
+    got = {tuple(item["weight"]): item["mult"] for item in json.loads(out)["character"]}
+    assert got == _molien(algebra, weight, n)
+
+
+def test_mult_orbits_and_vpart_on_the_b5_spinor(capsys):
+    expected = {n: _molien(*B5_SPIN, n) for n in (0, 1, 2)}
+    module = ("--algebra", B5_SPIN[0], "--lambda", B5_SPIN[1])
+    code, out, _ = run_cli(capsys, "mult", *module, "--N", "2", "--mu", "0,0,0,0,0")
+    assert code == 0 and json.loads(out)["multiplicity"] == expected[2][0, 0, 0, 0, 0]
+    # The spinor's weights form one orbit, whose summand is the character.
+    code, out, _ = run_cli(capsys, "orbits", *module, "--N", "1")
+    (summand,) = json.loads(out)["summands"]
+    assert code == 0 and summand["dominant_weight"] == [0, 0, 0, 0, 1]
+    assert summand["value"]["den"] == []
+    assert {tuple(t["exp"]): int(t["coef"]) for t in summand["value"]["num"]} == expected[1]
+    code, out, _ = run_cli(capsys, "vpart", *module, "--max-n", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["all_pass"] is True
+    for n in (0, 1):
+        assert {tuple(case["mu"]): case["multiplicity"] for case in payload["equivalence"]
+                if case["N"] == n} == expected[n]
 
 
 # sha256 of stdout and the exit code of fixed requests.  The other tests

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from symchar import (
     MultiplicityTable, adams_series, binomial_poly, build_partition_matrix, build_root_system,
-    character_at, check_partition_equivalence, count_solutions, cyclotomic,
+    character_at, check_partition_equivalence, count_solutions, cyclotomic, from_label,
     fundamental_coefficient, hsym_character, orbit_split, pfd_decompose, polyring,
-    sl2_coefficient, truncated_molien,
+    sl2_coefficient, truncated_molien, weight_system,
 )
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 
@@ -1129,8 +1129,17 @@ class TestResidue:
 
     PRIME = (1 << 61) - 1
 
+    @staticmethod
+    def splitmix64(state):
+        """The first output of SplitMix64 seeded with state, as in its reference code."""
+        mask = (1 << 64) - 1
+        z = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
     def fresh(self, f):
-        seeds = [(i + 1) * 0x9E3779B97F4A7C15 % self.PRIME for i in range(f.rank)]
+        seeds = [self.splitmix64(i) % self.PRIME for i in range(f.rank)]
 
         def at(e):
             return prod(pow(x, k, self.PRIME) for x, k in zip(seeds, e))
@@ -1155,6 +1164,39 @@ class TestResidue:
         for g in (f * 2, -f, f + f, f.mapped(((-1,),))):
             assert g._residue is None
             assert g._residue_pair() == self.fresh(g)
+
+    def test_the_seeds_are_splitmix64_outputs(self):
+        assert self.splitmix64(0) == 0xE220A8397B1DCDAF  # the generator's published first output
+        assert list(polyring._seeds(9)) == [self.splitmix64(i) % self.PRIME for i in range(9)]
+
+    # Each module had a pole-data factor (1 - q^alpha) that vanished at the
+    # multiples x_i = (i + 1) c, where x_0 x_3 = x_1^2; none vanishes at the seeds.
+    @pytest.mark.parametrize("label,highest", [
+        ("B5", (0, 0, 0, 0, 1)), ("B6", (0, 0, 0, 0, 0, 1)), ("B7", (0, 0, 0, 0, 0, 0, 1)),
+        ("D8", (0, 0, 0, 0, 0, 0, 0, 1)), ("D8", (0, 0, 0, 0, 0, 0, 1, 0)),
+        ("E7", (0, 0, 0, 0, 0, 0, 1)),
+        *(("A8", tuple(int(i == j) for i in range(8))) for j in range(2, 6)),
+    ])
+    def test_no_pole_data_factor_vanishes_at_the_seeds(self, label, highest):
+        closed = pfd_decompose(weight_system(from_label(label), highest))
+        alphas = {alpha for term in closed.terms for alpha in term.coeff.factors}
+
+        def vanishing(seeds):
+            return [alpha for alpha in alphas if not (1 - prod(
+                pow(x, a, self.PRIME) for x, a in zip(seeds, alpha))) % self.PRIME]
+
+        multiples = [(i + 1) * 0x9E3779B97F4A7C15 % self.PRIME for i in range(len(highest))]
+        assert vanishing(multiples)
+        assert vanishing(polyring._seeds(len(highest))) == []
+
+    def test_a_factor_that_vanishes_at_the_point_is_named(self, monkeypatch):
+        multiples = [(i + 1) * 0x9E3779B97F4A7C15 % self.PRIME for i in range(4)]
+        monkeypatch.setattr(polyring, "_seeds", lambda rank: multiples[:rank])
+        f = FactoredRational(LaurentPoly.one(4), [((1, -2, 0, 1), 1)])
+        with pytest.raises(ExactDivisionError, match=r"^\(1 - q\^\(1, -2, 0, 1\)\) "
+                                                     r"vanishes at the seeded point$"):
+            f._residue_pair()
+        assert f._residue is None
 
 
 # Every count argument goes through polyring.check_count: (call on a table, least value).

@@ -108,11 +108,14 @@ def test_character_is_constant_on_weyl_orbits(module, n):
     label, highest = module
     rs = from_label(label)
     character = character_at(pfd_decompose(weight_system(rs, highest)), n)
+    # One value per orbit of the support, and the support closed under each s_i.
+    values = {}
     for mu in character.terms.support():
         value = multiplicity_at(character, mu)
         assert value > 0
-        for nu, _ in rs.orbit_walk(mu):
-            assert multiplicity_at(character, nu) == value
+        assert values.setdefault(rs.to_dominant(mu)[0], value) == value
+        for i in range(1, rs.rank + 1):
+            assert multiplicity_at(character, rs.reflect(i, mu)) == value
 
 
 def _reflect(rs, i, coeff):

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -67,6 +68,35 @@ PINNED_TYPES = [
     ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
 ]
 ROOT_SYSTEMS_SHA = "9a1edc668b54f2db891496c191d10c1e5a93114d13754a726c92ae4e32944b6b"
+
+
+@pytest.mark.parametrize("series,rank", PINNED_TYPES)
+def test_to_dominant_descends_by_a_weyl_group_element(series, rank):
+    rs = build_root_system(series, rank)
+    gram, _, _ = rs.integral_form
+    rng = random.Random(17)
+    # -rho descends the whole longest element, one step per positive root.
+    weights = [tuple(-c for c in rs.rho)]
+    weights += [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(8)]
+    for mu in weights:
+        nu, matrix = rs.to_dominant(mu)
+        assert is_dominant(nu)
+        assert _apply(matrix, nu) == mu
+        # matrix^T gram matrix == gram: the integral form is kept.
+        columns = list(zip(*matrix))
+        assert all(sum(map(operator.mul, _apply(gram, a), b)) == gram[i][j]
+                   for i, a in enumerate(columns) for j, b in enumerate(columns))
+    assert rs.to_dominant(weights[0])[0] == rs.rho
+
+
+@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES[:9] + [("F", 4), ("G", 2)])
+def test_every_orbit_weight_maps_back_to_its_start(series, rank):
+    rs = build_root_system(series, rank)
+    starts = [rs.rho] + [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    for start in starts:
+        for weight in _orbit(rs, start):
+            nu, matrix = rs.to_dominant(weight)
+            assert nu == start and _apply(matrix, start) == weight
 
 
 def test_root_system_values_are_pinned():
@@ -158,20 +188,47 @@ class TestReflect:
                 assert rs.reflect(i, rs.reflect(i, mu)) == mu
 
 
+def _orbit(rs, mu):
+    """The Weyl orbit of mu, found by a breadth-first walk of simple reflections."""
+    orbit, frontier = {mu}, [mu]
+    while frontier:
+        images = {rs.reflect(i, weight) for weight in frontier for i in range(1, rs.rank + 1)}
+        frontier = list(images - orbit)
+        orbit |= images
+    return orbit
+
+
+def _apply(matrix, e):
+    return tuple(sum(x * y for x, y in zip(row, e)) for row in matrix)
+
+
+def _identity(rank):
+    return tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank))
+
+
 class TestOrbit:
+    """Each weight of a walked orbit descends to the orbit's one dominant weight."""
+
     def test_rank_one(self, a1):
-        assert sorted(weight for weight, _ in a1.orbit_walk((2,))) == [(-2,), (2,)]
+        assert _orbit(a1, (2,)) == {(-2,), (2,)}
+        assert a1.to_dominant((-2,)) == ((2,), ((-1,),))
+        assert a1.to_dominant((2,)) == ((2,), ((1,),))
 
     def test_origin_fixed(self, a2):
-        assert [weight for weight, _ in a2.orbit_walk((0, 0))] == [(0, 0)]
+        assert _orbit(a2, (0, 0)) == {(0, 0)}
+        assert a2.to_dominant((0, 0)) == ((0, 0), _identity(2))
 
     def test_a2_adjoint_orbit(self, a2):
-        orbit = [weight for weight, _ in a2.orbit_walk((1, 1))]
-        assert len(orbit) == 6
-        assert set(orbit) == {(1, 1), (2, -1), (-1, 2), (-1, -1), (-2, 1), (1, -2)}
+        orbit = _orbit(a2, (1, 1))
+        assert orbit == {(1, 1), (2, -1), (-1, 2), (-1, -1), (-2, 1), (1, -2)}
+        for weight in orbit:
+            nu, matrix = a2.to_dominant(weight)
+            assert nu == (1, 1) and _apply(matrix, nu) == weight
 
     def test_b2_spinor_orbit(self, b2):
-        assert len(list(b2.orbit_walk((0, 1)))) == 4
+        orbit = _orbit(b2, (0, 1))
+        assert len(orbit) == 4
+        assert {b2.to_dominant(weight)[0] for weight in orbit} == {(0, 1)}
 
     @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("C", 3)])
     def test_orbit_properties(self, series, rank):
@@ -179,41 +236,36 @@ class TestOrbit:
         rng = random.Random(13)
         group_order = WEYL_GROUP_ORDERS[series, rank]
         # rho is regular, so its orbit is a free orbit of the Weyl group.
-        assert len(list(rs.orbit_walk(rs.rho))) == group_order
+        assert len(_orbit(rs, rs.rho)) == group_order
         for _ in range(10):
             mu = tuple(rng.randint(-3, 3) for _ in range(rank))
-            orbit = [weight for weight, _ in rs.orbit_walk(mu)]
+            orbit = _orbit(rs, mu)
             dominants = [nu for nu in orbit if is_dominant(nu)]
-            assert len(dominants) == 1
-            assert dominants[0] == rs.dominant_representative(mu)
+            assert dominants == [rs.to_dominant(mu)[0]]
             assert group_order % len(orbit) == 0
-
 
     @pytest.mark.parametrize("series,rank,mu", [("A", 2, (2, 1)), ("B", 2, (1, 3)),
                                                 ("G", 2, (1, 1)), ("C", 3, (1, 0, 1))])
     def test_orbit_walk_matrices_are_weyl_group_elements(self, series, rank, mu):
         rs = build_root_system(series, rank)
-        walk = list(rs.orbit_walk(mu))
-        assert walk[0] == (mu, tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank)))
-        assert len({weight for weight, _ in walk}) == len(walk)
         roots = set(rs.positive_roots) | {tuple(-x for x in beta) for beta in rs.positive_roots}
-        for weight, matrix in walk:
-            def apply(e):
-                return tuple(sum(x * y for x, y in zip(row, e)) for row in matrix)
-            assert apply(mu) == weight
+        assert rs.to_dominant(mu) == (mu, _identity(rank))
+        for weight in _orbit(rs, mu):
+            nu, matrix = rs.to_dominant(weight)
+            assert nu == mu and _apply(matrix, mu) == weight
             # A Weyl group element permutes the roots and keeps the form.
-            assert {apply(beta) for beta in roots} == roots
+            assert {_apply(matrix, beta) for beta in roots} == roots
             for beta in rs.positive_roots:
-                assert rs.inner(apply(beta), apply(mu)) == rs.inner(beta, mu)
+                assert rs.inner(_apply(matrix, beta), weight) == rs.inner(beta, mu)
 
 
 class TestDominantRepresentative:
     def test_rank_one(self, a1):
-        assert a1.dominant_representative((-4,)) == (4,)
+        assert a1.to_dominant((-4,))[0] == (4,)
 
     def test_a2_examples(self, a2):
-        assert a2.dominant_representative((-1, 2)) == (1, 1)
-        assert a2.dominant_representative((0, 0)) == (0, 0)
+        assert a2.to_dominant((-1, 2))[0] == (1, 1)
+        assert a2.to_dominant((0, 0))[0] == (0, 0)
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES)
@@ -274,8 +326,7 @@ def test_integer_inverse_matches_fraction_reference(series, rank):
 
 # Every weight method but reflect checks its weights: rs.rank int coordinates.
 WEIGHT_METHODS = {
-    "orbit_walk": lambda rs, mu: list(rs.orbit_walk(mu)),
-    "dominant_representative": lambda rs, mu: rs.dominant_representative(mu),
+    "to_dominant": lambda rs, mu: rs.to_dominant(mu),
     "inner, left": lambda rs, mu: rs.inner(mu, rs.rho),
     "inner, right": lambda rs, mu: rs.inner(rs.rho, mu),
     "height": lambda rs, mu: rs.height(mu),

@@ -94,7 +94,7 @@ class TestInvariants:
             for i in range(1, rank + 1):
                 assert table.multiplicity(rs.reflect(i, mu)) == count
             # dominant projection stays below the highest weight
-            gap = rs.root_coordinates(weight_diff(highest, rs.dominant_representative(mu)))
+            gap = rs.root_coordinates(weight_diff(highest, rs.to_dominant(mu)[0]))
             assert all(c.denominator == 1 and c >= 0 for c in gap)
 
     def test_highest_weight_entry(self, sl3_adjoint):

@@ -1,4 +1,4 @@
-"""Byte-identity hashes of ``symchar pfd`` on a fixed list of 28 modules.
+"""Byte-identity hashes of ``symchar pfd`` on a fixed list of 33 modules.
 
 Runs ``pfd --algebra X --lambda W`` in process through ``cli.main`` for
 each module below and prints, for each one,
@@ -37,10 +37,13 @@ MODULES = [
     ("B3", "0,1,0"), ("B3", "1,0,1"),
     *(("C3", w) for w in ("1,0,0", "0,1,0", "1,0,1")),
     ("D4", "0,1,0,0"), ("F4", "0,0,0,1"),
+    # Long descents to the dominant weight: spinors, minuscule E6 and E7, A4(1,0,0,1).
+    ("B5", "0,0,0,0,1"), ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"),
+    ("E7", "0,0,0,0,0,0,1"), ("A4", "1,0,0,1"),
 ]
 
 # The last line for the recorded pfd outputs of MODULES.
-EXPECTED = "3387233a94ff19f5b33d9016a661d226b8ded72319e01a91ad88158e1f236fe6"
+EXPECTED = "c1a4136748037cd0a2365d217487db1547b4824a60647dab4aac1547e50e969b"
 
 
 def sweep(command: str, requests, expected: str) -> int:
