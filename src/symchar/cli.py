@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import partial
@@ -272,6 +273,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as error:
         print("error: %s" % error, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left early; stdout now goes nowhere, so the final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

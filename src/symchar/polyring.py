@@ -1,17 +1,17 @@
 """Exact multivariate Laurent-polynomial and factored-rational arithmetic over Q.
 
-Both classes store a numerator as integer terms {exponent vector: int}, no
-zeros, over one positive scale (not always the least); exponent vectors are
-int tuples of the rank, the number of variables q1..qr.  :class:`LaurentPoly`
-is the exchange type for output, evaluation and the oracles; its ``terms``
-are :class:`fractions.Fraction` values, built on first read.  Its ring
-operations and :meth:`~LaurentPoly.exact_div` are fronts for the integer
-core below: ``+`` and ``-`` run :meth:`FactoredRational.sum`, ``*`` the
-integer product and exact_div :meth:`FactoredRational.as_laurent`, so the
-library has one sum, one product and one division.  Every binary operator
-of both classes is one expression behind one coercing front,
-:func:`_coercing`; there a scalar becomes a constant, so ``*`` has one path.
-Moving a numerator between the classes wraps its terms and scale as they are.
+A numerator is stored as integer terms {exponent vector: int}, no zeros,
+over one positive scale (not always the least); exponent vectors are int
+tuples of the rank, the number of variables q1..qr.  A :class:`LaurentPoly`,
+the exchange type for output, evaluation and the oracles, is a
+:class:`FactoredRational` with no factors, its Fraction ``terms`` built on
+first read.  The storage, ``+``, ``-``, ``*`` and evaluate are written once,
+on FactoredRational: one sum, one product, one division (as_laurent).  Every
+binary operator is one expression behind one coercing front,
+:func:`_coercing`: a scalar becomes a constant, any other operand must be of
+the receiver's class.  So LaurentPolys and scalars give a LaurentPoly, and a
+LaurentPoly refuses a FactoredRational, whose reflected operator answers.  A
+LaurentPoly's ``==`` is structural and never packs; its JSON is a term list.
 
 :class:`FactoredRational` keeps its denominator as a multiset of binomial
 factors (1 - q^alpha)^k; every denominator the character pipeline produces
@@ -91,182 +91,6 @@ def _coercing(operation):
         coerced = self._coerce(other)
         return NotImplemented if coerced is None else operation(self, coerced)
     return operator
-
-
-class LaurentPoly:
-    """Element of Q[q1^+-1, ..., qr^+-1]: integer terms {exponent vector: int} over one scale.
-
-    >>> p = LaurentPoly.monomial((2,)) + 1
-    >>> m = LaurentPoly.monomial((2,)) - 1
-    >>> print(p * m)
-    q^4 - 1
-    """
-
-    __slots__ = ("rank", "_terms", "_scale", "_view")
-
-    def __init__(self, rank: int, terms: Mapping[Exponent, Fraction | int] | None = None):
-        check_count(rank, "rank", 1)
-        clean: dict[Exponent, int | Fraction] = {}
-        for exponent, value in (terms or {}).items():
-            exponent = check_exponent(exponent, rank)
-            if _exact(value):
-                clean[exponent] = value
-        scale = lcm(*(c.denominator for c in clean.values()))
-        ints = {e: c.numerator * (scale // c.denominator) for e, c in clean.items()}
-        self._set(rank, ints, scale)
-
-    def _set(self, rank: int, terms: dict[Exponent, int], scale: int) -> None:
-        self.rank = rank
-        self._terms = terms
-        self._scale = scale
-        self._view = None
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, rank: int) -> "LaurentPoly":
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "LaurentPoly":
-        return cls(rank, {(0,) * rank: 1})
-
-    @classmethod
-    def constant(cls, rank: int, value) -> "LaurentPoly":
-        return cls(rank, {(0,) * rank: value})
-
-    @classmethod
-    def monomial(cls, exponent: Iterable[int], coeff=1) -> "LaurentPoly":
-        exponent = tuple(exponent)
-        return cls(len(exponent), {exponent: coeff})
-
-    @classmethod
-    def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int) -> "LaurentPoly":
-        """Wrap nonzero integer terms over a positive scale without copying or checking them."""
-        result = cls.__new__(cls)
-        result._set(rank, terms, scale)
-        return result
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        """The coefficients as a read-only {exponent vector: Fraction} mapping, built once."""
-        if self._view is None:
-            scale = self._scale
-            self._view = MappingProxyType({e: Fraction(c, scale) for e, c in self._terms.items()})
-        return self._view
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(check_exponent(exponent, self.rank), 0), self._scale)
-
-    def coefficient_sum(self) -> Fraction:
-        return Fraction(sum(self._terms.values()), self._scale)
-
-    def support(self) -> list[Exponent]:
-        return sorted(self._terms)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            if other.rank != self.rank:
-                raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(self.rank, other)
-        return None
-
-    # Each side's terms times the other's scale, so equal values over two scales are equal.
-    __eq__ = _coercing(lambda self, other: self._terms.keys() == other._terms.keys() and all(
-        c * other._scale == other._terms[e] * self._scale for e, c in self._terms.items()))
-    __hash__ = None  # semantic equality only
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.rank, {e: -c for e, c in self._terms.items()}, self._scale)
-
-    __add__ = __radd__ = _coercing(lambda self, other: (FactoredRational(self) + other).numerator)
-    __sub__ = _coercing(lambda self, other: (FactoredRational(self) - other).numerator)
-    __rsub__ = _coercing(lambda self, other: (-self) + other)
-    __mul__ = __rmul__ = _coercing(lambda self, other: (FactoredRational(self) * other).numerator)
-
-    def __pow__(self, power: int) -> "LaurentPoly":
-        check_count(power, "exponent")
-        base, result = self, LaurentPoly.one(self.rank)
-        while power:
-            result = result * base if power & 1 else result
-            power >>= 1
-            base = base * base if power else base
-        return result
-
-    def evaluate(self, point: Iterable) -> Fraction:
-        values = tuple(Fraction(_exact(v)) for v in point)
-        if len(values) != self.rank:
-            raise ValueError("evaluation point has wrong length")
-        total = Fraction(0)
-        for exponent, coeff in self._terms.items():
-            term = coeff
-            for value, e in zip(values, exponent):
-                term *= value ** e
-            total += term
-        return total / self._scale
-
-    def exact_div(self, divisor) -> "LaurentPoly":
-        """Exact quotient self / divisor, for a divisor c*q^beta or c*q^beta*(1 - q^alpha).
-
-        The dividend is shifted by -beta and scaled by 1/c; a binomial is
-        then divided out by :meth:`FactoredRational.as_laurent`, which raises
-        :class:`ExactDivisionError` when the quotient is not a polynomial.
-        Any other divisor, such as 1 + q or 2 - q, raises ValueError.
-        """
-        coerced = self._coerce(divisor)
-        if coerced is None:
-            raise TypeError("cannot divide by %r" % (divisor,))
-        if coerced.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        (beta, c), *rest = sorted(coerced._terms.items())
-        if len(rest) > 1 or (rest and rest[0][1] != -c):
-            raise ValueError("exact_div divides by c*q^beta or c*q^beta*(1 - q^alpha) only")
-        shifted = {tuple(map(sub, e, beta)): coeff for e, coeff in self._terms.items()}
-        quotient = LaurentPoly._raw(self.rank, shifted, self._scale) * Fraction(coerced._scale, c)
-        if not rest:
-            return quotient
-        alpha = tuple(map(sub, rest[0][0], beta))
-        return FactoredRational(quotient, [(alpha, 1)]).as_laurent()
-
-    # -- presentation ------------------------------------------------------
-
-    def to_json(self) -> list[dict]:
-        """The terms as JSON; each coefficient prints as Fraction does, from the integer terms."""
-        json = []
-        for exponent in sorted(self._terms):
-            c = self._terms[exponent]
-            g = gcd(c, self._scale)
-            p, q = c // g, self._scale // g
-            json.append({"exp": list(exponent), "coef": str(p) if q == 1 else "%d/%d" % (p, q)})
-        return json
-
-    def render(self) -> str:
-        names = ("q",) if self.rank == 1 else tuple("q%d" % (i + 1) for i in range(self.rank))
-        text = ""
-        for exponent in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self.terms[exponent]
-            mono = "*".join(name if power == 1 else "%s^%d" % (name, power)
-                            for name, power in zip(names, exponent) if power)
-            size, sign = abs(coeff), "-" if coeff < 0 else "+"
-            body = str(size) if not mono else mono if size == 1 else "%s*%s" % (size, mono)
-            text += " %s %s" % (sign, body) if text else body if sign == "+" else "-" + body
-        return text or "0"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return "LaurentPoly(%s)" % self.render()
 
 
 # -- integer core: numerators as {exponent: int} over one scale ----------------
@@ -438,15 +262,18 @@ def _merge(a: _Part, b: _Part, lifts: Mapping[Exponent, int]) -> _Part:
     return {k: c for k, c in total.items() if c}, scale, common
 
 
+_NO_FACTORS: Mapping[Exponent, int] = MappingProxyType({})  # shared by every factor-free value
+
+
 class FactoredRational:
     """A rational function numerator / prod_j (1 - q^alpha_j)^k_j.
 
     Each alpha has a positive first nonzero entry, the unit that relates
     (1 - q^-alpha) to (1 - q^alpha) absorbed into the numerator, which is
-    kept privately as integer terms over one positive integer scale, the
-    format of :class:`LaurentPoly`; :attr:`numerator` wraps them as one.
-    Arithmetic never cancels: ``*`` multiplies the numerators and merges the
-    factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
+    kept privately as integer terms over one positive integer scale;
+    :attr:`numerator` wraps them as a :class:`LaurentPoly`, the case with no
+    factors.  Arithmetic never cancels: ``*`` multiplies the numerators and
+    merges the factor multisets, ``+`` and ``-`` are :meth:`sum`, and only
     :meth:`reduced` divides factors out; callers that want a tidy value call
     it once.  Equality is semantic: the difference must sum to zero, so
     mixed normalizations compare as expected.
@@ -479,11 +306,11 @@ class FactoredRational:
         self.rank = rank
         self._terms = terms
         self._scale = scale
-        self.factors = MappingProxyType(factors if terms else {})
+        self.factors = MappingProxyType(factors) if terms and factors else _NO_FACTORS
         self._residue = None
 
     @classmethod
-    def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int, factors) -> "FactoredRational":
+    def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int, factors=None):
         """Wrap integer terms over ``scale`` and normalized factors without checking them."""
         result = cls.__new__(cls)
         result._set(rank, terms, scale, factors)
@@ -492,11 +319,11 @@ class FactoredRational:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, rank: int) -> "FactoredRational":
-        return cls(LaurentPoly.zero(rank))
+    def zero(cls, rank: int):
+        return cls._raw(rank, {}, 1)
 
     @classmethod
-    def sum(cls, parts, rank: int) -> "FactoredRational":
+    def sum(cls, parts, rank: int):
         """Sum many terms over one shared denominator, in a balanced pairwise tree.
 
         Each merge adds two partial sums over the pair's own common
@@ -560,34 +387,31 @@ class FactoredRational:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "FactoredRational | None":
+    def _coerce(self, other):
+        """A scalar as a constant, a value of this class as it is (same rank), else None."""
         if isinstance(other, (int, Fraction)):
-            return FactoredRational(LaurentPoly.constant(self.rank, other))
-        if isinstance(other, LaurentPoly):
-            other = FactoredRational(other)
-        if not isinstance(other, FactoredRational):
+            return LaurentPoly.constant(self.rank, other)
+        if not isinstance(other, type(self)):
             return None
         if other.rank != self.rank:
             raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
         return other
 
-    __add__ = __radd__ = _coercing(
-        lambda self, other: FactoredRational.sum((self, other), self.rank))
+    __add__ = __radd__ = _coercing(lambda self, other: type(self).sum((self, other), self.rank))
 
-    def __neg__(self) -> "FactoredRational":
-        return FactoredRational._raw(
-            self.rank, {e: -c for e, c in self._terms.items()}, self._scale, dict(self.factors)
-        )
+    def __neg__(self):
+        return self._raw(self.rank, {e: -c for e, c in self._terms.items()}, self._scale,
+                         dict(self.factors))
 
-    __sub__ = _coercing(lambda self, other: FactoredRational.sum((self, -other), self.rank))
-    __rsub__ = _coercing(lambda self, other: FactoredRational.sum((-self, other), self.rank))
+    __sub__ = _coercing(lambda self, other: type(self).sum((self, -other), self.rank))
+    __rsub__ = _coercing(lambda self, other: type(self).sum((-self, other), self.rank))
 
     @_coercing
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
+    def __mul__(self, other):
         merged = dict(self.factors)
         for alpha, power in other.factors.items():
             merged[alpha] = merged.get(alpha, 0) + power
-        return FactoredRational._raw(
+        return self._raw(
             self.rank, _product(self._terms, other._terms), self._scale * other._scale, merged
         )
 
@@ -669,10 +493,18 @@ class FactoredRational:
 
     def evaluate(self, point: Iterable) -> Fraction:
         """The value at point; the numerator first, so the point is checked before any factor."""
-        point = tuple(point)
-        value = self.numerator.evaluate(point)
+        values = tuple(Fraction(_exact(v)) for v in point)
+        if len(values) != self.rank:
+            raise ValueError("evaluation point has wrong length")
+        total = Fraction(0)
+        for exponent, coeff in self._terms.items():
+            term = coeff
+            for value, e in zip(values, exponent):
+                term *= value ** e
+            total += term
+        value = total / self._scale
         for alpha, power in self.factors.items():
-            factor = 1 - LaurentPoly.monomial(alpha).evaluate(point)
+            factor = 1 - prod(map(pow, values, alpha))
             if factor == 0:
                 raise PoleError("denominator factor vanishes at evaluation point")
             value /= factor ** power
@@ -694,7 +526,134 @@ class FactoredRational:
         return "(%s) / %s" % (num, "".join(bits)) if bits else num
 
     def __repr__(self) -> str:
-        return "FactoredRational(%s)" % self
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class LaurentPoly(FactoredRational):
+    """Element of Q[q1^+-1, ..., qr^+-1]: a FactoredRational with no factors.
+
+    >>> p = LaurentPoly.monomial((2,)) + 1
+    >>> m = LaurentPoly.monomial((2,)) - 1
+    >>> print(p * m)
+    q^4 - 1
+    >>> type(p * m).__name__, type(FactoredRational(p, [((1,), 1)]) * m).__name__
+    ('LaurentPoly', 'FactoredRational')
+    """
+
+    __slots__ = ("_view",)
+
+    def __init__(self, rank: int, terms: Mapping[Exponent, Fraction | int] | None = None):
+        check_count(rank, "rank", 1)
+        clean: dict[Exponent, int | Fraction] = {}
+        for exponent, value in (terms or {}).items():
+            exponent = check_exponent(exponent, rank)
+            if _exact(value):
+                clean[exponent] = value
+        scale = lcm(*(c.denominator for c in clean.values()))
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in clean.items()}
+        self._set(rank, ints, scale, None)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def one(cls, rank: int) -> "LaurentPoly":
+        return cls(rank, {(0,) * rank: 1})
+
+    @classmethod
+    def constant(cls, rank: int, value) -> "LaurentPoly":
+        return cls(rank, {(0,) * rank: value})
+
+    @classmethod
+    def monomial(cls, exponent: Iterable[int], coeff=1) -> "LaurentPoly":
+        exponent = tuple(exponent)
+        return cls(len(exponent), {exponent: coeff})
+
+    # -- basic queries -----------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as a read-only {exponent vector: Fraction} mapping, built once."""
+        try:
+            return self._view
+        except AttributeError:
+            scale = self._scale
+            self._view = MappingProxyType({e: Fraction(c, scale) for e, c in self._terms.items()})
+            return self._view
+
+    def coefficient(self, exponent: Iterable[int]) -> Fraction:
+        return Fraction(self._terms.get(check_exponent(exponent, self.rank), 0), self._scale)
+
+    def coefficient_sum(self) -> Fraction:
+        return Fraction(sum(self._terms.values()), self._scale)
+
+    def support(self) -> list[Exponent]:
+        return sorted(self._terms)
+
+    # -- arithmetic --------------------------------------------------------
+
+    # Each side's terms times the other's scale, so equal values over two scales are equal;
+    # nothing is packed, so the oracles compare values without the integer core.
+    __eq__ = _coercing(lambda self, other: self._terms.keys() == other._terms.keys() and all(
+        c * other._scale == other._terms[e] * self._scale for e, c in self._terms.items()))
+
+    # The inherited product, bound here too so that a tracer of this class's own names sees it.
+    __mul__ = __rmul__ = FactoredRational.__mul__
+
+    def __pow__(self, power: int) -> "LaurentPoly":
+        check_count(power, "exponent")
+        base, result = self, LaurentPoly.one(self.rank)
+        while power:
+            result = result * base if power & 1 else result
+            power >>= 1
+            base = base * base if power else base
+        return result
+
+    def exact_div(self, divisor) -> "LaurentPoly":
+        """Exact quotient self / divisor, for a divisor c*q^beta or c*q^beta*(1 - q^alpha).
+
+        The dividend is shifted by -beta and scaled by 1/c; a binomial is
+        then divided out by :meth:`FactoredRational.as_laurent`, which raises
+        :class:`ExactDivisionError` when the quotient is not a polynomial.
+        Any other divisor, such as 1 + q or 2 - q, raises ValueError.
+        """
+        coerced = self._coerce(divisor)
+        if coerced is None:
+            raise TypeError("cannot divide by %r" % (divisor,))
+        if coerced.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        (beta, c), *rest = sorted(coerced._terms.items())
+        if len(rest) > 1 or (rest and rest[0][1] != -c):
+            raise ValueError("exact_div divides by c*q^beta or c*q^beta*(1 - q^alpha) only")
+        shifted = {tuple(map(sub, e, beta)): coeff for e, coeff in self._terms.items()}
+        quotient = LaurentPoly._raw(self.rank, shifted, self._scale) * Fraction(coerced._scale, c)
+        if not rest:
+            return quotient
+        alpha = tuple(map(sub, rest[0][0], beta))
+        return FactoredRational(quotient, [(alpha, 1)]).as_laurent()
+
+    # -- presentation ------------------------------------------------------
+
+    def to_json(self) -> list[dict]:
+        """The terms as JSON; each coefficient prints as Fraction does, from the integer terms."""
+        json = []
+        for exponent in sorted(self._terms):
+            c = self._terms[exponent]
+            g = gcd(c, self._scale)
+            p, q = c // g, self._scale // g
+            json.append({"exp": list(exponent), "coef": str(p) if q == 1 else "%d/%d" % (p, q)})
+        return json
+
+    def render(self) -> str:
+        names = ("q",) if self.rank == 1 else tuple("q%d" % (i + 1) for i in range(self.rank))
+        text = ""
+        for exponent in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            coeff = self.terms[exponent]
+            mono = "*".join(name if power == 1 else "%s^%d" % (name, power)
+                            for name, power in zip(names, exponent) if power)
+            size, sign = abs(coeff), "-" if coeff < 0 else "+"
+            body = str(size) if not mono else mono if size == 1 else "%s*%s" % (size, mono)
+            text += " %s %s" % (sign, body) if text else body if sign == "+" else "-" + body
+        return text or "0"
 
 
 # -- the Kronecker route: a polynomial sum as one power series in one int -------

@@ -417,14 +417,33 @@ def test_package_exports_every_pipeline_module():
     assert sorted(symchar.__all__) == sorted(names + ["__version__"])
 
 
-def _run_module(flags, argv):
-    """python <flags> -m symchar <argv> in a fresh process that finds this package."""
+def _module_env():
+    """The environment of a fresh process that finds this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _run_module(flags, argv):
+    """python <flags> -m symchar <argv> in a fresh process that finds this package."""
     return subprocess.run([sys.executable, *flags, "-m", "symchar", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_module_env())
+
+
+def test_a_reader_that_leaves_early_gets_exit_1_and_no_traceback():
+    # The 7 MB of JSON cannot fit in the pipe, so a write is certain to find it closed.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "symchar", "pfd", "--algebra", "A2", "--lambda", "3,3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -15,6 +15,7 @@ from symchar.pfdcore import (
     pfd_decompose,
     sl2_coefficient,
 )
+from symchar import polyring
 from symchar.polyring import ExactDivisionError, FactoredRational, LaurentPoly, PoleError
 from symchar.rootsys import build_root_system, from_label, is_dominant, weight_diff
 from symchar.weightsys import weight_system
@@ -350,6 +351,68 @@ def test_transport_heavy_pole_data_matches_molien(label, highest):
         assert got == molien.coefficient(n).evaluate(point)
     # N = 0 exactly, not only at the point: the pole terms sum to the constant 1.
     assert character_at(closed, 0).terms == LaurentPoly.one(2)
+
+
+PRIME = (1 << 61) - 1
+
+
+def _pole_identity_holds(table, terms):
+    """Whether sum A(nu,k)(x) (1 - x^nu z)^-k == prod_nu (1 - x^nu z)^-m(nu) modulo the prime,
+    at the seeded point x and z = 3, 5, 7.  Each term is (nu, k, integer terms, scale,
+    factors), and A(nu,k)(x) is evaluated from them alone, not from a kept residue."""
+    seeds = polyring._seeds(table.rank)
+
+    def at(e):
+        return prod(pow(x, k, PRIME) for x, k in zip(seeds, e)) % PRIME
+
+    values = []
+    for nu, k, numerator, scale, factors in terms:
+        below = scale
+        for alpha, power in factors.items():
+            below = below * pow(1 - at(alpha), power, PRIME) % PRIME
+        values.append((at(nu), k, sum(c * at(e) for e, c in numerator.items())
+                       * pow(below, -1, PRIME) % PRIME))
+    for z in (3, 5, 7):
+        left = sum(a * pow(1 - x * z, -k, PRIME) for x, k, a in values) % PRIME
+        right = prod(pow(1 - at(mu) * z, -table.multiplicity(mu), PRIME)
+                     for mu in table.support()) % PRIME
+        if left != right:
+            return False
+    return True
+
+
+def _pole_terms(closed):
+    return [(t.weight, t.order, t.coeff._terms, t.coeff._scale, t.coeff.factors)
+            for t in closed.terms]
+
+
+IDENTITY_MODULES = [
+    ("A1", (4,)), ("A2", (2, 1)), ("A3", (1, 0, 1)), ("B2", (1, 1)), ("B3", (0, 1, 0)),
+    ("C3", (0, 1, 0)), ("D4", (1, 0, 0, 0)), ("G2", (0, 1)), ("F4", (0, 0, 0, 1)),
+    ("B5", (0, 0, 0, 0, 1)), ("E6", (1, 0, 0, 0, 0, 0)), ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ("D8", (0, 0, 0, 0, 0, 0, 0, 1)), ("A8", (0, 0, 1, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("label,highest", IDENTITY_MODULES,
+                         ids=["%s%s" % module for module in IDENTITY_MODULES])
+def test_pole_data_is_an_identity_in_z(label, highest):
+    table = weight_system(from_label(label), highest)
+    assert _pole_identity_holds(table, _pole_terms(pfd_decompose(table)))
+
+
+@pytest.mark.parametrize("label,highest", [
+    ("A2", (2, 1)), ("F4", (0, 0, 0, 1)), ("E7", (0, 0, 0, 0, 0, 0, 1)),
+], ids=["A2", "F4", "E7"])
+def test_the_identity_fails_on_one_wrong_coefficient(label, highest):
+    table = weight_system(from_label(label), highest)
+    terms = _pole_terms(pfd_decompose(table))
+    nu, k, numerator, scale, factors = terms[0]
+    wrong = dict(numerator)
+    e = next(iter(wrong))
+    wrong[e] += 1
+    terms[0] = nu, k, wrong, scale, factors
+    assert not _pole_identity_holds(table, terms)
 
 
 def test_pole_data_failure_names_the_pole(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import doctest
 import itertools
 import random
 from fractions import Fraction
@@ -460,6 +461,13 @@ def test_operators_coerce_their_operand_or_refuse_it(cls, symbol, reflected):
 
     poly = LaurentPoly(2, {(1, 0): Fraction(3, 2), (0, -1): -2, (0, 0): 1})
     value = as_cls(poly)
+    # A LaurentPoly is a FactoredRational with no factors; wrapped, it is one with factors.
+    assert isinstance(LaurentPoly.one(2), FactoredRational)
+    assert LaurentPoly.one(2).factors == {}
+    assert LaurentPoly.evaluate is FactoredRational.evaluate
+    assert type(FactoredRational(poly)) is FactoredRational
+    assert isinstance(FactoredRational(poly).to_json(), dict)
+    assert isinstance(poly.to_json(), list)
     # An operand neither class takes: TypeError, and == is False.
     for foreign in ("q", 0.5, None):
         if symbol == "==":
@@ -503,6 +511,12 @@ def test_operators_coerce_their_operand_or_refuse_it(cls, symbol, reflected):
     assert type(got) is FactoredRational
     partner_rational = rational if cls is LaurentPoly else FactoredRational(other)
     assert got == apply(FactoredRational(poly), partner_rational)
+
+
+def test_the_module_examples_hold():
+    failed, attempted = doctest.testmod(polyring)
+    assert failed == 0
+    assert attempted >= 3  # the examples are found, so an empty run cannot pass
 
 
 def _binomial(alpha):
