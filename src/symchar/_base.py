@@ -1,10 +1,16 @@
-"""The bounded memo behind each stage of the pipeline, and the frozen values it holds.
+"""The package's error classes, its one count check, its bounded memo and ``Frozen``.
 
-Each stage keeps one dict from its checked input to its result: root
-systems by (series, rank) in ``rootsys``, weight tables by (root system,
-highest weight) in ``weightsys``, pole data by table content in
-``pfdcore``, on each ``ClosedCharacter`` its characters and its orbit
-summands by degree, filled by ``charformula.character_at`` and
+A leaf module: it imports nothing from the package, and every pipeline
+module and the command line take their base names from it without loading
+the arithmetic of ``polyring``.  ``polyring`` exports the errors in its
+``__all__``, so ``symchar.polyring.InconsistencyError`` and
+``symchar.InconsistencyError`` are these same classes.
+
+Each stage of the pipeline keeps one memo, a dict from its checked input
+to its result: root systems by (series, rank) in ``rootsys``, weight tables
+by (root system, highest weight) in ``weightsys``, pole data by table
+content in ``pfdcore``, on each ``ClosedCharacter`` its characters and its
+orbit summands by degree, filled by ``charformula.character_at`` and
 ``charformula.orbit_split``, and cyclotomic polynomials by index in
 ``univariate``.  Beside them, not a memo, each ``ClosedCharacter`` keeps
 each orbit's pole terms lifted to its common denominator, one entry per
@@ -15,6 +21,33 @@ callers and never copied, so the value classes derive from ``Frozen``.
 from __future__ import annotations
 
 from operator import attrgetter
+
+
+class ExactDivisionError(ArithmeticError):
+    """A quotient that was expected to be a polynomial is not one."""
+
+
+class InconsistencyError(ArithmeticError):
+    """An internal invariant failed (integrality, a cross-check, a symmetry): a bug.
+
+    Raised explicitly rather than through ``assert``, so the checks also run
+    under ``python -O``.
+    """
+
+
+class PoleError(ZeroDivisionError):
+    """A rational function was evaluated at a zero of a denominator factor."""
+
+
+def check_count(value, what: str, least: int = 0, most: int | None = None) -> None:
+    """ValueError unless value is an int, not a bool, in least..most (no upper bound if None)."""
+    if type(value) is int and value >= least and (most is None or value <= most):
+        return
+    if most is None:
+        raise ValueError("%s must be a %s integer, got %r"
+                         % (what, "positive" if least else "non-negative", value))
+    raise ValueError("%s %r outside %d..%d" % (what, value, least, most))
+
 
 # The most entries any one memo holds.
 MEMO_SIZE = 32

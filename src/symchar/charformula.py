@@ -8,7 +8,7 @@ its own factors as a power series, and raises ExactDivisionError when one
 of its checks fails.  The coefficients must be positive integers that sum
 to C(dim-1+N, N); every error names the module and N.  Each degree is
 assembled once per ClosedCharacter and kept on it (a bounded memo, see
-_memo), so the characters live exactly as long as their pole data; n is
+_base), so the characters live exactly as long as their pole data; n is
 checked on every call.  multiplicity_at reads a weight multiplicity off
 that polynomial as a shifted constant term.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import comb
 
-from ._memo import Frozen, recall
+from ._base import Frozen, recall
 from .pfdcore import ClosedCharacter, PFDTerm, binomial_poly
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,

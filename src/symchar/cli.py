@@ -8,7 +8,7 @@ a `verify` check failed or `vpart` reported all_pass false; each means a
 bug).  A failing `verify` or `vpart` still prints its full report first.
 
 A subcommand loads and compiles only what it runs.  This module loads
-rootsys and weightsys (with _memo and _checks), all that `weights` runs;
+rootsys and weightsys (with _base), all that `weights` runs;
 the other handlers import pfdcore (with polyring), charformula, vpart and
 oracle when they run, each only what it uses, and none loads univariate.
 main builds the parser of the requested subcommand alone; no argument, -h
@@ -26,7 +26,7 @@ import sys
 from functools import partial
 from itertools import islice
 
-from ._checks import InconsistencyError
+from ._base import InconsistencyError
 from .rootsys import build_root_system, from_label, parse_label
 from .weightsys import weight_system
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from operator import lshift
 
-from ._memo import Frozen
+from ._base import Frozen
 from .polyring import FactoredRational, InconsistencyError, LaurentPoly, check_count
 from .rootsys import Weight, weight_diff, weight_scale
 from .weightsys import MultiplicityTable

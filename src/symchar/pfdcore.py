@@ -38,7 +38,7 @@ A table checks its entries and their Weyl invariance when it is built, so
 pfd_decompose checks only that the highest weight is dominant, then
 computes the pole data once per table content (root-system label, highest
 weight, sorted entries) and hands the same ClosedCharacter to every later
-caller; the oldest goes when the memo is full (see _memo).  Each
+caller; the oldest goes when the memo is full (see _base).  Each
 ClosedCharacter also keeps, by degree, the characters that
 charformula.character_at and the orbit summands that charformula.orbit_split
 have computed from it, and, once, each orbit's terms over one denominator.
@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from ._memo import Frozen, recall
+from ._base import Frozen, recall
 from .polyring import (
     ExactDivisionError, FactoredRational, InconsistencyError, LaurentPoly, check_count,
 )
@@ -129,7 +129,7 @@ def _power_sum(mu: Weight, others, k: int, rank: int) -> FactoredRational:
     return FactoredRational.sum(parts, rank)
 
 
-# Pole data by (root-system label, highest weight, sorted entries); see _memo.
+# Pole data by (root-system label, highest weight, sorted entries); see _base.
 _POLE_DATA: dict[tuple, ClosedCharacter] = {}
 
 

@@ -52,7 +52,7 @@ from operator import add, getitem, mul, neg, sub
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
-from ._checks import ExactDivisionError, InconsistencyError, PoleError, check_count
+from ._base import ExactDivisionError, InconsistencyError, PoleError, check_count
 
 Exponent = tuple[int, ...]
 
@@ -311,8 +311,8 @@ class FactoredRational:
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Exponent, int], scale: int, factors=None):
-        """Wrap integer terms over ``scale`` and normalized factors without checking them."""
-        result = cls.__new__(cls)
+        """Wrap terms and normalized factors unchecked; kept factors make a FactoredRational."""
+        result = object.__new__(FactoredRational if terms and factors else cls)
         result._set(rank, terms, scale, factors)
         return result
 

@@ -20,8 +20,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from ._checks import InconsistencyError
-from ._memo import Frozen, recall
+from ._base import Frozen, InconsistencyError, recall
 
 Weight = tuple[int, ...]
 
@@ -161,6 +160,11 @@ class RootSystem(Frozen):
         return tuple(d)
 
     @cached_property
+    def simple_roots(self) -> tuple[Weight, ...]:
+        """The simple roots in fundamental-weight coordinates: the columns of the Cartan matrix."""
+        return tuple(zip(*self.cartan_matrix))
+
+    @cached_property
     def rho(self) -> Weight:
         return (1,) * self.rank
 
@@ -173,8 +177,7 @@ class RootSystem(Frozen):
         <beta, a_i^v> = beta[i], and a root is positive exactly when its
         height is.  The classical count for the type is checked afterwards.
         """
-        rank, cartan = self.rank, self.cartan_matrix
-        simple_roots = [tuple(cartan[k][j] for k in range(rank)) for j in range(rank)]
+        rank, simple_roots = self.rank, self.simple_roots
         heights = dict.fromkeys(simple_roots, 1)
         frontier = list(simple_roots)
         while frontier:
@@ -231,15 +234,11 @@ class RootSystem(Frozen):
             common // g,
         )
 
-    def simple_root(self, i: int) -> Weight:
-        """The i-th simple root (1-based) in fundamental-weight coordinates."""
-        if not 1 <= i <= self.rank:
-            raise IndexError("simple-root index %d out of range 1..%d" % (i, self.rank))
-        return tuple(row[i - 1] for row in self.cartan_matrix)
-
     def reflect(self, i: int, mu: Weight) -> Weight:
         """Simple reflection s_i(mu) = mu - <mu, a_i^v> a_i (1-based index)."""
-        alpha = self.simple_root(i)
+        if not 1 <= i <= self.rank:
+            raise IndexError("simple-root index %d out of range 1..%d" % (i, self.rank))
+        alpha = self.simple_roots[i - 1]
         coeff = mu[i - 1]
         return tuple(m - coeff * a for m, a in zip(mu, alpha))
 
@@ -251,7 +250,7 @@ class RootSystem(Frozen):
         at the first negative coordinate i until none is left; each s_i multiplies the
         matrix M on the right, which takes M a_i from column i of M.
         """
-        nu, simple_roots = list(checked_weight(self, mu)), list(zip(*self.cartan_matrix))
+        nu, simple_roots = list(checked_weight(self, mu)), self.simple_roots
         rows = [[int(r == c) for c in range(self.rank)] for r in range(self.rank)]
         while (i := next((i for i, c in enumerate(nu) if c < 0), None)) is not None:
             alpha, coeff = simple_roots[i], nu[i]
@@ -260,27 +259,11 @@ class RootSystem(Frozen):
                 row[i] -= sum(map(mul, row, alpha))
         return tuple(nu), tuple(map(tuple, rows))
 
-    def inner(self, mu, nu) -> Fraction:
-        """Weyl-invariant symmetric form on the weight space, exact."""
-        gram, _, scale = self.integral_form
-        mu, nu = checked_weight(self, mu), checked_weight(self, nu)
-        total = 0
-        for i, a in enumerate(mu):
-            if a:
-                row = gram[i]
-                total += a * sum(row[j] * b for j, b in enumerate(nu) if b)
-        return Fraction(total, scale)
-
     def root_coordinates(self, mu) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (exact rationals)."""
         adj, det = self._cartan_inverse
         mu = checked_weight(self, mu)
         return tuple(Fraction(sum(a * m for a, m in zip(row, mu)), det) for row in adj)
-
-    def height(self, mu) -> Fraction:
-        """Sum of the simple-root coordinates of mu."""
-        _, heights, scale = self.integral_form
-        return Fraction(sum(h * m for h, m in zip(heights, checked_weight(self, mu))), scale)
 
 
 def checked_weight(rs: RootSystem, mu) -> Weight:
@@ -306,7 +289,7 @@ def _check_type(series: str, rank: int) -> tuple[str, int]:
     return series, rank
 
 
-# Built root systems by checked (series, rank); see _memo.
+# Built root systems by checked (series, rank); see _base.
 _ROOT_SYSTEMS: dict[tuple[str, int], RootSystem] = {}
 
 

@@ -11,7 +11,7 @@ Univariate polynomials are rank-1 LaurentPoly values.  The one operation
 LaurentPoly lacks is division with remainder by a polynomial: _divmod, for
 exponents >= 0.  A numerator with negative exponents is first multiplied by
 q^(k*d), which is 1 modulo Phi_d, and shifted back once Phi_d is divided out.
-Each cyclotomic polynomial is built once, in a bounded memo (see _memo).
+Each cyclotomic polynomial is built once, in a bounded memo (see _base).
 No subcommand of the command line runs this module, so none loads it.
 """
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from ._checks import InconsistencyError, check_count
-from ._memo import Frozen, recall
+from ._base import Frozen, InconsistencyError, check_count, recall
 from .polyring import FactoredRational, LaurentPoly
 
 __all__ = ["CyclotomicPole", "UnivariatePFD", "univariate_pfd", "cyclotomic"]
@@ -98,7 +97,7 @@ def _mod_inverse(a: LaurentPoly, modulus: LaurentPoly) -> LaurentPoly:
     return _divmod(t0 * (1 / r0.terms[(0,)]), modulus)[1]
 
 
-# Cyclotomic polynomials by index; see _memo.
+# Cyclotomic polynomials by index; see _base.
 _CYCLOTOMICS: dict[int, LaurentPoly] = {}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from ._memo import Frozen
+from ._base import Frozen
 from .charformula import character_at, multiplicity_at
 from .pfdcore import pfd_decompose
 from .polyring import check_count

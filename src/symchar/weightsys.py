@@ -18,8 +18,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._checks import InconsistencyError, check_count
-from ._memo import Frozen, recall
+from ._base import Frozen, InconsistencyError, check_count, recall
 from .rootsys import RootSystem, Weight, checked_weight, is_dominant, weight_diff, weight_sum
 
 if TYPE_CHECKING:  # polyring loads only when a table's character is asked for
@@ -89,7 +88,6 @@ def _support_closure(rs: RootSystem, highest: Weight) -> set[Weight]:
     the weight diagram for t = 1..mu[i]; iterating this from the highest
     weight reaches the entire support.
     """
-    simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
     seen = {highest}
     frontier = [highest]
     while frontier:
@@ -97,7 +95,7 @@ def _support_closure(rs: RootSystem, highest: Weight) -> set[Weight]:
         for mu in frontier:
             for i, coeff in enumerate(mu):
                 if coeff > 0:
-                    alpha = simple[i]
+                    alpha = rs.simple_roots[i]
                     for t in range(1, coeff + 1):
                         down = tuple(m - t * a for m, a in zip(mu, alpha))
                         if down not in seen:
@@ -107,7 +105,7 @@ def _support_closure(rs: RootSystem, highest: Weight) -> set[Weight]:
     return seen
 
 
-# Weight tables by (root system, highest weight); see _memo.
+# Weight tables by (root system, highest weight); see _base.
 _TABLES: dict[tuple[RootSystem, Weight], MultiplicityTable] = {}
 
 

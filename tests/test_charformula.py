@@ -243,8 +243,7 @@ class TestKroneckerRoute:
             character_at(broken, 3)
         assert top.coeff._residue is residue
 
-    @pytest.mark.parametrize("route", ["rule"])
-    def test_the_coefficient_sum_is_checked_on_either_route(self, sl2_adjoint, route):
+    def test_the_coefficient_sum_is_checked(self, sl2_adjoint):
         # Doubled pole data gives positive integer coefficients that sum to 2 C(dim-1+N, N).
         closed = pfd_decompose(sl2_adjoint)
         doubled = ClosedCharacter(source=closed.source, terms=tuple(

@@ -22,7 +22,7 @@ from symchar import (
     weight_system,
     weightsys,
 )
-from symchar._memo import MEMO_SIZE
+from symchar._base import MEMO_SIZE
 from symchar.weightsys import MultiplicityTable
 
 

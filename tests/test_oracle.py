@@ -117,6 +117,8 @@ class TestHsymCharacter:
     def test_repeated_weights_rejected(self):
         with pytest.raises(ValueError):
             hsym_character([(1,), (1,)], 2)
+        with pytest.raises(ValueError, match="empty weight list"):
+            hsym_character([], 2)
 
 
 class TestQuadratureCheck:

@@ -468,6 +468,14 @@ def test_operators_coerce_their_operand_or_refuse_it(cls, symbol, reflected):
     assert type(FactoredRational(poly)) is FactoredRational
     assert isinstance(FactoredRational(poly).to_json(), dict)
     assert isinstance(poly.to_json(), list)
+    with pytest.raises(TypeError, match="numerator must be a LaurentPoly"):
+        FactoredRational(3)
+    # A value that keeps factors is a FactoredRational, whichever class builds it.
+    pole = FactoredRational(q(1), [((1,), 1)])
+    for kept in (LaurentPoly.sum([pole], 1), LaurentPoly.shifted_sum([(pole, 1, (0,))], 1)):
+        assert type(kept) is FactoredRational
+        assert kept.factors == {(1,): 1}
+        assert kept.to_json() == pole.to_json()
     # An operand neither class takes: TypeError, and == is False.
     for foreign in ("q", 0.5, None):
         if symbol == "==":
@@ -499,6 +507,8 @@ def test_operators_coerce_their_operand_or_refuse_it(cls, symbol, reflected):
     for other_rank in (q(1), FactoredRational(q(1))):
         with pytest.raises(ValueError, match="rank mismatch"):
             apply(value, other_rank)
+    with pytest.raises(ValueError, match="rank mismatch in summation"):
+        type(value).sum([value, as_cls(q(1))], 2)
     # A LaurentPoly with a FactoredRational gives a FactoredRational.
     other = LaurentPoly.monomial((1, 1), 2) - 1
     rational = FactoredRational(other, [((1, 1), 1)])

@@ -199,7 +199,7 @@ def _assert_stabilizer_invariant(closed):
         for i in range(1, rs.rank + 1):
             if term.weight[i - 1]:
                 continue
-            alpha = rs.simple_root(i)
+            alpha = rs.simple_roots[i - 1]
             matrix = [[int(r == c) - (alpha[r] if c == i - 1 else 0) for c in range(rs.rank)]
                       for r in range(rs.rank)]
             image = term.coeff.mapped(matrix)

@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -279,13 +278,3 @@ def test_integral_freudenthal_matches_fraction_reference(label, highest):
     reference = _fraction_freudenthal(rs, highest)
     assert table.entries == reference
     assert list(table.entries) == list(reference)
-
-
-@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2"])
-def test_integral_form_matches_fraction_reference(label):
-    rs = from_label(label)
-    rng = random.Random(label)
-    for _ in range(20):
-        mu, nu = (tuple(rng.randint(-3, 3) for _ in range(rs.rank)) for _ in range(2))
-        assert rs.inner(mu, nu) == _fraction_inner(rs, mu, nu)
-        assert rs.height(mu) == sum(rs.root_coordinates(mu))
